@@ -16,7 +16,6 @@ from .cheeger import (
     sweep_cut,
     verify_witness,
 )
-from .cli import RunConfig
 from .covers import (
     CoveredGraph,
     DeckElement,
@@ -51,11 +50,13 @@ from .spectrum import (
     SandwichReport,
     SpectralSummary,
     cheeger_sandwich,
+    fiedler_basis,
     fiedler_vector,
     full_spectrum,
     laplacian,
     laplacian_eigensystem,
     spectrum_inclusion,
+    symmetric_eigensystem,
 )
 from .tower import TowerLevel, TowerReport, iterate_tower
 
@@ -74,7 +75,6 @@ __all__ = [
     "GraphMetricSummary",
     "MultiGraph",
     "RegularCoverReport",
-    "RunConfig",
     "SandwichReport",
     "SizeCapError",
     "SpecMismatchError",
@@ -89,6 +89,7 @@ __all__ = [
     "deck_action",
     "degree",
     "exact_cheeger",
+    "fiedler_basis",
     "fiedler_vector",
     "flip_cotree_orientation",
     "full_spectrum",
@@ -102,6 +103,7 @@ __all__ = [
     "spanning_tree",
     "spectrum_inclusion",
     "sweep_cut",
+    "symmetric_eigensystem",
     "verify_regular_cover",
     "verify_witness",
     "z2_cover",

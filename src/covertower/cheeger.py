@@ -34,6 +34,9 @@ METHOD_SWEEP = "sweep"
 
 DEFAULT_BRUTE_FORCE_CAP = 26
 _CHUNK_BITS = 20
+# Sweep entries closer than this, relative to the vector's largest magnitude,
+# are ties: rounding in the eigensolver must not decide the vertex order.
+SWEEP_TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -165,20 +168,28 @@ def exact_cheeger(
     best_crossing = best_side = -1
     best_tuple: tuple[int, ...] | None = None
     chunk = 1 << _CHUNK_BITS
+    # Chunk-sized work arrays, allocated once and updated in place, so the
+    # search holds four chunk arrays instead of a fresh one per operation.
+    buffers = [np.empty(min(chunk, total), dtype=np.uint64) for _ in range(3)]
+    one = np.uint64(1)
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
-        k = np.arange(start, stop, dtype=np.uint64)
-        masks = (k << np.uint64(1)) | np.uint64(1)
-        crossing = np.zeros(masks.shape, dtype=np.uint64)
+        masks = np.arange(start, stop, dtype=np.uint64)
+        np.left_shift(masks, one, out=masks)
+        np.bitwise_or(masks, one, out=masks)
+        crossing, diff, shifted = (b[: stop - start] for b in buffers)
+        crossing.fill(0)
         for u, v, mult in edge_mults:
-            diff = ((masks >> np.uint64(u)) ^ (masks >> np.uint64(v))) & np.uint64(1)
-            if mult == 1:
-                crossing += diff
-            else:
-                crossing += diff * np.uint64(mult)
-        size_a = np.bitwise_count(masks).astype(np.uint64)
-        side = np.minimum(size_a, np.uint64(n) - size_a)
-        ratio = crossing / side
+            np.right_shift(masks, np.uint64(u), out=diff)
+            np.right_shift(masks, np.uint64(v), out=shifted)
+            np.bitwise_xor(diff, shifted, out=diff)
+            np.bitwise_and(diff, one, out=diff)
+            if mult != 1:
+                np.multiply(diff, np.uint64(mult), out=diff)
+            crossing += diff
+        size_a = np.bitwise_count(masks)
+        side = np.minimum(size_a, np.uint8(n) - size_a)
+        ratio = np.divide(crossing, side, out=diff.view(np.float64))
         i_min = int(np.argmin(ratio))
         c, s = int(crossing[i_min]), int(side[i_min])
         if best_crossing >= 0 and c * best_side > best_crossing * s:
@@ -234,45 +245,66 @@ def lemma_cut(cover: CoveredGraph) -> CheegerResult:
     )
 
 
-def sweep_cut(g: MultiGraph, second_eigenvector: Sequence[float]) -> CheegerResult:
-    """Best prefix cut of the vertices sorted by eigenvector value.
+def sweep_cut(g: MultiGraph, vectors: Sequence[float] | np.ndarray) -> CheegerResult:
+    """Best prefix cut over the vertex orders given by one vector or a basis.
 
-    Ties in the eigenvector are broken by vertex id; ties between equal-ratio
-    prefixes keep the shortest prefix.  The result is an upper bound on the
-    Cheeger constant (and equals it whenever the optimum cut is a prefix).
+    `vectors` is one vector or a 2-D array with one vector per row; each row
+    orders the vertices by value, and values within SWEEP_TIE_TOLERANCE times
+    the row's largest magnitude form one tie class, ordered by vertex id.
+    Ties between equal-ratio cuts keep the shortest prefix, then the earliest
+    row.  The result is an upper bound on the Cheeger constant (and equals it
+    whenever the optimum cut is a prefix).
     """
     n = g.num_vertices
-    vec = list(second_eigenvector)
-    if len(vec) != n:
-        raise ValidationError(f"eigenvector has length {len(vec)}, graph has {n} vertices")
+    rows = np.asarray(vectors, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[np.newaxis, :]
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValidationError(
+            f"sweep vectors have shape {rows.shape}, graph has {n} vertices"
+        )
+    if not np.all(np.isfinite(rows)):
+        raise ValidationError("sweep vectors must be finite")
     if n < 2:
         raise DegenerateCutError("sweep cut needs at least two vertices")
+    if len(rows) == 0:
+        raise ValidationError("sweep cut needs at least one vector")
     if not is_connected(g):
         raise DisconnectedGraphError("sweep cut requires a connected graph")
-    order = sorted(range(n), key=lambda v: (vec[v], v))
-    adjacency: list[Counter] = [Counter() for _ in range(n)]
-    nonloop_degree = [0] * n
-    for u, v in g.edges:
-        if u == v:
-            continue
-        adjacency[u][v] += 1
-        adjacency[v][u] += 1
-        nonloop_degree[u] += 1
-        nonloop_degree[v] += 1
-    in_a = [False] * n
-    crossing = 0
-    best: tuple[Fraction, int] | None = None
-    for k, v in enumerate(order[:-1]):
-        crossing += nonloop_degree[v] - 2 * sum(
-            mult for nb, mult in adjacency[v].items() if in_a[nb]
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    smaller = np.minimum(np.arange(1, n), np.arange(n - 1, 0, -1))
+    best: tuple[Fraction, int, np.ndarray] | None = None
+    for row in rows:
+        order = _sweep_order(row)
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        # Edge {u, v} crosses the prefix of size s when min(pos) < s <= max(pos).
+        pos = position[ends]
+        delta = np.bincount(pos.min(axis=1) + 1, minlength=n + 1) - np.bincount(
+            pos.max(axis=1) + 1, minlength=n + 1
         )
-        in_a[v] = True
-        size = k + 1
-        ratio = Fraction(crossing, min(size, n - size))
-        if best is None or ratio < best[0]:
-            best = (ratio, size)
+        crossing = np.cumsum(delta)[1:n]
+        ratio = crossing / smaller
+        # Float ratios only shortlist; the exact minimum is taken on Fractions.
+        near = np.flatnonzero(ratio <= ratio.min() * (1 + 1e-9))
+        value, size = min(
+            (Fraction(int(crossing[i]), int(smaller[i])), int(i) + 1) for i in near
+        )
+        if best is None or (value, size) < best[:2]:
+            best = (value, size, order)
     assert best is not None
-    cut = cut_ratio(g, order[: best[1]])
+    cut = cut_ratio(g, best[2][: best[1]].tolist())
     return CheegerResult(
         value=cut.ratio, witness=cut, certified=UPPER_BOUND, method=METHOD_SWEEP
     )
+
+
+def _sweep_order(values: np.ndarray) -> np.ndarray:
+    """Vertex ids by value, with near-equal values as one tie class by id."""
+    by_value = np.argsort(values, kind="stable")
+    scale = float(np.max(np.abs(values)))
+    starts = np.diff(values[by_value]) > SWEEP_TIE_TOLERANCE * scale
+    tie_class = np.empty(len(values), dtype=np.int64)
+    tie_class[by_value] = np.concatenate(([0], np.cumsum(starts)))
+    return np.lexsort((np.arange(len(values)), tie_class))

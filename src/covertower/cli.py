@@ -204,7 +204,7 @@ def cmd_cheeger(args: argparse.Namespace) -> int:
     elif args.method == "lemma":
         # The certified cut lives on the homology cover of the input, giving
         # the bound h(cover) <= 2 / #V(input).
-        cover = z2_cover(g, spanning_tree(g))
+        cover = z2_cover(g, spanning_tree(g), vertex_cap=DEFAULT_VERTEX_CAP)
         result = cheeger_mod.lemma_cut(cover)
         target = cover.graph
         extra = {
@@ -214,7 +214,10 @@ def cmd_cheeger(args: argparse.Namespace) -> int:
             "cover_rank": cover.rank,
         }
     else:
-        result = cheeger_mod.sweep_cut(g, spectrum_mod.fiedler_vector(g))
+        # Sweep the canonical basis of the whole lambda1 eigenspace, as the
+        # tower does, so a repeated eigenvalue gives one answer.
+        w, vecs = spectrum_mod.laplacian_eigensystem(g, vectors=True)
+        result = cheeger_mod.sweep_cut(g, spectrum_mod.fiedler_basis(w, vecs))
         target = g
         extra = {"input_vertices": g.num_vertices}
     cheeger_mod.verify_witness(target, result)

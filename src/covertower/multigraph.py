@@ -108,7 +108,7 @@ class MultiGraph:
         if "vertices" not in doc or "edges" not in doc:
             raise ValidationError("graph document needs 'vertices' and 'edges'")
         n = doc["vertices"]
-        if not isinstance(n, int):
+        if not _is_int(n):
             raise ValidationError("'vertices' must be an integer")
         edges = []
         for i, pair in enumerate(doc["edges"]):
@@ -211,13 +211,15 @@ def build_graph(
     labels: Sequence[str] | None = None,
 ) -> MultiGraph:
     """Construct a canonical MultiGraph; edge ids follow input order."""
+    if not _is_int(vertex_count):
+        raise ValidationError("vertex count must be an integer")
     edges = []
     for i, pair in enumerate(edge_list):
         try:
             u, v = pair
         except (TypeError, ValueError):
             raise ValidationError(f"edge {i} is not an endpoint pair") from None
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (_is_int(u) and _is_int(v)):
             raise ValidationError(f"edge {i} endpoints must be integers")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise ValidationError(
@@ -229,6 +231,11 @@ def build_graph(
         edges=tuple(edges),
         labels=tuple(labels) if labels is not None else None,
     )
+
+
+def _is_int(value) -> bool:
+    """True for ints but not bools, which JSON's true/false would become."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def degree(g: MultiGraph, v: int) -> int:

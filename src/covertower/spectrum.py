@@ -4,6 +4,8 @@ Degree convention: a loop adds 2 to both the adjacency diagonal and the
 degree, so loops cancel exactly in the combinatorial Laplacian L = D - A.
 Normalized spectra are computed from entrywise-symmetric formulas so the
 matrix handed to the eigensolver is symmetric to the last bit.
+
+Eigensystems come from LAPACK through numpy (``eigvalsh``/``eigh``).
 """
 from __future__ import annotations
 
@@ -14,14 +16,16 @@ from fractions import Fraction
 import numpy as np
 
 from .cheeger import CheegerResult
-from .eigen import symmetric_eigensystem
-from .errors import SpectrumError, ValidationError
+from .errors import ConvergenceError, SpectrumError, ValidationError
 from .multigraph import MultiGraph
 
 COMBINATORIAL = "combinatorial"
 NORMALIZED = "normalized"
 
 DEFAULT_SPECTRUM_CAP = 2048
+# Eigenspace columns whose residual against the earlier pivot columns is at
+# most this are dependent; the residuals do not depend on the basis.
+_PIVOT_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -40,10 +44,11 @@ class SpectralSummary:
     max_degree: int
 
     def to_json_dict(self) -> dict:
+        tol = zero_tolerance(np.asarray(self.eigenvalues))
         return {
             "schema": 1,
             "kind": self.kind,
-            "eigenvalues": [round_sig(x) for x in self.eigenvalues],
+            "eigenvalues": [0.0 if abs(x) <= tol else round_sig(x) for x in self.eigenvalues],
             "lambda1": round_sig(self.lambda1) if self.lambda1 is not None else None,
             "zero_multiplicity": self.zero_multiplicity,
             "max_degree": self.max_degree,
@@ -53,6 +58,35 @@ class SpectralSummary:
 def round_sig(x: float, digits: int = 12) -> float:
     """Round to the given significant digits (stable float formatting)."""
     return float(f"{x:.{digits}g}")
+
+
+def symmetric_eigensystem(
+    matrix: np.ndarray, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
+
+    Returns (w, V) with V[:, k] the eigenvector for w[k], or (w, None) when
+    vectors is False.  Each eigenvector is sign-normalized so its largest-
+    magnitude entry is positive.
+    """
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError("matrix must be square")
+    if not np.array_equal(a, a.T):
+        raise ValidationError("matrix must be symmetric")
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros(0), (np.zeros((0, 0)) if vectors else None)
+    if n == 1:
+        return a[0].copy(), (np.ones((1, 1)) if vectors else None)
+    try:
+        if not vectors:
+            return np.linalg.eigvalsh(a), None
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+    return w, np.where(lead < 0.0, -v, v)
 
 
 def adjacency_matrix(g: MultiGraph) -> np.ndarray:
@@ -90,9 +124,19 @@ def laplacian(g: MultiGraph, kind: str = COMBINATORIAL) -> np.ndarray:
 
 
 def laplacian_eigensystem(
-    g: MultiGraph, kind: str = COMBINATORIAL, vectors: bool = True
+    g: MultiGraph,
+    kind: str = COMBINATORIAL,
+    vectors: bool = True,
+    max_vertices: int = DEFAULT_SPECTRUM_CAP,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Full eigensystem of the chosen Laplacian, eigenvalues ascending."""
+    """Full eigensystem of the chosen Laplacian, eigenvalues ascending.
+
+    Graphs above max_vertices are rejected before the dense matrix exists.
+    """
+    if g.num_vertices > max_vertices:
+        raise SpectrumError(
+            f"graph has {g.num_vertices} vertices, above the dense-solver cap {max_vertices}"
+        )
     return symmetric_eigensystem(laplacian(g, kind), vectors=vectors)
 
 
@@ -123,11 +167,7 @@ def summarize_spectrum(g: MultiGraph, kind: str, eigenvalues: np.ndarray) -> Spe
 def full_spectrum(
     g: MultiGraph, kind: str = COMBINATORIAL, max_vertices: int = DEFAULT_SPECTRUM_CAP
 ) -> SpectralSummary:
-    if g.num_vertices > max_vertices:
-        raise SpectrumError(
-            f"graph has {g.num_vertices} vertices, above the dense-solver cap {max_vertices}"
-        )
-    w, _ = laplacian_eigensystem(g, kind, vectors=False)
+    w, _ = laplacian_eigensystem(g, kind, vectors=False, max_vertices=max_vertices)
     return summarize_spectrum(g, kind, w)
 
 
@@ -137,6 +177,36 @@ def fiedler_vector(g: MultiGraph) -> np.ndarray:
         raise ValidationError("fiedler vector needs at least two vertices")
     _, v = laplacian_eigensystem(g, COMBINATORIAL, vectors=True)
     return v[:, 1].copy()
+
+
+def fiedler_basis(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
+    """Canonical basis of the second-smallest eigenvalue's eigenspace, one row each.
+
+    The eigenspace holds every eigenvector whose eigenvalue lies within
+    zero_tolerance of the second-smallest.  Its basis is brought to reduced
+    row-echelon form; the pivots are the first vertex columns independent of
+    the earlier ones.  Both depend only on the eigenspace, so the rows are the
+    same (up to rounding) whatever basis the solver returned for a repeated
+    eigenvalue.
+    """
+    w = np.asarray(eigenvalues, dtype=float)
+    n = len(w)
+    if n < 2:
+        return np.zeros((0, n))
+    span = eigenvectors[:, np.abs(w - w[1]) <= zero_tolerance(w)].T
+    q = np.zeros((span.shape[0], 0))
+    pivots: list[int] = []
+    for j in range(n):
+        column = span[:, j]
+        for _ in range(2):  # reorthogonalize once: Gram-Schmidt loses accuracy
+            column = column - q @ (q.T @ column)
+        norm = float(np.linalg.norm(column))
+        if norm > _PIVOT_TOLERANCE:
+            pivots.append(j)
+            q = np.column_stack((q, column / norm))
+            if len(pivots) == span.shape[0]:
+                break
+    return np.linalg.solve(span[:, pivots], span)
 
 
 @dataclass(frozen=True)

@@ -156,22 +156,22 @@ def _analyze_level(
 ) -> TowerLevel:
     lambda1_comb: float | None = None
     lambda1_norm: float | None = None
-    fiedler = None
+    sweep_basis = None
     if g.num_vertices <= spectrum_cap:
         need_vectors = g.num_vertices > cheeger_cap and g.num_vertices >= 2
         if spectrum_mod.COMBINATORIAL in kinds or need_vectors:
             w, vecs = spectrum_mod.laplacian_eigensystem(
-                g, spectrum_mod.COMBINATORIAL, vectors=need_vectors
+                g, spectrum_mod.COMBINATORIAL, vectors=need_vectors, max_vertices=spectrum_cap
             )
             if spectrum_mod.COMBINATORIAL in kinds:
                 lambda1_comb = spectrum_mod.summarize_spectrum(
                     g, spectrum_mod.COMBINATORIAL, w
                 ).lambda1
             if need_vectors:
-                fiedler = vecs[:, 1]
+                sweep_basis = spectrum_mod.fiedler_basis(w, vecs)
         if spectrum_mod.NORMALIZED in kinds:
             w_norm, _ = spectrum_mod.laplacian_eigensystem(
-                g, spectrum_mod.NORMALIZED, vectors=False
+                g, spectrum_mod.NORMALIZED, vectors=False, max_vertices=spectrum_cap
             )
             lambda1_norm = spectrum_mod.summarize_spectrum(
                 g, spectrum_mod.NORMALIZED, w_norm
@@ -188,8 +188,8 @@ def _analyze_level(
         best: tuple[Fraction, str] | None = None
         if lemma_bound is not None:
             best = (lemma_bound, cheeger_mod.METHOD_LEMMA_CUT)
-        if fiedler is not None:
-            sweep = cheeger_mod.sweep_cut(g, fiedler)
+        if sweep_basis is not None:
+            sweep = cheeger_mod.sweep_cut(g, sweep_basis)
             cheeger_mod.verify_witness(g, sweep)
             if best is None or sweep.value < best[0]:
                 best = (sweep.value, cheeger_mod.METHOD_SWEEP)

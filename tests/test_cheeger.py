@@ -2,8 +2,12 @@
 from __future__ import annotations
 
 import itertools
+import json
+import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +27,9 @@ from covertower import (
     verify_witness,
 )
 from covertower.cheeger import CheegerResult, Cut
+from covertower.cli import main as cli_main
+from covertower.spectrum import fiedler_basis, laplacian, symmetric_eigensystem, zero_tolerance
+from covertower.tower import iterate_tower
 
 from conftest import (
     complete,
@@ -305,3 +312,138 @@ class TestCycleFamilyTightness:
         assert is_connected(cov.graph)
         assert cov.graph.num_vertices == 2 * m
         assert exact_cheeger(cov.graph).value == bound
+
+
+def loop_sweep(g, order):
+    """The pure-Python sweep the vectorized one replaced: (ratio, prefix size).
+
+    Adds the vertices in `order` one at a time, updating the crossing count
+    from each vertex's non-loop neighbours; ties keep the shorter prefix.
+    """
+    n = g.num_vertices
+    adjacency = [Counter() for _ in range(n)]
+    nonloop_degree = [0] * n
+    for u, v in g.edges:
+        if u == v:
+            continue
+        adjacency[u][v] += 1
+        adjacency[v][u] += 1
+        nonloop_degree[u] += 1
+        nonloop_degree[v] += 1
+    in_a = [False] * n
+    crossing = 0
+    best = None
+    for k, v in enumerate(order[:-1]):
+        crossing += nonloop_degree[v] - 2 * sum(
+            mult for nb, mult in adjacency[v].items() if in_a[nb]
+        )
+        in_a[v] = True
+        size = k + 1
+        ratio = Fraction(crossing, min(size, n - size))
+        if best is None or ratio < best[0]:
+            best = (ratio, size)
+    return best
+
+
+def random_seed(rng, n, rank):
+    """Connected multigraph on n vertices with n - 1 + rank edges (loops allowed)."""
+    edges = [(i, rng.randrange(i)) for i in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rank)]
+    rng.shuffle(edges)
+    return build_graph(n, edges)
+
+
+SWEEP_COVERS = [
+    cover_of(random_seed(random.Random(seed), n, rank)).graph
+    for seed, (n, rank) in enumerate([(2, 4), (2, 5), (3, 3), (3, 4), (2, 6), (4, 3)] * 2)
+]
+
+
+def eigenspace_rotated(w, v, rng):
+    """v with the second-smallest eigenvalue's eigenspace rotated at random."""
+    block = np.flatnonzero(np.abs(w - w[1]) <= zero_tolerance(w))
+    q, _ = np.linalg.qr(rng.standard_normal((len(block), len(block))))
+    rotated = v.copy()
+    rotated[:, block] = v[:, block] @ q
+    return rotated, len(block)
+
+
+class TestVectorizedSweep:
+    @pytest.mark.parametrize(
+        "g",
+        [g for g in SMALL_CONNECTED if g.num_vertices >= 2] + SWEEP_COVERS,
+        ids=lambda g: f"V{g.num_vertices}E{g.num_edges}",
+    )
+    def test_matches_loop_oracle(self, g):
+        rng = np.random.default_rng(g.num_vertices * 1000 + g.num_edges)
+        n = g.num_vertices
+        vectors = [rng.standard_normal(n) for _ in range(4)]
+        # small integers: many exact ties, ordered by vertex id
+        vectors += [rng.integers(-2, 3, size=n).astype(float) for _ in range(4)]
+        for vec in vectors:
+            order = sorted(range(n), key=lambda v: (vec[v], v))
+            ratio, size = loop_sweep(g, order)
+            result = sweep_cut(g, vec)
+            assert result.value == ratio
+            assert result.witness.side_a == tuple(sorted(order[:size]))
+
+    def test_basis_takes_best_row(self):
+        g = SWEEP_COVERS[0]
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((5, g.num_vertices))
+        singles = [sweep_cut(g, row) for row in rows]
+        best = min(singles, key=lambda r: (r.value, len(r.witness.side_a)))
+        assert sweep_cut(g, rows) == best
+
+    def test_near_ties_order_by_vertex_id(self):
+        g = cycle(6)
+        vec = [1e-13, -1e-13, 0.0, 1.0, 1.0 + 1e-12, 2.0]
+        # vertices 0-2 and 3-4 are tie classes: the order is 0, 1, 2, 3, 4, 5
+        assert sweep_cut(g, vec).witness.side_a == (0, 1, 2)
+        assert sweep_cut(g, vec) == sweep_cut(g, [0.0, 0.0, 0.0, 1.0, 1.0, 2.0])
+
+    def test_rejects_non_finite_and_empty_basis(self):
+        with pytest.raises(ValidationError):
+            sweep_cut(cycle(4), [0.0, float("nan"), 1.0, 2.0])
+        with pytest.raises(ValidationError):
+            sweep_cut(cycle(4), np.zeros((0, 4)))
+
+
+class TestCanonicalSweep:
+    """The tower's sweep depends on the eigenspace, not on the solver's basis."""
+
+    def canonical_sweep(self, g, rotations=5):
+        w, v = symmetric_eigensystem(laplacian(g))
+        result = sweep_cut(g, fiedler_basis(w, v))
+        rng = np.random.default_rng(g.num_vertices + g.num_edges)
+        for _ in range(rotations):
+            rotated, multiplicity = eigenspace_rotated(w, v, rng)
+            assert sweep_cut(g, fiedler_basis(w, rotated)) == result
+        return result, multiplicity
+
+    def test_gamma1(self, gamma1):
+        result, multiplicity = self.canonical_sweep(gamma1.graph)
+        assert multiplicity == 2
+        assert result.value == 2
+
+    def test_gamma2(self, gamma2):
+        result, multiplicity = self.canonical_sweep(gamma2.graph)
+        assert multiplicity == 8
+        assert result.value == Fraction(7, 8)
+
+    def test_covers_with_repeated_lambda1(self):
+        repeated = 0
+        for g in SWEEP_COVERS:
+            _, multiplicity = self.canonical_sweep(g, rotations=3)
+            repeated += multiplicity > 1
+        assert repeated >= len(SWEEP_COVERS) // 2
+
+    def test_tower_and_cli_use_the_canonical_sweep(self, capsys):
+        g = cycle(5)  # lambda1 has multiplicity 2
+        w, v = symmetric_eigensystem(laplacian(g))
+        sweep = sweep_cut(g, fiedler_basis(w, v))
+        row = iterate_tower(g, 0, cheeger_cap=1, kinds=()).levels[0]
+        assert (row.cheeger_value, row.cheeger_method) == (sweep.value, "sweep")
+        assert cli_main(["cheeger", "cycle:5", "--method", "sweep"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["witness"] == sweep.witness.to_json_dict()

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from covertower import MultiGraph, RunConfig, ValidationError, cut_ratio
-from covertower.cli import build_parser, main
+from covertower import MultiGraph, ValidationError, cut_ratio
+from covertower.cli import RunConfig, build_parser, main
 
 
 def run_cli(*argv, capsys=None):
@@ -191,6 +191,21 @@ class TestCheegerCommand:
         assert doc["method"] == "sweep"
         assert doc["certified"] == "upper_bound"
 
+    def test_lemma_caps_the_cover_before_building_it(self, capsys):
+        # 2^40 cover vertices: refused by the vertex cap, not allocated
+        code, _, err = run_cli("cheeger", "bouquet:40", "--method", "lemma", capsys=capsys)
+        assert code == 4
+        assert json.loads(err)["error"] == "SizeCapError"
+
+    def test_sweep_caps_the_dense_solve(self, capsys):
+        code, _, err = run_cli("cheeger", "cycle:2049", "--method", "sweep", capsys=capsys)
+        assert code == 5
+        doc = json.loads(err)
+        assert doc["error"] == "SpectrumError"
+        assert doc["message"] == (
+            "graph has 2049 vertices, above the dense-solver cap 2048"
+        )
+
     def test_degenerate_input_exit_4(self, capsys):
         code, _, err = run_cli("cheeger", "figure8", capsys=capsys)
         assert code == 4
@@ -213,6 +228,15 @@ class TestSpectrumCommand:
         doc = json.loads(stdout)
         assert [round(x, 9) for x in doc["eigenvalues"]] == [0.0, 4.0, 4.0, 8.0]
         assert doc["lambda1"] == 4.0
+
+    def test_zero_eigenvalue_prints_as_zero(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        run_cli("cover", "figure8", "--out", str(out))
+        for kind in ("combinatorial", "normalized"):
+            code, stdout, _ = run_cli("spectrum", str(out), "--kind", kind, capsys=capsys)
+            assert code == 0
+            assert json.loads(stdout)["eigenvalues"][0] == 0.0
+            assert '"eigenvalues": [\n    0.0,\n' in stdout
 
     def test_normalized(self, capsys):
         code, stdout, _ = run_cli(
@@ -273,6 +297,17 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert MultiGraph.from_json(result.stdout).num_vertices == 4
+
+    @pytest.mark.parametrize("module", ["covertower.cli", "covertower"])
+    def test_module_runs_without_runpy_warning(self, module):
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: covertower")
+        assert "RuntimeWarning" not in result.stderr
 
     def test_missing_command_exits_2(self):
         result = subprocess.run(

@@ -1,4 +1,8 @@
-"""Eigensolver validation against an independent dense solver and residuals."""
+"""Contract of the dense symmetric eigensolver, spectrum.symmetric_eigensystem.
+
+Checked against closed forms, residuals, orthonormality, the trace and
+Frobenius-norm invariants and sign changes of the characteristic polynomial.
+"""
 from __future__ import annotations
 
 import math
@@ -6,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from covertower import ValidationError
-from covertower.eigen import symmetric_eigensystem
+from covertower import ConvergenceError, ValidationError
+from covertower.cli import main as cli_main
+from covertower.spectrum import symmetric_eigensystem
 
 
 def assert_valid_eigensystem(a, atol_scale=1e-8):
@@ -24,9 +29,13 @@ def assert_valid_eigensystem(a, atol_scale=1e-8):
     # orthonormal eigenvectors
     gram = v.T @ v - np.eye(n)
     assert np.max(np.abs(gram)) <= 1e-8
-    # independent oracle for the eigenvalues
-    w_ref = np.linalg.eigvalsh(a)
-    assert np.max(np.abs(w - w_ref)) <= 1e-9 * max(1.0, float(np.max(np.abs(w_ref))) if n else 1.0)
+    # the eigenvalues carry the trace and the Frobenius norm of the matrix
+    assert abs(np.sum(w) - np.trace(a)) <= atol_scale * scale * max(1, n)
+    assert abs(np.sum(w**2) - np.sum(a**2)) <= atol_scale * scale**2 * max(1, n)
+    # values-only solve agrees with the solve with vectors
+    w_only, none = symmetric_eigensystem(a, vectors=False)
+    assert none is None
+    assert np.max(np.abs(w_only - w), initial=0.0) <= atol_scale * scale
     return w, v
 
 
@@ -136,3 +145,17 @@ class TestRandomMatrices:
         for k in range(12):
             col = v[:, k]
             assert col[int(np.argmax(np.abs(col)))] > 0.0
+
+
+class TestSolverFailure:
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        for vectors in (True, False):
+            with pytest.raises(ConvergenceError):
+                symmetric_eigensystem(np.eye(3), vectors=vectors)
+        assert cli_main(["spectrum", "cycle:4"]) == 5
+        assert "ConvergenceError" in capsys.readouterr().err

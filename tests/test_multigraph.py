@@ -196,6 +196,24 @@ class TestProperties:
         with pytest.raises(ValidationError):
             MultiGraph.from_json('{"schema": 9, "vertices": 1, "edges": []}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"vertices": true, "edges": []}',
+            '{"vertices": 2, "edges": [[false, 1]]}',
+            '{"vertices": 2, "edges": [[0, true]]}',
+        ],
+    )
+    def test_json_rejects_booleans_as_integers(self, text):
+        with pytest.raises(ValidationError):
+            MultiGraph.from_json(text)
+
+    def test_build_graph_rejects_booleans(self):
+        with pytest.raises(ValidationError):
+            build_graph(True, [])
+        with pytest.raises(ValidationError, match="edge 0"):
+            build_graph(2, [(True, 0)])
+
     def test_json_accepts_missing_schema(self):
         g = MultiGraph.from_json('{"vertices": 2, "edges": [[1, 0]]}')
         assert g.edges == ((0, 1),)

@@ -18,7 +18,13 @@ from covertower import (
     laplacian_eigensystem,
     spectrum_inclusion,
 )
-from covertower.spectrum import COMBINATORIAL, NORMALIZED, summarize_spectrum
+from covertower.spectrum import (
+    COMBINATORIAL,
+    NORMALIZED,
+    fiedler_basis,
+    summarize_spectrum,
+    zero_tolerance,
+)
 
 from conftest import (
     bouquet,
@@ -161,6 +167,55 @@ class TestFiedler:
     def test_needs_two_vertices(self):
         with pytest.raises(ValidationError):
             fiedler_vector(figure8())
+
+
+class TestFiedlerBasis:
+    def test_reduced_row_echelon_form_of_the_eigenspace(self, gamma2):
+        g = gamma2.graph
+        w, v = laplacian_eigensystem(g)
+        basis = fiedler_basis(w, v)
+        assert basis.shape == (8, g.num_vertices)  # lambda1 of Gamma2 is 8-fold
+        # each row is an eigenvector for lambda1
+        residual = laplacian(g) @ basis.T - w[1] * basis.T
+        assert np.max(np.abs(residual)) <= 1e-9 * np.max(np.abs(basis))
+        # pivots: the first column where each row is nonzero carries a 1 there
+        # and zeros in every other row
+        pivots = [int(np.flatnonzero(np.abs(row) > 1e-9)[0]) for row in basis]
+        assert pivots == sorted(pivots)
+        assert np.allclose(basis[:, pivots], np.eye(8), atol=1e-12)
+
+    def test_simple_eigenvalue_gives_the_scaled_fiedler_vector(self):
+        g = path(5)
+        w, v = laplacian_eigensystem(g)
+        basis = fiedler_basis(w, v)
+        assert basis.shape == (1, 5)
+        assert basis[0, 0] == pytest.approx(1.0)
+        assert np.allclose(basis[0], v[:, 1] / v[0, 1])
+
+    def test_single_vertex_has_an_empty_basis(self):
+        w, v = laplacian_eigensystem(figure8())
+        assert fiedler_basis(w, v).shape == (0, 1)
+
+
+class TestZeroEigenvalues:
+    @pytest.mark.parametrize(
+        "g", CORPUS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}"
+    )
+    @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
+    def test_reported_as_exact_zero(self, g, kind):
+        s = full_spectrum(g, kind)
+        doc = s.to_json_dict()
+        tol = zero_tolerance(np.asarray(s.eigenvalues))
+        for raw, shown in zip(s.eigenvalues, doc["eigenvalues"]):
+            if abs(raw) <= tol:
+                assert shown == 0.0 and math.copysign(1.0, shown) == 1.0
+            else:
+                assert shown == float(f"{raw:.12g}")
+        assert doc["eigenvalues"].count(0.0) == s.zero_multiplicity
+
+    def test_cap_checked_before_the_matrix_is_built(self):
+        with pytest.raises(SpectrumError, match="above the dense-solver cap 5"):
+            laplacian_eigensystem(cycle(6), max_vertices=5)
 
 
 class TestCheegerSandwich:
