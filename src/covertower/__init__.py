@@ -37,12 +37,9 @@ from .errors import (
 )
 from .multigraph import (
     CoverSpec,
-    GraphMetricSummary,
     MultiGraph,
     build_graph,
-    degree,
     is_connected,
-    metric_summary,
     rank_pi1,
     spanning_tree,
 )
@@ -51,7 +48,6 @@ from .spectrum import (
     SpectralSummary,
     cheeger_sandwich,
     fiedler_basis,
-    fiedler_vector,
     full_spectrum,
     laplacian,
     laplacian_eigensystem,
@@ -72,7 +68,6 @@ __all__ = [
     "DeckElement",
     "DegenerateCutError",
     "DisconnectedGraphError",
-    "GraphMetricSummary",
     "MultiGraph",
     "RegularCoverReport",
     "SandwichReport",
@@ -87,10 +82,8 @@ __all__ = [
     "cheeger_sandwich",
     "cut_ratio",
     "deck_action",
-    "degree",
     "exact_cheeger",
     "fiedler_basis",
-    "fiedler_vector",
     "flip_cotree_orientation",
     "full_spectrum",
     "is_connected",
@@ -98,7 +91,6 @@ __all__ = [
     "laplacian",
     "laplacian_eigensystem",
     "lemma_cut",
-    "metric_summary",
     "rank_pi1",
     "spanning_tree",
     "spectrum_inclusion",

@@ -235,10 +235,8 @@ def lemma_cut(cover: CoveredGraph) -> CheegerResult:
     r = cover.rank
     if r < 1:
         raise ValidationError("trivial cover (rank 0) has no coordinate cut")
-    high_bit = 1 << (r - 1)
-    side_a = [
-        vid for vid, (_, a) in enumerate(cover.vertex_fiber) if not a & high_bit
-    ]
+    high_bit = 1 << (r - 1)  # the bitvector is the low r bits of a vertex id
+    side_a = [vid for vid in range(cover.graph.num_vertices) if not vid & high_bit]
     cut = cut_ratio(cover.graph, side_a)
     return CheegerResult(
         value=cut.ratio, witness=cut, certified=UPPER_BOUND, method=METHOD_LEMMA_CUT

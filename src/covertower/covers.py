@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     DisconnectedGraphError,
     SizeCapError,
     ValidationError,
 )
-from .multigraph import CoverSpec, MultiGraph, is_connected
+from .multigraph import CoverSpec, MultiGraph
 
 
 def _bitstring(value: int, rank: int) -> str:
@@ -32,17 +31,15 @@ def _bitstring(value: int, rank: int) -> str:
 
 @dataclass(frozen=True)
 class CoveredGraph:
-    """A constructed cover together with its fiber coordinates.
+    """A constructed cover of ``base``; its ids are its fiber coordinates.
 
-    ``vertex_fiber[vid]`` and ``edge_fiber[eid]`` give (base id, bitvector)
-    for every cover vertex and edge; the bitvector is packed as an integer.
+    Cover vertex (v, a) has id v * sheets + a and cover edge (e, a) has id
+    e * sheets + a, so ``fiber`` recovers (base id, bitvector) from either.
     """
 
     graph: MultiGraph
     base: MultiGraph
     spec: CoverSpec
-    vertex_fiber: tuple[tuple[int, int], ...]
-    edge_fiber: tuple[tuple[int, int], ...]
 
     @property
     def rank(self) -> int:
@@ -52,13 +49,9 @@ class CoveredGraph:
     def sheets(self) -> int:
         return 1 << self.spec.rank
 
-    @cached_property
-    def vertex_index(self) -> dict[tuple[int, int], int]:
-        return {fiber: vid for vid, fiber in enumerate(self.vertex_fiber)}
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {fiber: eid for eid, fiber in enumerate(self.edge_fiber)}
+    def fiber(self, id_: int) -> tuple[int, int]:
+        """(base id, bitvector) of a cover vertex or edge id."""
+        return divmod(id_, self.sheets)
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,9 @@ def z2_cover(
     cover of only one piece's worth of structure.
     """
     spec.validate_for(base)
-    if base.num_vertices > 0 and not is_connected(base):
+    # A validated spec is a maximal forest, which is one tree exactly when
+    # the base is connected.
+    if base.num_vertices > 0 and len(spec.tree_edges) != base.num_vertices - 1:
         raise DisconnectedGraphError("cover construction requires a connected base")
     r = spec.rank
     sheets = 1 << r
@@ -130,48 +125,26 @@ def z2_cover(
             f"cover would have {predicted_vertices} vertices, above the cap {vertex_cap}"
         )
 
-    flip_of_edge = {e: 1 << j for j, (e, _, _) in enumerate(spec.cotree_edges)}
-    direction = {e: (tail, head) for e, tail, head in spec.cotree_edges}
-
+    bitstrings = [_bitstring(a, r) for a in range(sheets)]
     labels = tuple(
-        f"{base.label_of(v)}|{_bitstring(a, r)}"
+        f"{base.label_of(v)}|{bits}"
         for v in range(base.num_vertices)
-        for a in range(sheets)
-    )
-    vertex_fiber = tuple(
-        (v, a) for v in range(base.num_vertices) for a in range(sheets)
+        for bits in bitstrings
     )
 
-    def vid(v: int, a: int) -> int:
-        return v * sheets + a
-
+    cotree = {e: (tail, head, 1 << j) for j, (e, tail, head) in enumerate(spec.cotree_edges)}
     edges = []
-    edge_fiber = []
-    for e in range(base.num_edges):
-        if e in flip_of_edge:
-            tail, head = direction[e]
-            flip = flip_of_edge[e]
-            for a in range(sheets):
-                x, y = vid(tail, a), vid(head, a ^ flip)
-                edges.append((x, y) if x <= y else (y, x))
-                edge_fiber.append((e, a))
-        else:
-            u, v = base.endpoints(e)
-            for a in range(sheets):
-                x, y = vid(u, a), vid(v, a)
-                edges.append((x, y) if x <= y else (y, x))
-                edge_fiber.append((e, a))
+    for e, (u, v) in enumerate(base.edges):
+        tail, head, flip = cotree.get(e, (u, v, 0))
+        tail_id, head_id = tail * sheets, head * sheets
+        for a in range(sheets):
+            x, y = tail_id + a, head_id + (a ^ flip)
+            edges.append((x, y) if x <= y else (y, x))
 
     graph = MultiGraph(
         num_vertices=predicted_vertices, edges=tuple(edges), labels=labels
     )
-    return CoveredGraph(
-        graph=graph,
-        base=base,
-        spec=spec,
-        vertex_fiber=vertex_fiber,
-        edge_fiber=tuple(edge_fiber),
-    )
+    return CoveredGraph(graph=graph, base=base, spec=spec)
 
 
 def deck_action(
@@ -179,107 +152,69 @@ def deck_action(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Vertex and edge permutations of the translation a -> a + beta.
 
-    Returned as explicit id -> id maps (tuples indexed by id).
+    Returned as explicit id -> id maps (tuples indexed by id).  The bitvector
+    is the low r bits of an id, so the translation is XOR by beta.
     """
     if beta.rank != cover.rank:
         raise ValidationError(
             f"deck element has rank {beta.rank}, cover has rank {cover.rank}"
         )
     b = beta.as_int
-    vertex_map = tuple(
-        cover.vertex_index[(v, a ^ b)] for v, a in cover.vertex_fiber
+    return (
+        tuple(x ^ b for x in range(cover.graph.num_vertices)),
+        tuple(x ^ b for x in range(cover.graph.num_edges)),
     )
-    edge_map = tuple(cover.edge_index[(e, a ^ b)] for e, a in cover.edge_fiber)
-    return vertex_map, edge_map
 
 
 def verify_regular_cover(cover: CoveredGraph) -> RegularCoverReport:
     """Check the four regular-cover conditions, reporting failures in the record.
 
-    All checks read the fiber maps as ground truth, so a corrupted fiber
-    assignment is detected rather than assumed away.
+    The checks read the constructed edge list against the id numbering
+    (fiber = divmod(id, 2^r)), so an edge list that breaks the numbering is
+    detected rather than assumed away.  XOR by a nonzero bitvector moves
+    every id, so once the ids cover V(base) x (Z/2)^r the action is free.
     """
     base = cover.base
     g = cover.graph
-    r = cover.rank
-    sheets = 1 << r
+    sheets = cover.sheets
     failures: list[str] = []
 
-    expected_fibers = {
-        (v, a) for v in range(base.num_vertices) for a in range(sheets)
-    }
-    vertex_bijection = (
-        len(cover.vertex_fiber) == len(expected_fibers)
-        and set(cover.vertex_fiber) == expected_fibers
-        and len(cover.vertex_fiber) == g.num_vertices
-    )
-    expected_edge_fibers = {
-        (e, a) for e in range(base.num_edges) for a in range(sheets)
-    }
-    edge_bijection = (
-        len(cover.edge_fiber) == len(expected_edge_fibers)
-        and set(cover.edge_fiber) == expected_edge_fibers
-        and len(cover.edge_fiber) == g.num_edges
-    )
+    vertex_bijection = g.num_vertices == base.num_vertices * sheets
+    edge_bijection = g.num_edges == base.num_edges * sheets
     if not vertex_bijection:
         failures.append("vertex fibers are not a bijection onto V(base) x (Z/2)^r")
     if not edge_bijection:
         failures.append("edge fibers are not a bijection onto E(base) x (Z/2)^r")
-
-    # (i) every deck element is a graph automorphism, (ii) the action is free
-    automorphism_ok = vertex_bijection and edge_bijection
     free_action_ok = vertex_bijection
+
+    # (i) every deck element is a graph automorphism
+    automorphism_ok = vertex_bijection and edge_bijection
     if automorphism_ok:
         for b in range(sheets):
-            vmap = [cover.vertex_index[(v, a ^ b)] for v, a in cover.vertex_fiber]
-            emap = [cover.edge_index[(e, a ^ b)] for e, a in cover.edge_fiber]
-            for eid in range(g.num_edges):
-                u, v = g.endpoints(eid)
-                image = g.endpoints(emap[eid])
-                moved = (vmap[u], vmap[v])
-                if tuple(sorted(moved)) != image:
+            for eid, (u, v) in enumerate(g.edges):
+                x, y = u ^ b, v ^ b
+                if g.edges[eid ^ b] != ((x, y) if x <= y else (y, x)):
                     failures.append(
                         f"deck element {b} does not preserve incidence at edge {eid}"
                     )
                     automorphism_ok = False
                     break
-            if b != 0 and any(vmap[x] == x for x in range(g.num_vertices)):
-                failures.append(f"deck element {b} fixes a vertex")
-                free_action_ok = False
             if not automorphism_ok:
                 break
 
-    # (iii) vertex orbits biject with base vertices and the projected quotient
-    # graph is the base
+    # (iii) the projected quotient graph is the base
     quotient_ok = vertex_bijection and edge_bijection
     if quotient_ok:
-        orbit_sizes = Counter(v for v, _ in cover.vertex_fiber)
-        if len(orbit_sizes) != base.num_vertices or any(
-            size != sheets for size in orbit_sizes.values()
-        ):
-            failures.append("vertex orbits do not biject with base vertices")
-            quotient_ok = False
-        edge_groups = Counter(e for e, _ in cover.edge_fiber)
-        if len(edge_groups) != base.num_edges or any(
-            size != sheets for size in edge_groups.values()
-        ):
-            failures.append("edge orbits do not biject with base edges")
-            quotient_ok = False
-        if quotient_ok:
-            for eid in range(g.num_edges):
-                e, _ = cover.edge_fiber[eid]
-                u, v = g.endpoints(eid)
-                projected = tuple(
-                    sorted((cover.vertex_fiber[u][0], cover.vertex_fiber[v][0]))
+        for eid, (u, v) in enumerate(g.edges):
+            projected = (u // sheets, v // sheets)
+            if projected != base.edges[eid // sheets]:
+                failures.append(
+                    f"cover edge {eid} projects to {projected}, "
+                    f"not to base edge {eid // sheets}"
                 )
-                if projected != base.endpoints(e):
-                    failures.append(
-                        f"cover edge {eid} projects to {projected}, "
-                        f"not to base edge {e}"
-                    )
-                    quotient_ok = False
-                    break
-    orbit_count = len({v for v, _ in cover.vertex_fiber})
+                quotient_ok = False
+                break
+    orbit_count = g.num_vertices // sheets
 
     # (iv) projection restricted to each vertex star is a bijection
     star_bijection_ok = vertex_bijection and edge_bijection
@@ -290,14 +225,13 @@ def verify_regular_cover(cover: CoveredGraph) -> RegularCoverReport:
             base_star[v][e] += 1
         cover_star = [Counter() for _ in range(g.num_vertices)]
         for eid, (u, v) in enumerate(g.edges):
-            e, _ = cover.edge_fiber[eid]
-            cover_star[u][e] += 1
-            cover_star[v][e] += 1
-        for vid_, (v, _) in enumerate(cover.vertex_fiber):
-            if cover_star[vid_] != base_star[v]:
+            cover_star[u][eid // sheets] += 1
+            cover_star[v][eid // sheets] += 1
+        for vid, star in enumerate(cover_star):
+            if star != base_star[vid // sheets]:
                 failures.append(
-                    f"star of cover vertex {vid_} does not project bijectively "
-                    f"onto the star of base vertex {v}"
+                    f"star of cover vertex {vid} does not project bijectively "
+                    f"onto the star of base vertex {vid // sheets}"
                 )
                 star_bijection_ok = False
                 break

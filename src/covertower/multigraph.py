@@ -48,10 +48,6 @@ class MultiGraph:
             raise ValidationError(f"edge id {edge_id} out of range")
         return self.edges[edge_id]
 
-    def is_loop(self, edge_id: int) -> bool:
-        u, v = self.endpoints(edge_id)
-        return u == v
-
     def label_of(self, v: int) -> str:
         self._check_vertex(v)
         return self.labels[v] if self.labels is not None else str(v)
@@ -175,8 +171,8 @@ class CoverSpec:
             u, v = g.endpoints(e)
             if {tail, head} != {u, v}:
                 raise SpecMismatchError(f"cotree edge {e} directed between non-endpoints")
-        # The tree edges must form a forest touching every vertex of each
-        # component, i.e. exactly #V - #components of them and acyclic.
+        # The tree edges must be acyclic, and maximal: no cotree edge may
+        # join two of their trees.
         parent = list(range(g.num_vertices))
 
         def find(x: int) -> int:
@@ -191,18 +187,9 @@ class CoverSpec:
             if ru == rv:
                 raise SpecMismatchError(f"tree edge {e} closes a cycle")
             parent[ru] = rv
-        components = component_count(g)
-        if len(self.tree_edges) != g.num_vertices - components:
-            raise SpecMismatchError("tree is not maximal (does not span every component)")
-
-
-@dataclass(frozen=True)
-class GraphMetricSummary:
-    """Hop-metric diameter (None when disconnected), degrees, components."""
-
-    diameter: int | None
-    degree_sequence: tuple[int, ...]
-    component_count: int
+        for _, tail, head in self.cotree_edges:
+            if find(tail) != find(head):
+                raise SpecMismatchError("tree is not maximal (does not span every component)")
 
 
 def build_graph(
@@ -238,10 +225,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def degree(g: MultiGraph, v: int) -> int:
-    return g.degree(v)
-
-
 def spanning_tree(g: MultiGraph) -> CoverSpec:
     """Deterministic maximal forest via BFS.
 
@@ -270,48 +253,12 @@ def spanning_tree(g: MultiGraph) -> CoverSpec:
 
 
 def component_count(g: MultiGraph) -> int:
-    visited = [False] * g.num_vertices
-    count = 0
-    for root in range(g.num_vertices):
-        if visited[root]:
-            continue
-        count += 1
-        visited[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for _, other in g.incidence[v]:
-                if not visited[other]:
-                    visited[other] = True
-                    queue.append(other)
-    return count
+    """Connected components: a maximal forest has #V - #components edges."""
+    return g.num_vertices - len(spanning_tree(g).tree_edges)
 
 
 def is_connected(g: MultiGraph) -> bool:
     return component_count(g) <= 1
-
-
-def metric_summary(g: MultiGraph) -> GraphMetricSummary:
-    components = component_count(g)
-    diameter: int | None = None
-    if components == 1:
-        diameter = 0
-        for source in range(g.num_vertices):
-            dist = [-1] * g.num_vertices
-            dist[source] = 0
-            queue = deque([source])
-            while queue:
-                v = queue.popleft()
-                for _, other in g.incidence[v]:
-                    if dist[other] < 0:
-                        dist[other] = dist[v] + 1
-                        queue.append(other)
-            diameter = max(diameter, max(dist))
-    return GraphMetricSummary(
-        diameter=diameter,
-        degree_sequence=tuple(sorted(g.degrees)),
-        component_count=components,
-    )
 
 
 def rank_pi1(g: MultiGraph) -> int:

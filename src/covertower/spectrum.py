@@ -91,13 +91,11 @@ def symmetric_eigensystem(
 
 def adjacency_matrix(g: MultiGraph) -> np.ndarray:
     """Integer adjacency with multiplicity; a loop adds 2 on the diagonal."""
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
     a = np.zeros((g.num_vertices, g.num_vertices), dtype=np.int64)
-    for u, v in g.edges:
-        if u == v:
-            a[u, u] += 2
-        else:
-            a[u, v] += 1
-            a[v, u] += 1
+    # Adding at (u, v) and at (v, u) counts a loop twice on the diagonal.
+    np.add.at(a, (ends[:, 0], ends[:, 1]), 1)
+    np.add.at(a, (ends[:, 1], ends[:, 0]), 1)
     return a
 
 
@@ -169,14 +167,6 @@ def full_spectrum(
 ) -> SpectralSummary:
     w, _ = laplacian_eigensystem(g, kind, vectors=False, max_vertices=max_vertices)
     return summarize_spectrum(g, kind, w)
-
-
-def fiedler_vector(g: MultiGraph) -> np.ndarray:
-    """Eigenvector for the second-smallest combinatorial Laplacian eigenvalue."""
-    if g.num_vertices < 2:
-        raise ValidationError("fiedler vector needs at least two vertices")
-    _, v = laplacian_eigensystem(g, COMBINATORIAL, vectors=True)
-    return v[:, 1].copy()
 
 
 def fiedler_basis(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from . import cheeger as cheeger_mod
 from . import spectrum as spectrum_mod
 from .covers import z2_cover
 from .errors import DisconnectedGraphError, ValidationError
-from .multigraph import MultiGraph, is_connected, rank_pi1, spanning_tree
+from .multigraph import MultiGraph, is_connected, spanning_tree
 
 DEFAULT_VERTEX_CAP = 10**6
 
@@ -93,8 +93,10 @@ def iterate_tower(
         _analyze_level(0, seed, None, cheeger_cap, spectrum_cap, kinds, start)
     )
 
+    # The seed is connected and the homology cover of a connected graph is
+    # connected, so every level has rank #E - #V + 1.
     for level in range(1, levels + 1):
-        rank = rank_pi1(current)
+        rank = current.num_edges - current.num_vertices + 1
         predicted_vertices = current.num_vertices * (1 << rank)
         if predicted_vertices > vertex_cap:
             predicted_edges = current.num_edges * (1 << rank)
@@ -154,6 +156,7 @@ def _analyze_level(
     kinds: tuple[str, ...],
     t0: float,
 ) -> TowerLevel:
+    """Analyze one constructed level; g is connected, as every level is."""
     lambda1_comb: float | None = None
     lambda1_norm: float | None = None
     sweep_basis = None
@@ -201,7 +204,7 @@ def _analyze_level(
         constructed=True,
         vertex_count=g.num_vertices,
         edge_count=g.num_edges,
-        rank=rank_pi1(g),
+        rank=g.num_edges - g.num_vertices + 1,
         lemma_bound=lemma_bound,
         cheeger_value=cheeger_value,
         cheeger_certified=certified,

@@ -213,8 +213,8 @@ def test_criterion_7_covering_structure_suite():
             assert cover.graph.num_vertices == base.num_vertices * sheets
             assert cover.graph.num_edges == base.num_edges * sheets
             assert is_connected(cover.graph)
-            for vid, (v, _) in enumerate(cover.vertex_fiber):
-                assert cover.graph.degree(vid) == base.degree(v)
+            for vid in range(cover.graph.num_vertices):
+                assert cover.graph.degree(vid) == base.degree(cover.fiber(vid)[0])
             vertex_perms = set()
             for b in range(sheets):
                 vmap, _ = deck_action(cover, DeckElement.from_int(b, cover.rank))

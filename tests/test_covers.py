@@ -16,6 +16,7 @@ from covertower import (
     deck_action,
     flip_cotree_orientation,
     is_connected,
+    iterate_tower,
     rank_pi1,
     spanning_tree,
     verify_regular_cover,
@@ -50,6 +51,12 @@ def cayley_z2_square():
             y = ((x[0] + gen[0]) % 2, (x[1] + gen[1]) % 2)
             edges.append((index[x], index[y]))
     return build_graph(4, edges)
+
+
+def with_edges(cover, edges):
+    """The cover with its edge list replaced, numbering and labels kept."""
+    graph = dataclasses.replace(cover.graph, edges=tuple(edges))
+    return dataclasses.replace(cover, graph=graph)
 
 
 class TestZ2Cover:
@@ -97,12 +104,12 @@ class TestZ2Cover:
 
     def test_lexicographic_vertex_order(self):
         cov = cover_of(theta())
-        assert cov.vertex_fiber == tuple(
+        assert [cov.fiber(vid) for vid in range(cov.graph.num_vertices)] == [
             (v, a) for v in range(2) for a in range(4)
-        )
-        assert cov.edge_fiber == tuple(
+        ]
+        assert [cov.fiber(eid) for eid in range(cov.graph.num_edges)] == [
             (e, a) for e in range(3) for a in range(4)
-        )
+        ]
 
 
 class TestDeckAction:
@@ -153,10 +160,12 @@ class TestVerifyRegularCover:
 
     def test_corrupted_fiber_fails_quotient_check(self):
         cov = cover_of(theta())
-        fibers = list(cov.vertex_fiber)
-        # swap fibers over different base vertices: projection now lies
-        fibers[0], fibers[4] = fibers[4], fibers[0]
-        corrupted = dataclasses.replace(cov, vertex_fiber=tuple(fibers))
+        edges = list(cov.graph.edges)
+        assert edges[0] == (0, 4)
+        # move the endpoint over base vertex 1 to vertex 2, over base vertex 0:
+        # the edge now projects to a loop the base does not have
+        edges[0] = (0, 2)
+        corrupted = with_edges(cov, edges)
         report = verify_regular_cover(corrupted)
         assert not report.quotient_ok
         assert not report.all_ok
@@ -164,9 +173,7 @@ class TestVerifyRegularCover:
 
     def test_nonbijective_fiber_reported(self):
         cov = cover_of(theta())
-        fibers = list(cov.vertex_fiber)
-        fibers[1] = fibers[0]
-        corrupted = dataclasses.replace(cov, vertex_fiber=tuple(fibers))
+        corrupted = with_edges(cov, cov.graph.edges[:-1])
         report = verify_regular_cover(corrupted)
         assert not report.quotient_ok
         assert any("bijection" in msg for msg in report.failures)
@@ -194,8 +201,8 @@ class TestCoverProperties:
         assert cov.graph.num_vertices == base.num_vertices * sheets
         assert cov.graph.num_edges == base.num_edges * sheets
         assert is_connected(cov.graph)
-        for vid, (v, _) in enumerate(cov.vertex_fiber):
-            assert cov.graph.degree(vid) == base.degree(v)
+        for vid in range(cov.graph.num_vertices):
+            assert cov.graph.degree(vid) == base.degree(cov.fiber(vid)[0])
 
     @pytest.mark.parametrize("base", CORPUS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}")
     def test_regular_cover_checks(self, base):
@@ -209,6 +216,12 @@ class TestCoverProperties:
         report = verify_regular_cover(gamma2)
         assert report.all_ok, report.failures
         assert report.orbit_count == 4
+
+    @pytest.mark.parametrize("base", CORPUS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}")
+    def test_tower_rank_column_matches_traversal(self, base):
+        report = iterate_tower(base, 1)
+        levels = [base, cover_of(base).graph]
+        assert [row.rank for row in report.levels] == [rank_pi1(g) for g in levels]
 
     def test_triangle_cover_is_hexagon(self):
         cov = cover_of(cycle(3))
@@ -256,8 +269,8 @@ class TestOrientationIndependence:
                 flipped.graph.edges[flipped_eid]
                 == original.graph.edges[original_eid]
             )
-        for eid, (e, _) in enumerate(original.edge_fiber):
-            if e != e_j:
+        for eid in range(original.graph.num_edges):
+            if original.fiber(eid)[0] != e_j:
                 assert flipped.graph.edges[eid] == original.graph.edges[eid]
 
     def test_flip_position_out_of_range(self):

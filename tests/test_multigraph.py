@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covertower import (
+    CoverSpec,
     MultiGraph,
     ValidationError,
     build_graph,
-    degree,
     is_connected,
-    metric_summary,
     rank_pi1,
     spanning_tree,
 )
 from covertower.errors import SpecMismatchError
+from covertower.multigraph import component_count
 
 from conftest import bouquet, cycle, figure8, path, theta
 
@@ -76,18 +76,18 @@ class TestBuildGraph:
 
 class TestDegree:
     def test_figure8_loop_counts_twice(self):
-        assert degree(figure8(), 0) == 4
+        assert figure8().degree(0) == 4
 
     def test_theta(self):
-        assert degree(theta(), 0) == 3
-        assert degree(theta(), 1) == 3
+        assert theta().degree(0) == 3
+        assert theta().degree(1) == 3
 
     def test_path_endpoint(self):
-        assert degree(path(2), 0) == 1
+        assert path(2).degree(0) == 1
 
     def test_invalid_vertex(self):
         with pytest.raises(ValidationError):
-            degree(path(2), 2)
+            path(2).degree(2)
 
 
 class TestSpanningTree:
@@ -122,6 +122,27 @@ class TestSpanningTree:
         with pytest.raises(SpecMismatchError):
             spanning_tree(theta()).validate_for(cycle(3))
 
+    @pytest.mark.parametrize(
+        "tree, cotree, message",
+        [
+            # tree edge 2 closes the cycle 0-1-2
+            ({0, 1, 2}, ((3, 2, 3),), "closes a cycle"),
+            # the bridge 2-3 moved to the cotree: the forest misses vertex 3
+            ({0, 1}, ((2, 0, 2), (3, 2, 3)), "not maximal"),
+            # cotree edge 2 (0-2) directed from 1
+            ({0, 1, 3}, ((2, 1, 2),), "non-endpoints"),
+            # edge 3 claimed by both sides, edge 2 by neither
+            ({0, 1, 3}, ((3, 2, 3),), "partition"),
+        ],
+        ids=["cycle", "non-maximal", "non-endpoints", "non-partition"],
+    )
+    def test_validate_for_rejects_bad_specs(self, tree, cotree, message):
+        # a triangle 0-1-2 with a pendant vertex 3 on the bridge 2-3
+        g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        spec = CoverSpec(tree_edges=frozenset(tree), cotree_edges=cotree)
+        with pytest.raises(SpecMismatchError, match=message):
+            spec.validate_for(g)
+
     @given(multigraphs())
     @settings(max_examples=60, deadline=None)
     def test_idempotent_and_rank_consistent(self, g):
@@ -133,23 +154,18 @@ class TestSpanningTree:
 
 
 class TestConnectivityAndMetrics:
-    def test_figure8_connected_diameter0(self):
+    def test_figure8_connected(self):
         assert is_connected(figure8())
-        assert metric_summary(figure8()).diameter == 0
+        assert component_count(figure8()) == 1
 
     def test_two_isolated_vertices(self):
         g = build_graph(2, [])
         assert not is_connected(g)
-        summary = metric_summary(g)
-        assert summary.component_count == 2
-        assert summary.diameter is None
-
-    def test_four_cycle_diameter(self):
-        assert metric_summary(cycle(4)).diameter == 2
+        assert component_count(g) == 2
 
     def test_degree_sequence_sorted(self):
         g = build_graph(3, [(0, 1), (0, 1), (0, 2)])
-        assert metric_summary(g).degree_sequence == (1, 2, 3)
+        assert sorted(g.degrees) == [1, 2, 3]
 
 
 class TestRank:

@@ -12,7 +12,6 @@ from covertower import (
     build_graph,
     cheeger_sandwich,
     exact_cheeger,
-    fiedler_vector,
     full_spectrum,
     laplacian,
     laplacian_eigensystem,
@@ -21,6 +20,7 @@ from covertower import (
 from covertower.spectrum import (
     COMBINATORIAL,
     NORMALIZED,
+    adjacency_matrix,
     fiedler_basis,
     summarize_spectrum,
     zero_tolerance,
@@ -59,7 +59,30 @@ CORPUS = [
 ]
 
 
+def loop_adjacency(g):
+    """Edge-by-edge adjacency, the reference for the vectorized one."""
+    a = np.zeros((g.num_vertices, g.num_vertices), dtype=np.int64)
+    for u, v in g.edges:
+        if u == v:
+            a[u, u] += 2
+        else:
+            a[u, v] += 1
+            a[v, u] += 1
+    return a
+
+
 class TestLaplacian:
+    @pytest.mark.parametrize(
+        "g",
+        CORPUS + [
+            build_graph(3, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 1), (1, 2)]),
+            build_graph(2, []),
+        ],
+        ids=lambda g: f"V{g.num_vertices}E{g.num_edges}",
+    )
+    def test_adjacency_matches_loop_oracle(self, g):
+        assert np.array_equal(adjacency_matrix(g), loop_adjacency(g))
+
     def test_figure8_loops_cancel(self):
         lap = laplacian(figure8())
         assert lap.shape == (1, 1)
@@ -160,13 +183,9 @@ class TestFullSpectrum:
 
 class TestFiedler:
     def test_path_fiedler_orders_the_path(self):
-        vec = fiedler_vector(path(5))
+        vec = laplacian_eigensystem(path(5))[1][:, 1]
         order = sorted(range(5), key=lambda v: vec[v])
         assert order == [0, 1, 2, 3, 4] or order == [4, 3, 2, 1, 0]
-
-    def test_needs_two_vertices(self):
-        with pytest.raises(ValidationError):
-            fiedler_vector(figure8())
 
 
 class TestFiedlerBasis:

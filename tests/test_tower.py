@@ -131,6 +131,23 @@ class TestOtherSeeds:
             iterate_tower(figure8(), 1, 10**6, kinds=("weighted",))
 
 
+class TestTraversalBudget:
+    def test_component_count_runs_once_per_connectivity_check(self, monkeypatch):
+        import covertower.multigraph as multigraph
+
+        calls = []
+        original = multigraph.component_count
+
+        def counting(g):
+            calls.append(g.num_vertices)
+            return original(g)
+
+        monkeypatch.setattr(multigraph, "component_count", counting)
+        iterate_tower(figure8(), 2, 10**6)
+        # the seed check, the level-1 exhaustive search and the level-2 sweep
+        assert calls == [1, 4, 128]
+
+
 class TestValidation:
     def test_disconnected_seed_rejected(self):
         with pytest.raises(DisconnectedGraphError):
