@@ -4,6 +4,9 @@ All ratios are exact rationals (crossing count over smaller-side size).
 Crossing counts include parallel-edge multiplicity; loops never cross.
 
 The exhaustive search fixes vertex 0 on side A, halving the 2^n subsets.
+It tabulates every crossing count by subset-sum doubling (a quadratic table
+of the edges among the low vertices once per call, a linear table per chunk
+of the subset range), so it costs O(2^(n-1)) whatever the edge count.
 Ties between minimum-ratio cuts are broken by the lexicographically smallest
 A as a sorted id list (so a shorter prefix beats its extensions).
 """
@@ -134,6 +137,17 @@ def _edge_multiplicities(g: MultiGraph) -> list[tuple[int, int, int]]:
     return [(u, v, m) for (u, v), m in sorted(counts.items())]
 
 
+def _subset_sums(table: np.ndarray, base: int, weights: Sequence[int]) -> np.ndarray:
+    """Fill table[x] = base + sum of weights[i] over the set bits i of x.
+
+    Doubling: table[x + 2^i] = table[x] + weights[i], one numpy add per bit.
+    """
+    table[0] = base
+    for i, w in enumerate(weights):
+        np.add(table[: 1 << i], w, out=table[1 << i : 2 << i])
+    return table
+
+
 def _mask_to_tuple(mask: int, width: int) -> tuple[int, ...]:
     return tuple(v for v in range(width) if (mask >> v) & 1)
 
@@ -143,9 +157,23 @@ def exact_cheeger(
 ) -> CheegerResult:
     """Exhaustive minimum over all 2^(n-1) - 1 bipartitions.
 
-    The enumeration runs over fixed-size chunks of the subset range with a
-    deterministic minimum-and-tiebreak reduction, so any partitioning of the
-    range (serial or parallel) yields the identical result.
+    Subset index x puts vertex j + 1 on side A when bit j of x is set;
+    vertex 0 is always on side A.  The low k = min(_CHUNK_BITS, n - 1) bits
+    index within one chunk and the high bits are fixed within it.  With
+    S = {0} plus the chunk's high vertices and L the low vertices in A,
+
+        crossing(S + L) = crossing(S) + sum(a_w for w in L) - 2 e(L),
+        a_w = deg'(w) - 2 m(w, S),
+
+    where deg' counts non-loop edge ends with multiplicity and e(L) is the
+    edge weight inside L.  The table of -2 e(L) is built once per call and
+    the linear table once per chunk, both by subset-sum doubling
+    (t[x + 2^i] = t[x] + ...), so the search costs O(2^(n-1)) table entries
+    whatever the edge count.
+
+    The chunks are reduced in order with a deterministic minimum-and-tiebreak
+    reduction, so any partitioning of the range (serial or parallel) yields
+    the identical result.
     """
     n = g.num_vertices
     if n < 2:
@@ -165,33 +193,55 @@ def exact_cheeger(
         )
     edge_mults = _edge_multiplicities(g)
     total = (1 << (n - 1)) - 1  # subsets containing vertex 0, minus the full set
+    k = min(_CHUNK_BITS, n - 1)
+    chunk = 1 << k
+    # Every table entry is a partial sum of crossing(S), the a_w and the
+    # -2m terms, so it lies within 3 * (non-loop edge weight) of zero.
+    dtype = np.min_scalar_type(-3 * sum(m for _, _, m in edge_mults))
+    crossing = np.empty(chunk, dtype=dtype)
+    # inner[x] = -2 e(L_x), by doubling over the low vertices w:
+    # inner[x + 2^(w-1)] = inner[x] + row[x], where row is the subset-sum
+    # table of -2 m(u, w) over the low vertices u < w (built in the crossing
+    # buffer, which is free until the first chunk).
+    to_lower = [[0] * (w - 1) for w in range(k + 1)]
+    for u, v, mult in edge_mults:
+        if u >= 1 and v <= k:
+            to_lower[v][u - 1] -= 2 * mult
+    inner = np.zeros(chunk, dtype=dtype)
+    for w in range(2, k + 1):
+        half = 1 << (w - 1)
+        row = _subset_sums(crossing[:half], 0, to_lower[w])
+        np.add(inner[:half], row, out=inner[half : 2 * half])
+    low_count = _subset_sums(np.empty(chunk, dtype=np.uint8), 0, [1] * k)  # |L_x|
+    side = np.empty(chunk, dtype=np.uint8)
+    ratio = np.empty(chunk, dtype=np.float64)
     best_crossing = best_side = -1
     best_tuple: tuple[int, ...] | None = None
-    chunk = 1 << _CHUNK_BITS
-    # Chunk-sized work arrays, allocated once and updated in place, so the
-    # search holds four chunk arrays instead of a fresh one per operation.
-    buffers = [np.empty(min(chunk, total), dtype=np.uint64) for _ in range(3)]
     one = np.uint64(1)
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        masks = np.arange(start, stop, dtype=np.uint64)
-        np.left_shift(masks, one, out=masks)
-        np.bitwise_or(masks, one, out=masks)
-        crossing, diff, shifted = (b[: stop - start] for b in buffers)
-        crossing.fill(0)
+        count = min(chunk, total - start)
+        s_mask = (start << 1) | 1  # S: vertex 0 and the chunk's high vertices
+        c0 = 0
+        linear = [0] * k  # linear[w - 1] = a_w
         for u, v, mult in edge_mults:
-            np.right_shift(masks, np.uint64(u), out=diff)
-            np.right_shift(masks, np.uint64(v), out=shifted)
-            np.bitwise_xor(diff, shifted, out=diff)
-            np.bitwise_and(diff, one, out=diff)
-            if mult != 1:
-                np.multiply(diff, np.uint64(mult), out=diff)
-            crossing += diff
-        size_a = np.bitwise_count(masks)
-        side = np.minimum(size_a, np.uint8(n) - size_a)
-        ratio = np.divide(crossing, side, out=diff.view(np.float64))
-        i_min = int(np.argmin(ratio))
-        c, s = int(crossing[i_min]), int(side[i_min])
+            u_in, v_in = s_mask >> u & 1, s_mask >> v & 1
+            if u_in != v_in:
+                c0 += mult
+            if 1 <= u <= k:
+                linear[u - 1] += -mult if v_in else mult
+            if 1 <= v <= k:
+                linear[v - 1] += -mult if u_in else mult
+        _subset_sums(crossing, c0, linear)
+        cross = crossing[:count]
+        np.add(cross, inner[:count], out=cross)
+        smaller = side[:count]
+        np.add(low_count[:count], s_mask.bit_count(), out=smaller)  # |A|
+        other = ratio.view(np.uint8)[:count]  # scratch until the ratios land
+        np.subtract(n, smaller, out=other)
+        np.minimum(smaller, other, out=smaller)
+        chunk_ratio = np.divide(cross, smaller, out=ratio[:count])
+        i_min = int(np.argmin(chunk_ratio))
+        c, s = int(cross[i_min]), int(smaller[i_min])
         if best_crossing >= 0 and c * best_side > best_crossing * s:
             continue
         # Tie resolution: bit-reversed mask order equals sorted-list order
@@ -199,9 +249,9 @@ def exact_cheeger(
         # the smaller set), so reduce each class to one finalist and compare
         # the few finalists as decoded tuples (which also honors the
         # shorter-prefix-wins rule across sizes).
-        ties = np.nonzero(ratio == ratio[i_min])[0]
-        tie_masks = masks[ties]
-        tie_sizes = size_a[ties]
+        ties = np.flatnonzero(chunk_ratio == chunk_ratio[i_min])
+        tie_masks = ((ties.astype(np.uint64) + np.uint64(start)) << one) | one
+        tie_sizes = low_count[ties]  # |A| minus |S|, the same within the chunk
         chunk_best: tuple[int, ...] | None = None
         for size in np.unique(tie_sizes):
             group = tie_masks[tie_sizes == size]

@@ -92,7 +92,18 @@ class MultiGraph:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, written directly.
+
+        The standard encoder runs in pure Python when indenting; formatting
+        the edges with f-strings gives the same text several times faster.
+        """
+        parts = [f'{{\n  "schema": {JSON_SCHEMA_VERSION},\n  "vertices": {self.num_vertices},\n']
+        if self.labels is not None:
+            labels = [f"    {json.dumps(label)}" for label in self.labels]
+            parts.append(f'  "labels": {_json_list(labels)},\n')
+        edges = [f"    [\n      {u},\n      {v}\n    ]" for u, v in self.edges]
+        parts.append(f'  "edges": {_json_list(edges)}\n}}\n')
+        return "".join(parts)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MultiGraph":
@@ -135,6 +146,13 @@ class MultiGraph:
             lines.append(f"  {u} -- {v};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _json_list(items: list[str]) -> str:
+    """A top-level field's JSON array of already indented items."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n  ]"
 
 
 def _dot_escape(text: str) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from covertower import (
     sweep_cut,
     verify_witness,
 )
+from covertower import cheeger
 from covertower.cheeger import CheegerResult, Cut
 from covertower.cli import main as cli_main
 from covertower.spectrum import fiedler_basis, laplacian, symmetric_eigensystem, zero_tolerance
@@ -64,6 +66,49 @@ def naive_cheeger(g):
                 best = ratio
                 best_a = side
     return best, best_a
+
+
+def mask_cheeger(g):
+    """The per-edge mask enumerator that exact_cheeger used before doubling.
+
+    Every subset containing vertex 0 (except the full set) is a uint64 mask,
+    and each distinct vertex pair adds its multiplicity to the masks that
+    split it: O(pairs * 2^(n-1)).  Tied minimum cuts are decoded to sorted
+    tuples and the smallest is kept.  Returns (value, side_a).
+    """
+    n = g.num_vertices
+    one = np.uint64(1)
+    masks = (np.arange((1 << (n - 1)) - 1, dtype=np.uint64) << one) | one
+    crossing = np.zeros(len(masks), dtype=np.uint64)
+    pairs = Counter((u, v) for u, v in g.edges if u != v)
+    for (u, v), mult in sorted(pairs.items()):
+        split = ((masks >> np.uint64(u)) ^ (masks >> np.uint64(v))) & one
+        crossing += split * np.uint64(mult)
+    size_a = np.bitwise_count(masks)
+    side = np.minimum(size_a, np.uint8(n) - size_a)
+    ratio = crossing / side
+    ties = masks[ratio == ratio.min()]
+    side_a = min(tuple(v for v in range(n) if int(mask) >> v & 1) for mask in ties)
+    i = sum(1 << v for v in side_a) >> 1
+    return Fraction(int(crossing[i]), int(side[i])), side_a
+
+
+def random_seed(rng, n, rank):
+    """Connected multigraph on n vertices with n - 1 + rank edges (loops allowed)."""
+    edges = [(i, rng.randrange(i)) for i in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rank)]
+    rng.shuffle(edges)
+    return build_graph(n, edges)
+
+
+def cube(d):
+    return build_graph(
+        1 << d, [(v, v | 1 << b) for v in range(1 << d) for b in range(d) if not v >> b & 1]
+    )
+
+
+def complete_bipartite(a, b):
+    return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 SMALL_CONNECTED = [
@@ -119,6 +164,15 @@ class TestExactCheeger:
         assert result.value == expected_value
         assert result.witness.side_a == expected_a
 
+    def test_heavy_multiplicities_widen_the_counts(self):
+        # 3 * 14,001 non-loop edges do not fit int16, so the tables use int32.
+        g = build_graph(
+            4, [(0, 1)] * 5000 + [(1, 2)] * 6000 + [(2, 3)] * 3000 + [(0, 3)] + [(2, 2)] * 9
+        )
+        result = exact_cheeger(g)
+        assert (result.value, result.witness.side_a) == naive_cheeger(g) == mask_cheeger(g)
+        assert result.value == Fraction(6001, 2)
+
     def test_relabeling_invariance(self):
         g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
         base_value = exact_cheeger(g).value
@@ -140,6 +194,84 @@ class TestExactCheeger:
     def test_rejects_above_cap(self):
         with pytest.raises(SizeCapError):
             exact_cheeger(cycle(8), max_vertices=6)
+
+
+_chunk_rng = random.Random(4)
+CHUNK_CORPUS = [
+    complete(4),
+    complete(5),
+    complete_bipartite(3, 3),
+    cube(3),
+    cycle(6),
+    cycle(8),
+    cycle(10),
+    cycle(12),
+    doubled_cycle(7),
+] + [
+    random_seed(_chunk_rng, n, _chunk_rng.randint(n // 2, 2 * n))
+    for n in (6, 7, 8, 9, 10, 11, 12, 12)
+]
+
+
+class TestChunkedSearch:
+    """Narrow chunks exercise the cross-chunk terms (high vertices fixed per
+    chunk) that the default chunk width only reaches above 21 vertices."""
+
+    def test_corpus_has_loops_and_parallel_edges(self):
+        assert any(u == v for g in CHUNK_CORPUS for u, v in g.edges)
+        assert any(max(Counter(g.edges).values()) > 1 for g in CHUNK_CORPUS)
+
+    @pytest.mark.parametrize(
+        "g", CHUNK_CORPUS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}"
+    )
+    def test_any_chunk_width_gives_the_same_cut(self, g, monkeypatch):
+        default = exact_cheeger(g)
+        assert (default.value, default.witness.side_a) == naive_cheeger(g)
+        for bits in (1, 2, 3):
+            monkeypatch.setattr(cheeger, "_CHUNK_BITS", bits)
+            narrow = exact_cheeger(g)
+            assert (narrow.value, narrow.witness.side_a) == (
+                default.value,
+                default.witness.side_a,
+            ), f"chunk bits {bits}"
+
+
+class TestMaskOracle:
+    """The per-edge mask enumerator checks the doubling search where the
+    itertools oracle is too slow."""
+
+    @pytest.mark.parametrize(
+        "g", SMALL_CONNECTED, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}"
+    )
+    def test_oracle_matches_naive(self, g):
+        assert mask_cheeger(g) == naive_cheeger(g)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_multigraphs(self, seed):
+        rng = random.Random(1000 + seed)
+        n = rng.randint(14, 18)
+        g = random_seed(rng, n, rng.randint(n, 3 * n))
+        result = exact_cheeger(g)
+        assert (result.value, result.witness.side_a) == mask_cheeger(g)
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_even_cycles(self, m):
+        g = cycle(2 * m)
+        result = exact_cheeger(g)
+        assert (result.value, result.witness.side_a) == mask_cheeger(g)
+        assert result.value == Fraction(2, m)
+
+
+def test_search_memory_peak_on_c26():
+    """The 26-vertex search stays under the per-edge enumerator's 42 MB peak."""
+    tracemalloc.start()
+    try:
+        result = exact_cheeger(cycle(26))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.value == Fraction(2, 13)
+    assert peak < 42 * 10**6
 
 
 class TestLemmaCut:
@@ -345,14 +477,6 @@ def loop_sweep(g, order):
         if best is None or ratio < best[0]:
             best = (ratio, size)
     return best
-
-
-def random_seed(rng, n, rank):
-    """Connected multigraph on n vertices with n - 1 + rank edges (loops allowed)."""
-    edges = [(i, rng.randrange(i)) for i in range(1, n)]
-    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rank)]
-    rng.shuffle(edges)
-    return build_graph(n, edges)
 
 
 SWEEP_COVERS = [

@@ -1,6 +1,8 @@
 """Multigraph core: construction, traversal, spanning trees, serialization."""
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from covertower import (
     is_connected,
     rank_pi1,
     spanning_tree,
+    z2_cover,
 )
 from covertower.errors import SpecMismatchError
 from covertower.multigraph import component_count
@@ -197,6 +200,37 @@ class TestProperties:
     def test_json_roundtrip_with_labels(self):
         g = build_graph(2, [(0, 1)], labels=["x", "y"])
         assert MultiGraph.from_json(g.to_json()) == g
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            theta(),
+            build_graph(3, [(0, 1), (1, 2)], labels=['q"uote', "back\\slash", "für ∞ ☃"]),
+            build_graph(3, []),
+            build_graph(0, []),
+            build_graph(0, [], labels=[]),
+        ],
+        ids=["no-labels", "escaped-labels", "no-edges", "no-vertices", "no-vertices-labelled"],
+    )
+    def test_json_text_matches_standard_encoder(self, g):
+        assert g.to_json() == json.dumps(g.to_json_dict(), indent=2) + "\n"
+
+    def test_json_text_of_a_large_cover_matches_standard_encoder(self):
+        # An 8-vertex rank-10 seed, as in the tower-build benchmark: 8,192
+        # labelled vertices and 17,408 edges.
+        seed = build_graph(
+            8,
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 0), (0, 5),
+             (1, 1), (1, 6), (2, 6), (2, 7), (3, 3), (3, 7), (4, 6), (5, 5)],
+        )
+        g = z2_cover(seed, spanning_tree(seed)).graph
+        assert (g.num_vertices, g.num_edges, g.labels is not None) == (8192, 17408, True)
+        assert g.to_json() == json.dumps(g.to_json_dict(), indent=2) + "\n"
+
+    @given(multigraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_json_text_matches_standard_encoder_on_random_graphs(self, g):
+        assert g.to_json() == json.dumps(g.to_json_dict(), indent=2) + "\n"
 
     def test_json_deterministic(self):
         g = theta()
