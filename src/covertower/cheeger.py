@@ -9,6 +9,11 @@ of the edges among the low vertices once per call, a linear table per chunk
 of the subset range), so it costs O(2^(n-1)) whatever the edge count.
 Ties between minimum-ratio cuts are broken by the lexicographically smallest
 A as a sorted id list (so a shorter prefix beats its extensions).
+
+Every method states its claim (witness side, crossing count and smaller-side
+size) from its own arithmetic and passes it once through `verify_witness`,
+the single `cut_ratio` recount, before it returns; a claim the recount does
+not confirm raises ValidationError.  Callers need no second check.
 """
 from __future__ import annotations
 
@@ -119,6 +124,24 @@ def verify_witness(g: MultiGraph, result: CheegerResult) -> None:
         )
 
 
+def _verified(
+    g: MultiGraph,
+    side_a: Iterable[int],
+    crossing: int,
+    smaller: int,
+    certified: str,
+    method: str,
+) -> CheegerResult:
+    """The claimed cut as a result, once `verify_witness` has recounted it."""
+    side_a = tuple(sorted(side_a))
+    in_a = set(side_a)
+    side_b = tuple(v for v in range(g.num_vertices) if v not in in_a)
+    ratio = Fraction(crossing, smaller)
+    result = CheegerResult(ratio, Cut(side_a, side_b, crossing, ratio), certified, method)
+    verify_witness(g, result)
+    return result
+
+
 def _bit_reverse(masks: np.ndarray, width: int) -> np.ndarray:
     """Reverse the low `width` bits of each uint64 (vectorized)."""
     v = masks.astype(np.uint64)
@@ -186,11 +209,6 @@ def exact_cheeger(
         )
     if n > 62:
         raise SizeCapError("brute force is limited to 62 vertices (uint64 masks)")
-    if not is_connected(g):
-        raise DisconnectedGraphError(
-            "cheeger constant of a disconnected graph degenerates to 0; "
-            "refusing the trivial answer"
-        )
     edge_mults = _edge_multiplicities(g)
     total = (1 << (n - 1)) - 1  # subsets containing vertex 0, minus the full set
     k = min(_CHUNK_BITS, n - 1)
@@ -252,27 +270,32 @@ def exact_cheeger(
         ties = np.flatnonzero(chunk_ratio == chunk_ratio[i_min])
         tie_masks = ((ties.astype(np.uint64) + np.uint64(start)) << one) | one
         tie_sizes = low_count[ties]  # |A| minus |S|, the same within the chunk
-        chunk_best: tuple[int, ...] | None = None
+        chunk_best: tuple[tuple[int, ...], int] | None = None
         for size in np.unique(tie_sizes):
-            group = tie_masks[tie_sizes == size]
-            winner = int(group[int(np.argmax(_bit_reverse(group, n)))])
-            decoded = _mask_to_tuple(winner, n)
-            if chunk_best is None or decoded < chunk_best:
-                chunk_best = decoded
+            in_class = np.flatnonzero(tie_sizes == size)
+            j = in_class[int(np.argmax(_bit_reverse(tie_masks[in_class], n)))]
+            decoded = _mask_to_tuple(int(tie_masks[j]), n)
+            if chunk_best is None or decoded < chunk_best[0]:
+                chunk_best = (decoded, int(ties[j]))
         assert chunk_best is not None
         if (
             best_crossing < 0
             or c * best_side < best_crossing * s
-            or (c * best_side == best_crossing * s and chunk_best < best_tuple)
+            or (c * best_side == best_crossing * s and chunk_best[0] < best_tuple)
         ):
-            best_crossing, best_side, best_tuple = c, s, chunk_best
+            # Claim the winner's own table entry: an equal ratio can come
+            # from another (crossing, side) pair, as 8/2 ties with 4/1.
+            best_tuple, i = chunk_best
+            best_crossing, best_side = int(cross[i]), int(smaller[i])
     assert best_tuple is not None
-    cut = cut_ratio(g, best_tuple)
-    if cut.ratio != Fraction(best_crossing, best_side):
-        raise ValidationError("internal: enumerated minimum disagrees with recount")
-    return CheegerResult(
-        value=cut.ratio, witness=cut, certified=EXACT, method=METHOD_BRUTE_FORCE
-    )
+    # The counts are exact integers, so a zero minimum means a side with no
+    # edge leaving it: the graph is disconnected.
+    if best_crossing == 0:
+        raise DisconnectedGraphError(
+            "cheeger constant of a disconnected graph degenerates to 0; "
+            "refusing the trivial answer"
+        )
+    return _verified(g, best_tuple, best_crossing, best_side, EXACT, METHOD_BRUTE_FORCE)
 
 
 def lemma_cut(cover: CoveredGraph) -> CheegerResult:
@@ -287,9 +310,10 @@ def lemma_cut(cover: CoveredGraph) -> CheegerResult:
         raise ValidationError("trivial cover (rank 0) has no coordinate cut")
     high_bit = 1 << (r - 1)  # the bitvector is the low r bits of a vertex id
     side_a = [vid for vid in range(cover.graph.num_vertices) if not vid & high_bit]
-    cut = cut_ratio(cover.graph, side_a)
-    return CheegerResult(
-        value=cut.ratio, witness=cut, certified=UPPER_BOUND, method=METHOD_LEMMA_CUT
+    # The claim is the closed form: 2^r crossing lifts, 2^(r-1) #V(base) a side.
+    half = high_bit * cover.base.num_vertices
+    return _verified(
+        cover.graph, side_a, cover.sheets, half, UPPER_BOUND, METHOD_LEMMA_CUT
     )
 
 
@@ -336,15 +360,15 @@ def sweep_cut(g: MultiGraph, vectors: Sequence[float] | np.ndarray) -> CheegerRe
         ratio = crossing / smaller
         # Float ratios only shortlist; the exact minimum is taken on Fractions.
         near = np.flatnonzero(ratio <= ratio.min() * (1 + 1e-9))
-        value, size = min(
-            (Fraction(int(crossing[i]), int(smaller[i])), int(i) + 1) for i in near
+        value, i = min(
+            (Fraction(int(crossing[i]), int(smaller[i])), int(i)) for i in near
         )
-        if best is None or (value, size) < best[:2]:
-            best = (value, size, order)
+        if best is None or (value, i) < best[:2]:
+            best = (value, i, int(crossing[i]), order)
     assert best is not None
-    cut = cut_ratio(g, best[2][: best[1]].tolist())
-    return CheegerResult(
-        value=cut.ratio, witness=cut, certified=UPPER_BOUND, method=METHOD_SWEEP
+    _, i, count, order = best
+    return _verified(
+        g, order[: i + 1].tolist(), count, int(smaller[i]), UPPER_BOUND, METHOD_SWEEP
     )
 
 

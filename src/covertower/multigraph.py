@@ -117,12 +117,16 @@ class MultiGraph:
         n = doc["vertices"]
         if not _is_int(n):
             raise ValidationError("'vertices' must be an integer")
+        if not isinstance(doc["edges"], list):
+            raise ValidationError("'edges' must be a list of vertex-id pairs")
+        labels = doc.get("labels")
+        if labels is not None and not isinstance(labels, list):
+            raise ValidationError("'labels' must be a list")
         edges = []
         for i, pair in enumerate(doc["edges"]):
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise ValidationError(f"edge {i} must be a pair of vertex ids")
             edges.append((pair[0], pair[1]))
-        labels = doc.get("labels")
         if labels is not None:
             labels = [str(x) for x in labels]
         return build_graph(n, edges, labels=labels)

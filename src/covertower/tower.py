@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import cheeger as cheeger_mod
 from . import spectrum as spectrum_mod
 from .covers import z2_cover
-from .errors import DisconnectedGraphError, ValidationError
+from .errors import DisconnectedGraphError, SizeCapError, ValidationError
 from .multigraph import MultiGraph, is_connected, spanning_tree
 
 DEFAULT_VERTEX_CAP = 10**6
@@ -63,7 +63,6 @@ def iterate_tower(
     *,
     cheeger_cap: int = cheeger_mod.DEFAULT_BRUTE_FORCE_CAP,
     spectrum_cap: int = spectrum_mod.DEFAULT_SPECTRUM_CAP,
-    kinds: tuple[str, ...] = (spectrum_mod.COMBINATORIAL, spectrum_mod.NORMALIZED),
     seed_description: str = "custom",
 ) -> TowerReport:
     """Build and analyze the tower over the seed graph.
@@ -71,15 +70,17 @@ def iterate_tower(
     levels is the number of covering steps requested; the report gets one
     entry per realized level plus, when the cap bites, one truncated entry
     holding the predicted counts of the first unconstructible level.
-    `kinds` selects which Laplacian conventions get a lambda1 column.
+    Every constructed level gets both lambda1 columns (combinatorial and
+    normalized) when it fits the spectrum cap.
     """
     if levels < 0:
         raise ValidationError("levels must be nonnegative")
     if vertex_cap <= 0 or cheeger_cap <= 0 or spectrum_cap <= 0:
         raise ValidationError("caps must be positive")
-    for kind in kinds:
-        if kind not in (spectrum_mod.COMBINATORIAL, spectrum_mod.NORMALIZED):
-            raise ValidationError(f"unknown laplacian kind {kind!r}")
+    if seed.num_vertices > vertex_cap:
+        raise SizeCapError(
+            f"seed has {seed.num_vertices} vertices, above the cap {vertex_cap}"
+        )
     if seed.num_vertices == 0 or not is_connected(seed):
         raise DisconnectedGraphError("tower seed must be a nonempty connected graph")
 
@@ -89,9 +90,7 @@ def iterate_tower(
 
     start = time.perf_counter()
     current = seed
-    rows.append(
-        _analyze_level(0, seed, None, cheeger_cap, spectrum_cap, kinds, start)
-    )
+    rows.append(_analyze_level(0, seed, None, cheeger_cap, spectrum_cap, start))
 
     # The seed is connected and the homology cover of a connected graph is
     # connected, so every level has rank #E - #V + 1.
@@ -123,15 +122,9 @@ def iterate_tower(
             break
         t0 = time.perf_counter()
         cover = z2_cover(current, spanning_tree(current), vertex_cap=vertex_cap)
-        lemma: Fraction | None = None
-        if cover.rank >= 1:
-            lemma_result = cheeger_mod.lemma_cut(cover)
-            cheeger_mod.verify_witness(cover.graph, lemma_result)
-            lemma = lemma_result.value
+        lemma = cheeger_mod.lemma_cut(cover).value if cover.rank >= 1 else None
         rows.append(
-            _analyze_level(
-                level, cover.graph, lemma, cheeger_cap, spectrum_cap, kinds, t0
-            )
+            _analyze_level(level, cover.graph, lemma, cheeger_cap, spectrum_cap, t0)
         )
         current = cover.graph
 
@@ -153,7 +146,6 @@ def _analyze_level(
     lemma_bound: Fraction | None,
     cheeger_cap: int,
     spectrum_cap: int,
-    kinds: tuple[str, ...],
     t0: float,
 ) -> TowerLevel:
     """Analyze one constructed level; g is connected, as every level is."""
@@ -162,30 +154,22 @@ def _analyze_level(
     sweep_basis = None
     if g.num_vertices <= spectrum_cap:
         need_vectors = g.num_vertices > cheeger_cap and g.num_vertices >= 2
-        if spectrum_mod.COMBINATORIAL in kinds or need_vectors:
-            w, vecs = spectrum_mod.laplacian_eigensystem(
-                g, spectrum_mod.COMBINATORIAL, vectors=need_vectors, max_vertices=spectrum_cap
-            )
-            if spectrum_mod.COMBINATORIAL in kinds:
-                lambda1_comb = spectrum_mod.summarize_spectrum(
-                    g, spectrum_mod.COMBINATORIAL, w
-                ).lambda1
-            if need_vectors:
-                sweep_basis = spectrum_mod.fiedler_basis(w, vecs)
-        if spectrum_mod.NORMALIZED in kinds:
-            w_norm, _ = spectrum_mod.laplacian_eigensystem(
-                g, spectrum_mod.NORMALIZED, vectors=False, max_vertices=spectrum_cap
-            )
-            lambda1_norm = spectrum_mod.summarize_spectrum(
-                g, spectrum_mod.NORMALIZED, w_norm
-            ).lambda1
+        w, vecs = spectrum_mod.laplacian_eigensystem(
+            g, spectrum_mod.COMBINATORIAL, vectors=need_vectors, max_vertices=spectrum_cap
+        )
+        lambda1_comb = spectrum_mod.summarize_spectrum(g, spectrum_mod.COMBINATORIAL, w).lambda1
+        if need_vectors:
+            sweep_basis = spectrum_mod.fiedler_basis(w, vecs)
+        w_norm, _ = spectrum_mod.laplacian_eigensystem(
+            g, spectrum_mod.NORMALIZED, vectors=False, max_vertices=spectrum_cap
+        )
+        lambda1_norm = spectrum_mod.summarize_spectrum(g, spectrum_mod.NORMALIZED, w_norm).lambda1
 
     cheeger_value: Fraction | None = None
     certified: str | None = None
     method: str | None = None
     if 2 <= g.num_vertices <= cheeger_cap:
         result = cheeger_mod.exact_cheeger(g, max_vertices=cheeger_cap)
-        cheeger_mod.verify_witness(g, result)
         cheeger_value, certified, method = result.value, result.certified, result.method
     else:
         best: tuple[Fraction, str] | None = None
@@ -193,7 +177,6 @@ def _analyze_level(
             best = (lemma_bound, cheeger_mod.METHOD_LEMMA_CUT)
         if sweep_basis is not None:
             sweep = cheeger_mod.sweep_cut(g, sweep_basis)
-            cheeger_mod.verify_witness(g, sweep)
             if best is None or sweep.value < best[0]:
                 best = (sweep.value, cheeger_mod.METHOD_SWEEP)
         if best is not None:
@@ -268,13 +251,11 @@ def _csv_value(value) -> str:
     return str(value)
 
 
-def report_to_json_dict(report: TowerReport, include_timings: bool = False) -> dict:
-    levels = []
-    for row in report.levels:
-        doc = {key: _json_value(val) for key, val in _level_values(row).items()}
-        if include_timings:
-            doc["elapsed_seconds"] = row.elapsed_seconds
-        levels.append(doc)
+def report_to_json_dict(report: TowerReport) -> dict:
+    levels = [
+        {key: _json_value(val) for key, val in _level_values(row).items()}
+        for row in report.levels
+    ]
     return {
         "schema": 1,
         "seed": report.seed_description,

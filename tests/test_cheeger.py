@@ -191,6 +191,34 @@ class TestExactCheeger:
         with pytest.raises(DisconnectedGraphError):
             exact_cheeger(g)
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            build_graph(2, []),
+            build_graph(3, [(0, 0), (1, 2), (1, 2)]),
+            build_graph(5, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 4)]),
+        ],
+        ids=["edgeless", "loop-and-pair", "triangle-and-edge"],
+    )
+    @pytest.mark.parametrize("bits", [1, cheeger._CHUNK_BITS])
+    def test_zero_minimum_means_disconnected(self, g, bits, monkeypatch):
+        monkeypatch.setattr(cheeger, "_CHUNK_BITS", bits)
+        with pytest.raises(
+            DisconnectedGraphError, match="disconnected graph degenerates to 0"
+        ):
+            exact_cheeger(g)
+
+    @pytest.mark.parametrize("bits", [1, 2, cheeger._CHUNK_BITS])
+    def test_tie_with_a_different_crossing_count(self, bits, monkeypatch):
+        # {0, 2} (2 crossing over 2) is the first minimum in subset order, but
+        # {0, 1, 2} (1 over 1) wins the tie; the claim must be the winner's.
+        g = build_graph(4, [(0, 1), (0, 2), (0, 2), (0, 3)])
+        assert [cut_ratio(g, a).crossing_edges for a in ([0, 2], [0, 1, 2])] == [2, 1]
+        monkeypatch.setattr(cheeger, "_CHUNK_BITS", bits)
+        result = exact_cheeger(g)
+        assert (result.value, result.witness.side_a) == naive_cheeger(g) == (1, (0, 1, 2))
+        assert (result.witness.crossing_edges, result.witness.ratio) == (1, 1)
+
     def test_rejects_above_cap(self):
         with pytest.raises(SizeCapError):
             exact_cheeger(cycle(8), max_vertices=6)
@@ -437,6 +465,60 @@ class TestVerifyWitness:
             verify_witness(gamma1.graph, tampered)
 
 
+def _recount_counter(monkeypatch):
+    """Count cut_ratio calls, recording the vertex count of each graph."""
+    calls = []
+    original = cheeger.cut_ratio
+
+    def counting(g, side_a):
+        calls.append(g.num_vertices)
+        return original(g, side_a)
+
+    monkeypatch.setattr(cheeger, "cut_ratio", counting)
+    return calls
+
+
+def _cheeger_methods(gamma1):
+    """One call of each method on Gamma1, as zero-argument callables."""
+    w, vecs = laplacian_eigensystem(gamma1.graph, vectors=True)
+    return {
+        "exact": lambda: exact_cheeger(gamma1.graph),
+        "lemma": lambda: lemma_cut(gamma1),
+        "sweep": lambda: sweep_cut(gamma1.graph, fiedler_basis(w, vecs)),
+    }
+
+
+class TestOneRecount:
+    """Each method recounts its own claim once, and nothing recounts again."""
+
+    def test_tower_recounts_each_result_once(self, monkeypatch):
+        calls = _recount_counter(monkeypatch)
+        iterate_tower(figure8(), 2)
+        # level 1: lemma cut and exhaustive search; level 2: lemma and sweep
+        assert calls == [4, 4, 128, 128]
+
+    @pytest.mark.parametrize("method", ["exact", "lemma", "sweep"])
+    def test_cli_recounts_once(self, method, monkeypatch):
+        calls = _recount_counter(monkeypatch)
+        assert cli_main(["cheeger", "theta", "--method", method]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("method", ["exact", "lemma", "sweep"])
+    def test_disagreeing_recount_raises(self, gamma1, method, monkeypatch):
+        run = _cheeger_methods(gamma1)[method]
+        original = cheeger.cut_ratio
+
+        def off_by_one(g, side_a):
+            cut = original(g, side_a)
+            crossing = cut.crossing_edges + 1
+            smaller = min(len(cut.side_a), len(cut.side_b))
+            return Cut(cut.side_a, cut.side_b, crossing, Fraction(crossing, smaller))
+
+        monkeypatch.setattr(cheeger, "cut_ratio", off_by_one)
+        with pytest.raises(ValidationError, match="witness does not re-verify"):
+            run()
+
+
 class TestCycleFamilyTightness:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_lemma_bound_tight_on_cycles(self, m):
@@ -568,7 +650,7 @@ class TestCanonicalSweep:
         g = cycle(5)  # lambda1 has multiplicity 2
         w, v = symmetric_eigensystem(laplacian(g))
         sweep = sweep_cut(g, fiedler_basis(w, v))
-        row = iterate_tower(g, 0, cheeger_cap=1, kinds=()).levels[0]
+        row = iterate_tower(g, 0, cheeger_cap=1).levels[0]
         assert (row.cheeger_value, row.cheeger_method) == (sweep.value, "sweep")
         assert cli_main(["cheeger", "cycle:5", "--method", "sweep"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -7,8 +7,11 @@ import sys
 
 import pytest
 
-from covertower import MultiGraph, ValidationError, cut_ratio
-from covertower.cli import RunConfig, build_parser, main
+import covertower.cli as cli_mod
+import covertower.multigraph as multigraph_mod
+import covertower.tower as tower_mod
+from covertower import MultiGraph, cut_ratio
+from covertower.cli import main
 
 
 def run_cli(*argv, capsys=None):
@@ -17,6 +20,18 @@ def run_cli(*argv, capsys=None):
         captured = capsys.readouterr()
         return code, captured.out, captured.err
     return code
+
+
+@pytest.fixture
+def no_traversal(monkeypatch):
+    """Make every graph traversal the CLI can reach fail the test."""
+
+    def refuse(g, *args, **kwargs):
+        raise AssertionError(f"traversed a {g.num_vertices}-vertex graph")
+
+    for module in (multigraph_mod, tower_mod, cli_mod):
+        monkeypatch.setattr(module, "spanning_tree", refuse)
+    monkeypatch.setattr(multigraph_mod, "component_count", refuse)
 
 
 class TestTowerCommand:
@@ -104,6 +119,38 @@ class TestTowerCommand:
             else:
                 assert Fraction(lvl["cheeger_value"]) <= Fraction(lvl["lemma_bound"])
 
+    def test_default_run_writes_json_csv_svg(self, tmp_path):
+        prefix = str(tmp_path / "r")
+        assert run_cli("tower", "--seed", "theta", "--levels", "1", "--out", prefix) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json", "r.svg"]
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (("--levels", "-1"), "levels must be nonnegative"),
+            (("--levels", "1", "--vertex-cap", "0"), "caps must be positive"),
+        ],
+        ids=["negative-levels", "zero-vertex-cap"],
+    )
+    def test_invalid_settings_exit_2(self, tmp_path, capsys, option, message):
+        code, _, err = run_cli(
+            "tower", "--seed", "figure8", *option, "--out", str(tmp_path / "x"),
+            capsys=capsys,
+        )
+        assert code == 2
+        assert err == json.dumps({"error": "ValidationError", "message": message}) + "\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_above_vertex_cap_refused_before_traversal(self, tmp_path, capsys, no_traversal):
+        code, _, err = run_cli(
+            "tower", "--seed", "cycle:50", "--levels", "1", "--vertex-cap", "10",
+            "--out", str(tmp_path / "x"), capsys=capsys,
+        )
+        assert code == 4
+        assert json.loads(err) == {
+            "error": "SizeCapError", "message": "seed has 50 vertices, above the cap 10",
+        }
+
     def test_bad_seed_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             "tower", "--seed", "dodecahedron", "--levels", "1",
@@ -145,6 +192,30 @@ class TestCoverCommand:
         )
         assert code == 4
         assert json.loads(err)["error"] == "SizeCapError"
+
+    def test_graph_above_cap_refused_before_traversal(self, capsys, no_traversal):
+        code, _, err = run_cli("cover", "cycle:50", "--vertex-cap", "10", capsys=capsys)
+        assert code == 4
+        assert json.loads(err) == {
+            "error": "SizeCapError", "message": "graph has 50 vertices, above the cap 10",
+        }
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"vertices": 2, "edges": 7}', "'edges' must be a list of vertex-id pairs"),
+            ('{"vertices": 2, "edges": null}', "'edges' must be a list of vertex-id pairs"),
+            ('{"vertices": 2, "edges": [[0, 1]], "labels": 5}', "'labels' must be a list"),
+            ('{"vertices": 2, "edges": [[0, 1]], "labels": "ab"}', "'labels' must be a list"),
+        ],
+        ids=["edges-int", "edges-null", "labels-int", "labels-string"],
+    )
+    def test_non_list_fields_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        code, out, err = run_cli("cover", str(path), "--iterate", "0", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ValidationError", "message": message}
 
     def test_roundtrips_through_file_input(self, tmp_path, capsys):
         out = tmp_path / "c6.json"
@@ -196,6 +267,16 @@ class TestCheegerCommand:
         code, _, err = run_cli("cheeger", "bouquet:40", "--method", "lemma", capsys=capsys)
         assert code == 4
         assert json.loads(err)["error"] == "SizeCapError"
+
+    def test_lemma_refuses_an_input_above_the_cap_before_traversal(
+        self, monkeypatch, capsys, no_traversal
+    ):
+        monkeypatch.setattr(cli_mod, "DEFAULT_VERTEX_CAP", 10)
+        code, _, err = run_cli("cheeger", "cycle:50", "--method", "lemma", capsys=capsys)
+        assert code == 4
+        assert json.loads(err) == {
+            "error": "SizeCapError", "message": "graph has 50 vertices, above the cap 10",
+        }
 
     def test_sweep_caps_the_dense_solve(self, capsys):
         code, _, err = run_cli("cheeger", "cycle:2049", "--method", "sweep", capsys=capsys)
@@ -261,31 +342,6 @@ class TestSpectrumCommand:
             "spectrum", "cycle:10", "--spectrum-cap", "4", capsys=capsys
         )
         assert code == 5
-
-
-class TestRunConfig:
-    def test_from_args_defaults(self):
-        args = build_parser().parse_args(["tower", "--seed", "figure8", "--levels", "2"])
-        config = RunConfig.from_args(args)
-        assert config.seed == "figure8"
-        assert config.formats == ("json", "csv", "svg")
-        assert config.kinds == ("combinatorial", "normalized")
-
-    def test_invalid_levels_rejected(self):
-        with pytest.raises(ValidationError):
-            RunConfig(
-                seed="figure8", levels=-1, vertex_cap=10, cheeger_cap=10,
-                spectrum_cap=10, kinds=("combinatorial",), out_prefix="x",
-                formats=("json",), strict=False,
-            )
-
-    def test_nonpositive_cap_rejected(self):
-        with pytest.raises(ValidationError):
-            RunConfig(
-                seed="figure8", levels=1, vertex_cap=0, cheeger_cap=10,
-                spectrum_cap=10, kinds=("combinatorial",), out_prefix="x",
-                formats=("json",), strict=False,
-            )
 
 
 class TestEntryPoint:

@@ -10,6 +10,7 @@ import pytest
 
 from covertower import (
     DisconnectedGraphError,
+    SizeCapError,
     ValidationError,
     build_graph,
     iterate_tower,
@@ -121,15 +122,6 @@ class TestOtherSeeds:
         assert len(report.levels) == 1
         assert report.levels[0].vertex_count == 1
 
-    def test_kinds_selects_lambda_columns(self):
-        report = iterate_tower(figure8(), 1, 10**6, kinds=("combinatorial",))
-        assert report.levels[1].lambda1_combinatorial == pytest.approx(4.0)
-        assert report.levels[1].lambda1_normalized is None
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValidationError):
-            iterate_tower(figure8(), 1, 10**6, kinds=("weighted",))
-
 
 class TestTraversalBudget:
     def test_component_count_runs_once_per_connectivity_check(self, monkeypatch):
@@ -144,8 +136,9 @@ class TestTraversalBudget:
 
         monkeypatch.setattr(multigraph, "component_count", counting)
         iterate_tower(figure8(), 2, 10**6)
-        # the seed check, the level-1 exhaustive search and the level-2 sweep
-        assert calls == [1, 4, 128]
+        # the seed check and the level-2 sweep; the level-1 exhaustive search
+        # reads disconnection off its zero minimum
+        assert calls == [1, 128]
 
 
 class TestValidation:
@@ -164,6 +157,16 @@ class TestValidation:
     def test_nonpositive_cap_rejected(self):
         with pytest.raises(ValidationError):
             iterate_tower(figure8(), 1, 0)
+
+    def test_seed_above_cap_rejected_before_traversal(self, monkeypatch):
+        import covertower.multigraph as multigraph
+
+        def refuse(g):
+            raise AssertionError("traversed the seed")
+
+        monkeypatch.setattr(multigraph, "component_count", refuse)
+        with pytest.raises(SizeCapError, match="seed has 12 vertices, above the cap 11"):
+            iterate_tower(cycle(12), 1, 11)
 
 
 class TestSerialization:
@@ -193,8 +196,6 @@ class TestSerialization:
         report = iterate_tower(figure8(), 1, 10**6)
         doc = report_to_json_dict(report)
         assert all("elapsed_seconds" not in level for level in doc["levels"])
-        doc_with = report_to_json_dict(report, include_timings=True)
-        assert all("elapsed_seconds" in level for level in doc_with["levels"])
 
     def test_repeated_runs_identical(self):
         first = iterate_tower(figure8(), 2, 10**6, seed_description="figure8")
