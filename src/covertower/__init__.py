@@ -18,10 +18,7 @@ from .cheeger import (
 )
 from .covers import (
     CoveredGraph,
-    DeckElement,
     RegularCoverReport,
-    deck_action,
-    flip_cotree_orientation,
     verify_regular_cover,
     z2_cover,
 )
@@ -40,7 +37,6 @@ from .multigraph import (
     MultiGraph,
     build_graph,
     is_connected,
-    rank_pi1,
     spanning_tree,
 )
 from .spectrum import (
@@ -65,7 +61,6 @@ __all__ = [
     "CoveredGraph",
     "CovertowerError",
     "Cut",
-    "DeckElement",
     "DegenerateCutError",
     "DisconnectedGraphError",
     "MultiGraph",
@@ -81,17 +76,14 @@ __all__ = [
     "build_graph",
     "cheeger_sandwich",
     "cut_ratio",
-    "deck_action",
     "exact_cheeger",
     "fiedler_basis",
-    "flip_cotree_orientation",
     "full_spectrum",
     "is_connected",
     "iterate_tower",
     "laplacian",
     "laplacian_eigensystem",
     "lemma_cut",
-    "rank_pi1",
     "spanning_tree",
     "spectrum_inclusion",
     "sweep_cut",

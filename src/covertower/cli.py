@@ -26,9 +26,7 @@ from .errors import (
     ConvergenceError,
     CovertowerError,
     DegenerateCutError,
-    DisconnectedGraphError,
     SizeCapError,
-    SpecMismatchError,
     SpectrumError,
     ValidationError,
 )
@@ -49,15 +47,13 @@ EXIT_INFEASIBLE = 4
 EXIT_SPECTRUM = 5
 EXIT_IO = 6
 
+# Any other CovertowerError (bad input, spec mismatch, disconnected graph)
+# falls through to EXIT_CONFIG in _error_exit_code.
 _ERROR_CODES: tuple[tuple[type, int], ...] = (
     (SizeCapError, EXIT_INFEASIBLE),
     (DegenerateCutError, EXIT_INFEASIBLE),
     (SpectrumError, EXIT_SPECTRUM),
     (ConvergenceError, EXIT_SPECTRUM),
-    (SpecMismatchError, EXIT_CONFIG),
-    (DisconnectedGraphError, EXIT_CONFIG),
-    (ValidationError, EXIT_CONFIG),
-    (CovertowerError, EXIT_CONFIG),
     (OSError, EXIT_IO),
 )
 

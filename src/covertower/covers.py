@@ -17,11 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import (
-    DisconnectedGraphError,
-    SizeCapError,
-    ValidationError,
-)
+from .errors import DisconnectedGraphError, SizeCapError
 from .multigraph import CoverSpec, MultiGraph
 
 
@@ -52,31 +48,6 @@ class CoveredGraph:
     def fiber(self, id_: int) -> tuple[int, int]:
         """(base id, bitvector) of a cover vertex or edge id."""
         return divmod(id_, self.sheets)
-
-
-@dataclass(frozen=True)
-class DeckElement:
-    """An element of the deck group (Z/2)^r, acting by bitvector translation."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValidationError("deck element bits must be 0 or 1")
-
-    @property
-    def rank(self) -> int:
-        return len(self.bits)
-
-    @property
-    def as_int(self) -> int:
-        return sum(b << j for j, b in enumerate(self.bits))
-
-    @classmethod
-    def from_int(cls, value: int, rank: int) -> "DeckElement":
-        if not 0 <= value < (1 << rank):
-            raise ValidationError(f"deck element value {value} out of range for rank {rank}")
-        return cls(bits=tuple((value >> j) & 1 for j in range(rank)))
 
 
 @dataclass(frozen=True)
@@ -145,25 +116,6 @@ def z2_cover(
         num_vertices=predicted_vertices, edges=tuple(edges), labels=labels
     )
     return CoveredGraph(graph=graph, base=base, spec=spec)
-
-
-def deck_action(
-    cover: CoveredGraph, beta: DeckElement
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Vertex and edge permutations of the translation a -> a + beta.
-
-    Returned as explicit id -> id maps (tuples indexed by id).  The bitvector
-    is the low r bits of an id, so the translation is XOR by beta.
-    """
-    if beta.rank != cover.rank:
-        raise ValidationError(
-            f"deck element has rank {beta.rank}, cover has rank {cover.rank}"
-        )
-    b = beta.as_int
-    return (
-        tuple(x ^ b for x in range(cover.graph.num_vertices)),
-        tuple(x ^ b for x in range(cover.graph.num_edges)),
-    )
 
 
 def verify_regular_cover(cover: CoveredGraph) -> RegularCoverReport:
@@ -245,13 +197,3 @@ def verify_regular_cover(cover: CoveredGraph) -> RegularCoverReport:
         deck_order=sheets,
         failures=tuple(failures),
     )
-
-
-def flip_cotree_orientation(spec: CoverSpec, position: int) -> CoverSpec:
-    """Reverse the direction of the cotree edge at the given position."""
-    if not 0 <= position < spec.rank:
-        raise ValidationError(f"cotree position {position} out of range")
-    cotree = list(spec.cotree_edges)
-    e, tail, head = cotree[position]
-    cotree[position] = (e, head, tail)
-    return CoverSpec(tree_edges=spec.tree_edges, cotree_edges=tuple(cotree))

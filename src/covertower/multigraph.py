@@ -52,13 +52,9 @@ class MultiGraph:
         self._check_vertex(v)
         return self.labels[v] if self.labels is not None else str(v)
 
-    def degree(self, v: int) -> int:
-        """Edge-endpoint incidences at v; a loop contributes 2."""
-        self._check_vertex(v)
-        return self.degrees[v]
-
     @cached_property
     def degrees(self) -> tuple[int, ...]:
+        """Edge-endpoint incidences per vertex; a loop contributes 2."""
         deg = [0] * self.num_vertices
         for u, v in self.edges:
             deg[u] += 1
@@ -281,8 +277,3 @@ def component_count(g: MultiGraph) -> int:
 
 def is_connected(g: MultiGraph) -> bool:
     return component_count(g) <= 1
-
-
-def rank_pi1(g: MultiGraph) -> int:
-    """Rank of the fundamental group: #E - #V + #components."""
-    return g.num_edges - g.num_vertices + component_count(g)

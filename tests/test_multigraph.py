@@ -13,14 +13,13 @@ from covertower import (
     ValidationError,
     build_graph,
     is_connected,
-    rank_pi1,
     spanning_tree,
     z2_cover,
 )
 from covertower.errors import SpecMismatchError
 from covertower.multigraph import component_count
 
-from conftest import bouquet, cycle, figure8, path, theta
+from conftest import bouquet, cycle, figure8, path, rank_pi1, theta
 
 
 def multigraphs(max_vertices: int = 7, max_edges: int = 12):
@@ -79,18 +78,13 @@ class TestBuildGraph:
 
 class TestDegree:
     def test_figure8_loop_counts_twice(self):
-        assert figure8().degree(0) == 4
+        assert figure8().degrees[0] == 4
 
     def test_theta(self):
-        assert theta().degree(0) == 3
-        assert theta().degree(1) == 3
+        assert theta().degrees == (3, 3)
 
     def test_path_endpoint(self):
-        assert path(2).degree(0) == 1
-
-    def test_invalid_vertex(self):
-        with pytest.raises(ValidationError):
-            path(2).degree(2)
+        assert path(2).degrees[0] == 1
 
 
 class TestSpanningTree:
@@ -173,17 +167,18 @@ class TestConnectivityAndMetrics:
 
 class TestRank:
     def test_figure8_is_rank_two(self):
-        assert rank_pi1(figure8()) == 2
+        assert rank_pi1(figure8()) == spanning_tree(figure8()).rank == 2
 
     def test_doubled_four_cycle_is_rank_five(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)] * 2)
-        assert rank_pi1(g) == 5  # 8 - 4 + 1, matching #V + 1 on tower levels
+        # 8 - 4 + 1, matching #V + 1 on tower levels
+        assert rank_pi1(g) == spanning_tree(g).rank == 5
 
     def test_trees_have_rank_zero(self):
-        assert rank_pi1(path(6)) == 0
+        assert rank_pi1(path(6)) == spanning_tree(path(6)).rank == 0
 
     def test_bouquet_rank_is_loop_count(self):
-        assert rank_pi1(bouquet(5)) == 5
+        assert rank_pi1(bouquet(5)) == spanning_tree(bouquet(5)).rank == 5
 
 
 class TestProperties:

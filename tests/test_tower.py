@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -15,9 +16,10 @@ from covertower import (
     build_graph,
     iterate_tower,
 )
-from covertower.tower import report_to_csv_text, report_to_json_dict
+import covertower.tower as tower_mod
+from covertower.tower import MAX_TREE_LEVELS, report_to_csv_text, report_to_json_dict
 
-from conftest import cycle, figure8, path, theta
+from conftest import bouquet, cycle, figure8, path, theta
 
 
 def symbolic_bouquet_counts(levels: int) -> list[tuple[int, int]]:
@@ -121,6 +123,53 @@ class TestOtherSeeds:
         report = iterate_tower(figure8(), 0, 10**6)
         assert len(report.levels) == 1
         assert report.levels[0].vertex_count == 1
+
+
+class TestTreeSeed:
+    """A rank-0 level is its own cover: analysed once, bounded in length."""
+
+    def test_analysed_once_and_repeated(self, monkeypatch):
+        calls = []
+        original = tower_mod._analyze_level
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(tower_mod, "_analyze_level", counting)
+        report = iterate_tower(path(3), 50, 100)
+        assert calls == [0]
+        assert [row.level for row in report.levels] == list(range(51))
+        first = report.levels[0]
+        for row in report.levels:
+            assert dataclasses.replace(row, level=0) == first
+
+    def test_levels_above_the_ceiling_rejected_before_analysis(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("analysed a level")
+
+        monkeypatch.setattr(tower_mod, "_analyze_level", refuse)
+        with pytest.raises(ValidationError, match=f"at most {MAX_TREE_LEVELS}"):
+            iterate_tower(path(3), MAX_TREE_LEVELS + 1, 100)
+
+    def test_ceiling_itself_accepted(self):
+        report = iterate_tower(path(3), MAX_TREE_LEVELS, 100)
+        assert len(report.levels) == MAX_TREE_LEVELS + 1
+        assert not report.truncated
+
+    def test_single_vertex_seed_has_no_lambda1(self):
+        # One vertex without loops has no normalized Laplacian; the row
+        # reports no lambda1 rather than failing.
+        report = iterate_tower(bouquet(0), 3, 100)
+        assert [row.vertex_count for row in report.levels] == [1] * 4
+        for row in report.levels:
+            assert row.lambda1_combinatorial is None
+            assert row.lambda1_normalized is None
+            assert row.cheeger_value is None
+
+    def test_ceiling_ignores_seeds_of_positive_rank(self):
+        report = iterate_tower(figure8(), MAX_TREE_LEVELS + 1, 100)
+        assert report.truncated_level == 2
 
 
 class TestTraversalBudget:
