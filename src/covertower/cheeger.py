@@ -17,7 +17,6 @@ not confirm raises ValidationError.  Callers need no second check.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -86,27 +85,45 @@ class CheegerResult:
 
 def cut_ratio(g: MultiGraph, side_a: Iterable[int]) -> Cut:
     """Exact crossing count and ratio for the bipartition (side_a, complement)."""
-    a_set = set(side_a)
-    for v in a_set:
-        if not (isinstance(v, (int, np.integer)) and 0 <= v < g.num_vertices):
-            raise ValidationError(f"vertex id {v!r} out of range")
-    if not a_set:
+    in_a = _side_mask(g, side_a)
+    size_a = int(np.count_nonzero(in_a))
+    if size_a == 0:
         raise DegenerateCutError("side A is empty")
-    if len(a_set) == g.num_vertices:
+    if size_a == g.num_vertices:
         raise DegenerateCutError("side A is the whole vertex set")
-    crossing = 0
-    for u, v in g.edges:
-        if u != v and ((u in a_set) != (v in a_set)):
-            crossing += 1
-    side_a_sorted = tuple(sorted(int(v) for v in a_set))
-    side_b_sorted = tuple(v for v in range(g.num_vertices) if v not in a_set)
-    smaller = min(len(side_a_sorted), len(side_b_sorted))
+    # A loop's two ends are on one side, so loops never cross.
+    crossing = int(np.count_nonzero(in_a[g.ends[:, 0]] != in_a[g.ends[:, 1]]))
+    side_a_sorted, side_b_sorted = _sides(in_a)
+    smaller = min(size_a, g.num_vertices - size_a)
     return Cut(
         side_a=side_a_sorted,
         side_b=side_b_sorted,
         crossing_edges=crossing,
         ratio=Fraction(crossing, smaller),
     )
+
+
+def _side_mask(g: MultiGraph, side_a: Iterable[int]) -> np.ndarray:
+    """Boolean membership of side A; every id must be an integer vertex."""
+    items = side_a if isinstance(side_a, np.ndarray) else list(side_a)
+    ids = np.asarray(items)
+    if ids.dtype.kind not in "iu":
+        # Empty, bool, huge or mixed ids: check each one as given.
+        for v in items:
+            if not (isinstance(v, (int, np.integer)) and 0 <= v < g.num_vertices):
+                raise ValidationError(f"vertex id {v!r} out of range")
+        ids = np.array(items, dtype=np.int64)
+    elif ids.size and (ids.min() < 0 or ids.max() >= g.num_vertices):
+        bad = (ids < 0) | (ids >= g.num_vertices)
+        raise ValidationError(f"vertex id {int(ids[bad.argmax()])!r} out of range")
+    in_a = np.zeros(g.num_vertices, dtype=bool)
+    in_a[ids] = True
+    return in_a
+
+
+def _sides(in_a: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sorted vertex ids of side A and of its complement."""
+    return tuple(np.flatnonzero(in_a).tolist()), tuple(np.flatnonzero(~in_a).tolist())
 
 
 def verify_witness(g: MultiGraph, result: CheegerResult) -> None:
@@ -133,9 +150,7 @@ def _verified(
     method: str,
 ) -> CheegerResult:
     """The claimed cut as a result, once `verify_witness` has recounted it."""
-    side_a = tuple(sorted(side_a))
-    in_a = set(side_a)
-    side_b = tuple(v for v in range(g.num_vertices) if v not in in_a)
+    side_a, side_b = _sides(_side_mask(g, side_a))
     ratio = Fraction(crossing, smaller)
     result = CheegerResult(ratio, Cut(side_a, side_b, crossing, ratio), certified, method)
     verify_witness(g, result)
@@ -156,8 +171,11 @@ def _bit_reverse(masks: np.ndarray, width: int) -> np.ndarray:
 
 
 def _edge_multiplicities(g: MultiGraph) -> list[tuple[int, int, int]]:
-    counts = Counter((u, v) for u, v in g.edges if u != v)
-    return [(u, v, m) for (u, v), m in sorted(counts.items())]
+    """(u, v, multiplicity) of each distinct non-loop pair, ascending."""
+    n = g.num_vertices
+    ends = g.ends[g.ends[:, 0] != g.ends[:, 1]]
+    keys, counts = np.unique(ends[:, 0] * n + ends[:, 1], return_counts=True)
+    return [(*divmod(k, n), m) for k, m in zip(keys.tolist(), counts.tolist())]
 
 
 def _subset_sums(table: np.ndarray, base: int, weights: Sequence[int]) -> np.ndarray:
@@ -309,7 +327,7 @@ def lemma_cut(cover: CoveredGraph) -> CheegerResult:
     if r < 1:
         raise ValidationError("trivial cover (rank 0) has no coordinate cut")
     high_bit = 1 << (r - 1)  # the bitvector is the low r bits of a vertex id
-    side_a = [vid for vid in range(cover.graph.num_vertices) if not vid & high_bit]
+    side_a = np.flatnonzero((np.arange(cover.graph.num_vertices) & high_bit) == 0)
     # The claim is the closed form: 2^r crossing lifts, 2^(r-1) #V(base) a side.
     half = high_bit * cover.base.num_vertices
     return _verified(
@@ -343,8 +361,7 @@ def sweep_cut(g: MultiGraph, vectors: Sequence[float] | np.ndarray) -> CheegerRe
         raise ValidationError("sweep cut needs at least one vector")
     if not is_connected(g):
         raise DisconnectedGraphError("sweep cut requires a connected graph")
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    ends = ends[ends[:, 0] != ends[:, 1]]
+    ends = g.ends[g.ends[:, 0] != g.ends[:, 1]]
     smaller = np.minimum(np.arange(1, n), np.arange(n - 1, 0, -1))
     best: tuple[Fraction, int, np.ndarray] | None = None
     for row in rows:
@@ -367,9 +384,7 @@ def sweep_cut(g: MultiGraph, vectors: Sequence[float] | np.ndarray) -> CheegerRe
             best = (value, i, int(crossing[i]), order)
     assert best is not None
     _, i, count, order = best
-    return _verified(
-        g, order[: i + 1].tolist(), count, int(smaller[i]), UPPER_BOUND, METHOD_SWEEP
-    )
+    return _verified(g, order[: i + 1], count, int(smaller[i]), UPPER_BOUND, METHOD_SWEEP)
 
 
 def _sweep_order(values: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .seeds import resolve_graph_input
 from .svgplot import tower_svg
 from .tower import (
     DEFAULT_VERTEX_CAP,
+    MAX_TREE_LEVELS,
     iterate_tower,
     report_to_csv_text,
     report_to_json_dict,
@@ -146,8 +147,19 @@ def cmd_cover(args: argparse.Namespace) -> int:
     if args.iterate < 0:
         raise ValidationError("--iterate must be nonnegative")
     g, _ = resolve_graph_input(args.input)
-    for _ in range(args.iterate):
+    if args.iterate and g.num_edges - g.num_vertices + 1 == 0:
+        # A connected rank-0 graph is its own cover and each step only
+        # appends "|" to every label, so k steps are one step plus k - 1 bars.
+        if args.iterate > MAX_TREE_LEVELS:
+            raise ValidationError(
+                f"a rank-0 graph is its own cover; --iterate must be at most {MAX_TREE_LEVELS}"
+            )
         g = _homology_cover(g, args.vertex_cap).graph
+        bars = "|" * (args.iterate - 1)
+        g = MultiGraph(g.num_vertices, g.ends, tuple(label + bars for label in g.labels))
+    else:
+        for _ in range(args.iterate):
+            g = _homology_cover(g, args.vertex_cap).graph
     text = g.to_json() if args.format == "json" else g.to_dot()
     _emit(args.out, text)
     return EXIT_OK

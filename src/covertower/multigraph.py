@@ -1,8 +1,11 @@
 """Finite unoriented multigraphs: loops and parallel edges are first-class.
 
-Vertices are dense integers 0..n-1 with optional string labels.  Edges are
-stored canonically as (u, v) with u <= v; the edge id is the position in the
-edge tuple.  Instances are immutable and safe to share.
+Vertices are dense integers 0..n-1 with optional string labels.  The edges
+are one (E, 2) int64 array, ``ends``, each row canonical (u, v) with u <= v;
+the edge id is the row index.  ``edges`` (a tuple of pairs), ``degrees`` and
+``incidence`` are derived from it on first use, so code that handles large
+covers reads ``ends`` and never builds per-edge Python objects.  Instances
+are immutable (the array is read-only) and safe to share.
 """
 from __future__ import annotations
 
@@ -12,54 +15,72 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import SizeCapError, ValidationError
 
 JSON_SCHEMA_VERSION = 1
+# One JSON-indented edge; the edge list is formatted by one "%" pass.
+_JSON_EDGE = "    [\n      %d,\n      %d\n    ]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiGraph:
-    """Immutable multigraph with canonical (u <= v) edge storage."""
+    """Immutable multigraph with canonical (u <= v) edge rows in ``ends``."""
 
     num_vertices: int
-    edges: tuple[tuple[int, int], ...]
+    ends: np.ndarray
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.num_vertices < 0:
             raise ValidationError("vertex count must be nonnegative")
-        for i, (u, v) in enumerate(self.edges):
-            if not (0 <= u <= v < self.num_vertices):
-                raise ValidationError(
-                    f"edge {i} has endpoints ({u}, {v}) outside 0..{self.num_vertices - 1} "
-                    "or not in canonical u <= v order"
-                )
+        ends = np.asarray(self.ends, dtype=np.int64)
+        if ends.size == 0:
+            ends = ends.reshape(0, 2)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValidationError(f"edge array has shape {ends.shape}, not (E, 2)")
+        ends = ends.view()
+        ends.flags.writeable = False
+        object.__setattr__(self, "ends", ends)
+        u, v = ends[:, 0], ends[:, 1]
+        bad = (u < 0) | (u > v) | (v >= self.num_vertices)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValidationError(
+                f"edge {i} has endpoints ({u[i]}, {v[i]}) outside 0..{self.num_vertices - 1} "
+                "or not in canonical u <= v order"
+            )
         if self.labels is not None and len(self.labels) != self.num_vertices:
             raise ValidationError(
                 f"got {len(self.labels)} labels for {self.num_vertices} vertices"
             )
 
+    def __eq__(self, other):
+        if not isinstance(other, MultiGraph):
+            return NotImplemented
+        return (
+            self.num_vertices == other.num_vertices
+            and self.labels == other.labels
+            and np.array_equal(self.ends, other.ends)
+        )
+
+    def __hash__(self):
+        return hash((self.num_vertices, self.ends.tobytes(), self.labels))
+
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
 
-    def endpoints(self, edge_id: int) -> tuple[int, int]:
-        if not 0 <= edge_id < len(self.edges):
-            raise ValidationError(f"edge id {edge_id} out of range")
-        return self.edges[edge_id]
-
-    def label_of(self, v: int) -> str:
-        self._check_vertex(v)
-        return self.labels[v] if self.labels is not None else str(v)
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edge rows as (u, v) tuples, for small graphs and tests."""
+        return tuple(map(tuple, self.ends.tolist()))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         """Edge-endpoint incidences per vertex; a loop contributes 2."""
-        deg = [0] * self.num_vertices
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
+        return tuple(np.bincount(self.ends.ravel(), minlength=self.num_vertices).tolist())
 
     @cached_property
     def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -68,15 +89,11 @@ class MultiGraph:
         Loops appear once; use ``degrees`` for loop-doubled counts.
         """
         inc: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
-        for e, (u, v) in enumerate(self.edges):
+        for e, (u, v) in enumerate(self.ends.tolist()):
             inc[u].append((e, v))
             if u != v:
                 inc[v].append((e, u))
         return tuple(tuple(entries) for entries in inc)
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.num_vertices:
-            raise ValidationError(f"vertex id {v} out of range 0..{self.num_vertices - 1}")
 
     # -- serialization ------------------------------------------------------
 
@@ -84,20 +101,22 @@ class MultiGraph:
         doc: dict = {"schema": JSON_SCHEMA_VERSION, "vertices": self.num_vertices}
         if self.labels is not None:
             doc["labels"] = list(self.labels)
-        doc["edges"] = [[u, v] for u, v in self.edges]
+        doc["edges"] = self.ends.tolist()
         return doc
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, written directly.
 
-        The standard encoder runs in pure Python when indenting; formatting
-        the edges with f-strings gives the same text several times faster.
+        The standard encoder runs in pure Python when indenting.  Here the
+        labels go through the C encoder, whose item separator carries the
+        indent, and the edges through one ``%`` pass over a repeated
+        template; the text is the same, several times faster.
         """
         parts = [f'{{\n  "schema": {JSON_SCHEMA_VERSION},\n  "vertices": {self.num_vertices},\n']
         if self.labels is not None:
-            labels = [f"    {json.dumps(label)}" for label in self.labels]
-            parts.append(f'  "labels": {_json_list(labels)},\n')
-        edges = [f"    [\n      {u},\n      {v}\n    ]" for u, v in self.edges]
+            labels = json.dumps(self.labels, separators=(",\n    ", ": "))[1:-1]
+            parts.append(f'  "labels": {_json_list("    " + labels if labels else "")},\n')
+        edges = ",\n".join([_JSON_EDGE] * self.num_edges) % tuple(self.ends.ravel().tolist())
         parts.append(f'  "edges": {_json_list(edges)}\n}}\n')
         return "".join(parts)
 
@@ -136,23 +155,19 @@ class MultiGraph:
         return cls.from_json_dict(doc)
 
     def to_dot(self) -> str:
-        lines = ["graph G {"]
-        for v in range(self.num_vertices):
-            if self.labels is not None:
-                lines.append(f'  {v} [label="{_dot_escape(self.labels[v])}"];')
-            else:
-                lines.append(f"  {v};")
-        for u, v in self.edges:
-            lines.append(f"  {u} -- {v};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        if self.labels is None:
+            vertices = [f"  {v};\n" for v in range(self.num_vertices)]
+        else:
+            vertices = [
+                f'  {v} [label="{_dot_escape(label)}"];\n' for v, label in enumerate(self.labels)
+            ]
+        edges = "  %d -- %d;\n" * self.num_edges % tuple(self.ends.ravel().tolist())
+        return "graph G {\n" + "".join(vertices) + edges + "}\n"
 
 
-def _json_list(items: list[str]) -> str:
-    """A top-level field's JSON array of already indented items."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n  ]"
+def _json_list(body: str) -> str:
+    """A top-level field's JSON array around its already indented items."""
+    return "[\n" + body + "\n  ]" if body else "[]"
 
 
 def _dot_escape(text: str) -> str:
@@ -185,8 +200,9 @@ class CoverSpec:
             range(g.num_edges)
         ):
             raise SpecMismatchError("tree and cotree do not partition the edge set")
+        ends = g.ends.tolist()
         for e, tail, head in self.cotree_edges:
-            u, v = g.endpoints(e)
+            u, v = ends[e]
             if {tail, head} != {u, v}:
                 raise SpecMismatchError(f"cotree edge {e} directed between non-endpoints")
         # The tree edges must be acyclic, and maximal: no cotree edge may
@@ -200,7 +216,7 @@ class CoverSpec:
             return x
 
         for e in sorted(self.tree_edges):
-            u, v = g.endpoints(e)
+            u, v = ends[e]
             ru, rv = find(u), find(v)
             if ru == rv:
                 raise SpecMismatchError(f"tree edge {e} closes a cycle")
@@ -231,9 +247,13 @@ def build_graph(
                 f"edge {i} endpoints ({u}, {v}) out of range for {vertex_count} vertices"
             )
         edges.append((u, v) if u <= v else (v, u))
+    try:
+        ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise SizeCapError("vertex ids must fit in 64-bit integers") from None
     return MultiGraph(
         num_vertices=vertex_count,
-        edges=tuple(edges),
+        ends=ends,
         labels=tuple(labels) if labels is not None else None,
     )
 
@@ -265,7 +285,7 @@ def spanning_tree(g: MultiGraph) -> CoverSpec:
                     tree.add(eid)
                     queue.append(other)
     cotree = tuple(
-        (e, u, v) for e, (u, v) in enumerate(g.edges) if e not in tree
+        (e, u, v) for e, (u, v) in enumerate(g.ends.tolist()) if e not in tree
     )
     return CoverSpec(tree_edges=frozenset(tree), cotree_edges=cotree)
 

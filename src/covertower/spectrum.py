@@ -91,7 +91,7 @@ def symmetric_eigensystem(
 
 def adjacency_matrix(g: MultiGraph) -> np.ndarray:
     """Integer adjacency with multiplicity; a loop adds 2 on the diagonal."""
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    ends = g.ends
     a = np.zeros((g.num_vertices, g.num_vertices), dtype=np.int64)
     # Adding at (u, v) and at (v, u) counts a loop twice on the diagonal.
     np.add.at(a, (ends[:, 0], ends[:, 1]), 1)

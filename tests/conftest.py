@@ -1,5 +1,10 @@
-"""Shared graph builders and session fixtures."""
+"""Shared graph builders, slow oracles and session fixtures."""
 from __future__ import annotations
+
+import random
+from collections import Counter
+from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -65,6 +70,114 @@ def flip_cotree_orientation(spec: CoverSpec, position: int) -> CoverSpec:
     e, tail, head = cotree[position]
     cotree[position] = (e, head, tail)
     return CoverSpec(tree_edges=spec.tree_edges, cotree_edges=tuple(cotree))
+
+
+def random_connected_multigraph(rng: random.Random, n: int, rank: int) -> MultiGraph:
+    """n vertices, a random spanning tree and `rank` uniform extra edges
+    (so loops and parallel edges occur), in shuffled edge order."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = [(order[i], order[rng.randrange(i)]) for i in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rank)]
+    rng.shuffle(edges)
+    return build_graph(n, edges)
+
+
+class LoopCover(NamedTuple):
+    """A cover as the per-edge loop builds it, with each id's fiber recorded."""
+
+    num_vertices: int
+    edges: tuple[tuple[int, int], ...]
+    labels: tuple[str, ...]
+    vertex_fibers: list[tuple[int, int]]
+    edge_fibers: list[tuple[int, int]]
+
+
+def loop_cover(base: MultiGraph, spec: CoverSpec) -> LoopCover:
+    """The per-edge, per-sheet construction z2_cover used before it broadcast.
+
+    Vertex (v, a) and edge (e, a) are appended in lexicographic order; a
+    cotree edge j joins (tail, a) to (head, a ^ 2^j).
+    """
+    r = spec.rank
+    sheets = 1 << r
+    bitstrings = ["".join("1" if (a >> j) & 1 else "0" for j in range(r)) for a in range(sheets)]
+    labels, vertex_fibers = [], []
+    for v in range(base.num_vertices):
+        name = base.labels[v] if base.labels is not None else str(v)
+        for a in range(sheets):
+            labels.append(f"{name}|{bitstrings[a]}")
+            vertex_fibers.append((v, a))
+    cotree = {e: (tail, head, 1 << j) for j, (e, tail, head) in enumerate(spec.cotree_edges)}
+    edges, edge_fibers = [], []
+    for e, (u, v) in enumerate(base.edges):
+        tail, head, flip = cotree.get(e, (u, v, 0))
+        for a in range(sheets):
+            x, y = tail * sheets + a, head * sheets + (a ^ flip)
+            edges.append((x, y) if x <= y else (y, x))
+            edge_fibers.append((e, a))
+    return LoopCover(
+        base.num_vertices * sheets, tuple(edges), tuple(labels), vertex_fibers, edge_fibers
+    )
+
+
+def loop_cut_ratio(num_vertices: int, edges, side_a) -> tuple[int, Fraction]:
+    """(crossing count, ratio) by set membership, one edge at a time."""
+    a_set = set(side_a)
+    crossing = 0
+    for u, v in edges:
+        if u != v and ((u in a_set) != (v in a_set)):
+            crossing += 1
+    return crossing, Fraction(crossing, min(len(a_set), num_vertices - len(a_set)))
+
+
+def loop_regular_cover_failures(cover: CoveredGraph) -> list[str]:
+    """verify_regular_cover's failure messages, checked one id at a time.
+
+    Every deck element b is tried, not just the generators, and edges and
+    stars are compared pair by pair, as verify_regular_cover did before it
+    was vectorized.
+    """
+    base, g, sheets = cover.base, cover.graph, cover.sheets
+    edges = g.edges
+    failures = []
+    if g.num_vertices != base.num_vertices * sheets:
+        failures.append("vertex fibers are not a bijection onto V(base) x (Z/2)^r")
+    if len(edges) != base.num_edges * sheets:
+        failures.append("edge fibers are not a bijection onto E(base) x (Z/2)^r")
+    if failures:
+        return failures
+    for b in range(sheets):
+        bad = [
+            eid for eid, (u, v) in enumerate(edges)
+            if edges[eid ^ b] != tuple(sorted((u ^ b, v ^ b)))
+        ]
+        if bad:
+            failures.append(f"deck element {b} does not preserve incidence at edge {bad[0]}")
+            break
+    for eid, (u, v) in enumerate(edges):
+        projected = (u // sheets, v // sheets)
+        if projected != base.edges[eid // sheets]:
+            failures.append(
+                f"cover edge {eid} projects to {projected}, not to base edge {eid // sheets}"
+            )
+            break
+    base_star = [Counter() for _ in range(base.num_vertices)]
+    for e, (u, v) in enumerate(base.edges):
+        base_star[u][e] += 1
+        base_star[v][e] += 1
+    cover_star = [Counter() for _ in range(g.num_vertices)]
+    for eid, (u, v) in enumerate(edges):
+        cover_star[u][eid // sheets] += 1
+        cover_star[v][eid // sheets] += 1
+    for vid, star in enumerate(cover_star):
+        if star != base_star[vid // sheets]:
+            failures.append(
+                f"star of cover vertex {vid} does not project bijectively "
+                f"onto the star of base vertex {vid // sheets}"
+            )
+            break
+    return failures
 
 
 @pytest.fixture(scope="session")

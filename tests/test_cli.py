@@ -231,6 +231,48 @@ class TestCoverCommand:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "ValidationError", "message": message}
 
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    def test_tree_input_iterated_in_one_step(self, tmp_path, capsys, monkeypatch, fmt, steps):
+        path = tmp_path / "path3.json"
+        path.write_text('{"vertices": 3, "labels": ["a", "b", "c"], "edges": [[1, 0], [1, 2]]}')
+        g = MultiGraph.from_json(path.read_text())
+        for _ in range(steps):
+            g = cli_mod.z2_cover(g, multigraph_mod.spanning_tree(g)).graph
+        calls = []
+        real = cli_mod.z2_cover
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].num_vertices)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "z2_cover", counting)
+        code, out, _ = run_cli(
+            "cover", str(path), "--iterate", str(steps), "--format", fmt, capsys=capsys
+        )
+        assert code == 0
+        assert out == (g.to_json() if fmt == "json" else g.to_dot())
+        assert g.labels == tuple(name + "|" * steps for name in "abc")
+        assert calls == [3]
+
+    def test_tree_input_above_iterate_ceiling_exit_2(self, capsys, no_traversal):
+        code, out, err = run_cli(
+            "cover", "bouquet:0", "--iterate", str(tower_mod.MAX_TREE_LEVELS + 1), capsys=capsys
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ValidationError",
+            "message": "a rank-0 graph is its own cover; "
+            f"--iterate must be at most {tower_mod.MAX_TREE_LEVELS}",
+        }
+
+    def test_tree_input_at_iterate_ceiling(self, capsys):
+        code, out, _ = run_cli(
+            "cover", "bouquet:0", "--iterate", str(tower_mod.MAX_TREE_LEVELS), capsys=capsys
+        )
+        assert code == 0
+        assert MultiGraph.from_json(out).labels == ("0|" + "|" * (tower_mod.MAX_TREE_LEVELS - 1),)
+
     def test_roundtrips_through_file_input(self, tmp_path, capsys):
         out = tmp_path / "c6.json"
         assert run_cli("cover", "cycle:3", "--out", str(out)) == 0

@@ -3,20 +3,27 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
+import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from covertower import (
     DisconnectedGraphError,
     SizeCapError,
     build_graph,
+    cut_ratio,
     is_connected,
     iterate_tower,
+    lemma_cut,
     spanning_tree,
     verify_regular_cover,
     z2_cover,
 )
+from covertower import tower
 
 from conftest import (
     bouquet,
@@ -25,7 +32,11 @@ from conftest import (
     cycle,
     figure8,
     flip_cotree_orientation,
+    loop_cover,
+    loop_cut_ratio,
+    loop_regular_cover_failures,
     path,
+    random_connected_multigraph,
     rank_pi1,
     theta,
 )
@@ -60,7 +71,7 @@ def cayley_z2_square():
 
 def with_edges(cover, edges):
     """The cover with its edge list replaced, numbering and labels kept."""
-    graph = dataclasses.replace(cover.graph, edges=tuple(edges))
+    graph = dataclasses.replace(cover.graph, ends=np.array(edges, dtype=np.int64))
     return dataclasses.replace(cover, graph=graph)
 
 
@@ -176,6 +187,40 @@ class TestVerifyRegularCover:
         assert not report.quotient_ok
         assert any("bijection" in msg for msg in report.failures)
 
+    def test_first_failing_deck_element_is_reported(self):
+        cov = cover_of(theta())
+        edges = list(cov.graph.edges)
+        # Edges 0 and 1 are the sheets 0 and 1 of base edge 0: swapping them
+        # commutes with deck element 1 but not with deck element 2.
+        edges[0], edges[1] = edges[1], edges[0]
+        report = verify_regular_cover(with_edges(cov, edges))
+        assert report.failures == ("deck element 2 does not preserve incidence at edge 0",)
+        assert not report.automorphism_ok
+        assert report.quotient_ok and report.star_bijection_ok
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_failures_match_the_loop_oracle(self, seed):
+        rng = random.Random(seed)
+        base = random_connected_multigraph(rng, rng.randint(1, 4), rng.randint(1, 3))
+        cov = cover_of(base)
+        edges = list(cov.graph.edges)
+        for _ in range(rng.randint(1, 2)):
+            i, j = rng.randrange(len(edges)), rng.randrange(len(edges))
+            kind = rng.choice(("swap", "move", "copy", "swap in fiber"))
+            if kind == "swap in fiber":
+                j = i ^ (1 << rng.randrange(cov.rank))
+                edges[i], edges[j] = edges[j], edges[i]
+            elif kind == "swap":
+                edges[i], edges[j] = edges[j], edges[i]
+            elif kind == "move":
+                w = rng.randrange(cov.graph.num_vertices)
+                edges[i] = tuple(sorted((edges[i][0], w)))
+            else:
+                edges[i] = edges[j]
+        corrupted = with_edges(cov, edges)
+        report = verify_regular_cover(corrupted)
+        assert list(report.failures) == loop_regular_cover_failures(corrupted)
+
 
 CORPUS = [
     figure8(),
@@ -271,3 +316,99 @@ class TestOrientationIndependence:
             if original.fiber(eid)[0] != e_j:
                 assert flipped.graph.edges[eid] == original.graph.edges[eid]
 
+
+
+def loop_json(oracle) -> str:
+    doc = {"schema": 1, "vertices": oracle.num_vertices, "labels": list(oracle.labels),
+           "edges": [list(e) for e in oracle.edges]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def loop_dot(oracle) -> str:
+    lines = ["graph G {"]
+    lines += [f'  {v} [label="{label}"];' for v, label in enumerate(oracle.labels)]
+    lines += [f"  {u} -- {v};" for u, v in oracle.edges]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+_ORACLE_RNG = random.Random(20261018)
+ORACLE_CORPUS = CORPUS + [
+    random_connected_multigraph(_ORACLE_RNG, _ORACLE_RNG.randint(1, 7), _ORACLE_RNG.randint(0, 5))
+    for _ in range(50)
+]
+
+
+def rank10_seed():
+    """8 vertices, rank 10: the cover has 8,192 vertices and 17,408 edges."""
+    return random_connected_multigraph(random.Random(11), 8, 10)
+
+
+class TestLoopOracles:
+    """The array cover, export and recount agree with the per-edge loops."""
+
+    @staticmethod
+    def check(base):
+        spec = spanning_tree(base)
+        cov = z2_cover(base, spec)
+        oracle = loop_cover(base, spec)
+        g = cov.graph
+        assert g.num_vertices == oracle.num_vertices
+        assert g.edges == oracle.edges
+        assert g.labels == oracle.labels
+        assert [cov.fiber(v) for v in range(g.num_vertices)] == oracle.vertex_fibers
+        assert [cov.fiber(e) for e in range(g.num_edges)] == oracle.edge_fibers
+        assert g.to_json() == loop_json(oracle)
+        assert g.to_dot() == loop_dot(oracle)
+        if g.num_vertices < 2:
+            return
+        rng = random.Random(g.num_vertices)
+        sides = [rng.sample(range(g.num_vertices), rng.randint(1, g.num_vertices - 1))
+                 for _ in range(3)]
+        if cov.rank:
+            sides.append(lemma_cut(cov).witness.side_a)
+        for side in sides:
+            cut = cut_ratio(g, side)
+            assert (cut.crossing_edges, cut.ratio) == loop_cut_ratio(
+                g.num_vertices, oracle.edges, side
+            )
+
+    def test_corpus_has_loops_and_parallel_edges(self):
+        assert any(u == v for g in ORACLE_CORPUS for u, v in g.edges)
+        assert any(max(Counter(g.edges).values(), default=0) > 1 for g in ORACLE_CORPUS[10:])
+
+    @pytest.mark.parametrize(
+        "base", ORACLE_CORPUS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}"
+    )
+    def test_small_bases(self, base):
+        self.check(base)
+
+    def test_rank10_seed(self):
+        self.check(rank10_seed())
+
+
+class TestArrayNative:
+    def test_cover_peak_memory(self):
+        base = rank10_seed()
+        spec = spanning_tree(base)
+        tracemalloc.start()
+        try:
+            cov = z2_cover(base, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cov.graph.num_vertices == 8192
+        # The per-edge tuple build peaked at 3.0 MB.
+        assert peak < 2.2 * 10**6
+
+    def test_tower_never_builds_the_edge_tuples_of_a_cover(self, monkeypatch):
+        covers = []
+
+        def recording(*args, **kwargs):
+            covers.append(z2_cover(*args, **kwargs))
+            return covers[-1]
+
+        monkeypatch.setattr(tower, "z2_cover", recording)
+        report = iterate_tower(rank10_seed(), 2)
+        assert [row.vertex_count for row in report.levels[:2]] == [8, 8192]
+        assert len(covers) == 1
+        assert "edges" not in vars(covers[0].graph)

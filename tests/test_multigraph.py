@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from covertower import (
     spanning_tree,
     z2_cover,
 )
-from covertower.errors import SpecMismatchError
+from covertower.errors import SizeCapError, SpecMismatchError
 from covertower.multigraph import component_count
 
 from conftest import bouquet, cycle, figure8, path, rank_pi1, theta
@@ -272,3 +273,45 @@ class TestProperties:
         dot = g.to_dot()
         assert '0 [label="a\\"b"];' in dot
         assert "0 -- 1;" in dot
+
+
+class TestEdgeArray:
+    def test_ends_is_a_read_only_int64_array(self):
+        g = theta()
+        assert g.ends.dtype == np.int64 and g.ends.shape == (3, 2)
+        with pytest.raises(ValueError):
+            g.ends[0, 0] = 1
+
+    def test_edges_view_is_derived_on_first_use(self):
+        g = build_graph(3, [(2, 0), (1, 1)])
+        assert "edges" not in vars(g)
+        assert g.edges == ((0, 2), (1, 1))
+        assert "edges" in vars(g)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0, 1], [2, 1], [0, 5]], r"edge 1 has endpoints \(2, 1\) outside 0\.\.2"),
+            ([[0, 1], [0, 5]], r"edge 1 has endpoints \(0, 5\)"),
+            ([[-1, 0]], r"edge 0 has endpoints \(-1, 0\)"),
+        ],
+    )
+    def test_first_bad_row_named(self, rows, message):
+        with pytest.raises(ValidationError, match=message):
+            MultiGraph(3, np.array(rows))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValidationError, match="shape"):
+            MultiGraph(3, np.array([0, 1, 2]))
+
+    def test_equality_and_hash_follow_the_content(self):
+        g = build_graph(2, [(1, 0), (0, 0)], labels=["a", "b"])
+        same = MultiGraph(2, np.array([[0, 1], [0, 0]]), ("a", "b"))
+        assert g == same and hash(g) == hash(same)
+        assert g != build_graph(2, [(0, 1), (0, 0)])
+        assert g != build_graph(2, [(0, 0), (0, 1)], labels=["a", "b"])
+        assert g != "not a graph"
+
+    def test_vertex_ids_above_int64_refused(self):
+        with pytest.raises(SizeCapError):
+            build_graph(2**64, [(0, 2**63)])
