@@ -43,6 +43,7 @@ from .spectrum import (
     SandwichReport,
     SpectralSummary,
     cheeger_sandwich,
+    cover_spectrum,
     fiedler_basis,
     full_spectrum,
     laplacian,
@@ -75,6 +76,7 @@ __all__ = [
     "ValidationError",
     "build_graph",
     "cheeger_sandwich",
+    "cover_spectrum",
     "cut_ratio",
     "exact_cheeger",
     "fiedler_basis",

@@ -286,15 +286,18 @@ def exact_cheeger(
         # the few finalists as decoded tuples (which also honors the
         # shorter-prefix-wins rule across sizes).
         ties = np.flatnonzero(chunk_ratio == chunk_ratio[i_min])
-        tie_masks = ((ties.astype(np.uint64) + np.uint64(start)) << one) | one
-        tie_sizes = low_count[ties]  # |A| minus |S|, the same within the chunk
         chunk_best: tuple[tuple[int, ...], int] | None = None
-        for size in np.unique(tie_sizes):
-            in_class = np.flatnonzero(tie_sizes == size)
-            j = in_class[int(np.argmax(_bit_reverse(tie_masks[in_class], n)))]
-            decoded = _mask_to_tuple(int(tie_masks[j]), n)
-            if chunk_best is None or decoded < chunk_best[0]:
-                chunk_best = (decoded, int(ties[j]))
+        if len(ties) == 1:  # a unique minimum needs no tie classes
+            chunk_best = (_mask_to_tuple(((start + i_min) << 1) | 1, n), i_min)
+        else:
+            tie_masks = ((ties.astype(np.uint64) + np.uint64(start)) << one) | one
+            tie_sizes = low_count[ties]  # |A| minus |S|, the same within the chunk
+            for size in np.unique(tie_sizes):
+                in_class = np.flatnonzero(tie_sizes == size)
+                j = in_class[int(np.argmax(_bit_reverse(tie_masks[in_class], n)))]
+                decoded = _mask_to_tuple(int(tie_masks[j]), n)
+                if chunk_best is None or decoded < chunk_best[0]:
+                    chunk_best = (decoded, int(ties[j]))
         assert chunk_best is not None
         if (
             best_crossing < 0

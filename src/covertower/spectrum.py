@@ -5,7 +5,16 @@ degree, so loops cancel exactly in the combinatorial Laplacian L = D - A.
 Normalized spectra are computed from entrywise-symmetric formulas so the
 matrix handed to the eigensolver is symmetric to the last bit.
 
-Eigensystems come from LAPACK through numpy (``eigvalsh``/``eigh``).
+Eigensystems come from LAPACK through numpy (``eigvalsh``/``eigh``), one
+call per matrix or per stack of matrices.
+
+Two paths lead to a spectrum.  The dense path assembles the whole n x n
+Laplacian of any graph; the ``spectrum`` CLI, ``cheeger --method sweep`` and
+the tower's seed level use it.  A constructed cover takes the block path
+(``cover_spectrum``): the deck group (Z/2)^r splits the cover's Laplacian
+into one signed Laplacian of the base per character, so 2^r eigenproblems
+of the base's size replace one of the cover's.  Every tower level >= 1 is a
+cover of the level below and takes the block path.
 """
 from __future__ import annotations
 
@@ -16,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cheeger import CheegerResult
+from .covers import CoveredGraph
 from .errors import ConvergenceError, SpectrumError, ValidationError
 from .multigraph import MultiGraph
 
@@ -63,29 +73,30 @@ def round_sig(x: float, digits: int = 12) -> float:
 def symmetric_eigensystem(
     matrix: np.ndarray, vectors: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
+    """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric matrices.
 
-    Returns (w, V) with V[:, k] the eigenvector for w[k], or (w, None) when
-    vectors is False.  Each eigenvector is sign-normalized so its largest-
-    magnitude entry is positive.
+    ``matrix`` is one n x n matrix or a stack of shape (..., n, n), solved
+    matrix by matrix in one call.  Returns (w, V) with V[..., :, k] the
+    eigenvector for w[..., k], or (w, None) when vectors is False.  Each
+    eigenvector is sign-normalized so its largest-magnitude entry is positive.
     """
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError("matrix must be square")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, np.swapaxes(a, -1, -2)):
         raise ValidationError("matrix must be symmetric")
-    n = a.shape[0]
+    n = a.shape[-1]
     if n == 0:
-        return np.zeros(0), (np.zeros((0, 0)) if vectors else None)
+        return np.zeros(a.shape[:-1]), (np.zeros(a.shape) if vectors else None)
     if n == 1:
-        return a[0].copy(), (np.ones((1, 1)) if vectors else None)
+        return a[..., 0].copy(), (np.ones(a.shape) if vectors else None)
     try:
         if not vectors:
             return np.linalg.eigvalsh(a), None
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-    lead = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., np.newaxis, :], axis=-2)
     return w, np.where(lead < 0.0, -v, v)
 
 
@@ -103,11 +114,13 @@ def laplacian(g: MultiGraph, kind: str = COMBINATORIAL) -> np.ndarray:
     """Combinatorial L = D - A, or the symmetric normalized variant."""
     if kind not in (COMBINATORIAL, NORMALIZED):
         raise ValidationError(f"unknown laplacian kind {kind!r}")
-    a = adjacency_matrix(g)
-    deg = np.asarray(g.degrees, dtype=np.int64)
+    return _laplacian_of(adjacency_matrix(g), np.asarray(g.degrees, dtype=np.int64), kind)
+
+
+def _laplacian_of(a: np.ndarray, deg: np.ndarray, kind: str) -> np.ndarray:
+    """D - A, or its normalized form, for one integer adjacency or a stack of them."""
     if kind == COMBINATORIAL:
-        lap = np.diag(deg) - a
-        return lap.astype(float)
+        return (np.diag(deg) - a).astype(float)
     if np.any(deg == 0):
         isolated = int(np.argmin(deg))
         raise SpectrumError(
@@ -117,8 +130,70 @@ def laplacian(g: MultiGraph, kind: str = COMBINATORIAL) -> np.ndarray:
     # diagonal (deg_v - A_vv) / deg_v.
     denom = np.sqrt(np.outer(deg, deg).astype(float))
     lap = -(a.astype(float)) / denom
-    np.fill_diagonal(lap, (deg - np.diag(a)).astype(float) / deg.astype(float))
+    diagonal = np.arange(len(deg))
+    lap[..., diagonal, diagonal] = (deg - a[..., diagonal, diagonal]) / deg.astype(float)
     return lap
+
+
+def character_laplacians(cover: CoveredGraph, kind: str = COMBINATORIAL) -> np.ndarray:
+    """The blocks of a cover's Laplacian, one per character of its deck group.
+
+    Character s of (Z/2)^r is a -> (-1)^popcount(s & a).  Block s is the
+    base-sized signed Laplacian D - A_s: A_s is the base's adjacency with
+    cotree edge j weighted by the sign (-1)^(bit j of s), so a cotree loop
+    puts 2 * sign on the diagonal.  The cover keeps the base's degrees, so D
+    is the base's, and the normalized block is D^(-1/2) (D - A_s) D^(-1/2).
+    The cover's Laplacian maps f(v * 2^r + a) = g(v) (-1)^popcount(s & a) to
+    the same lift of (block s) g, so its spectrum is the union of the
+    blocks' spectra.  Returns a (2^r, n, n) stack; block 0 is laplacian(base).
+    """
+    if kind not in (COMBINATORIAL, NORMALIZED):
+        raise ValidationError(f"unknown laplacian kind {kind!r}")
+    base, r = cover.base, cover.rank
+    n = base.num_vertices
+    coordinate = np.arange(r)
+    cotree = base.ends[[e for e, _, _ in cover.spec.cotree_edges]]
+    # generator[j] is the adjacency of cotree edge j alone.
+    generator = np.zeros((r, n, n), dtype=np.int64)
+    np.add.at(generator, (coordinate, cotree[:, 0], cotree[:, 1]), 1)
+    np.add.at(generator, (coordinate, cotree[:, 1], cotree[:, 0]), 1)
+    # A_s = A - 2 * (the adjacency of the cotree edges that character s flips).
+    flipped = (np.arange(cover.sheets)[:, np.newaxis] >> coordinate) & 1
+    flips = (flipped @ generator.reshape(r, n * n)).reshape(-1, n, n)
+    return _laplacian_of(
+        adjacency_matrix(base) - 2 * flips, np.asarray(base.degrees, dtype=np.int64), kind
+    )
+
+
+def cover_spectrum(
+    cover: CoveredGraph, kind: str = COMBINATORIAL, vectors: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """A cover's Laplacian spectrum from its character blocks, without the dense matrix.
+
+    Returns (w, rows): w is the union of the block spectra, ascending, which
+    is the spectrum of laplacian(cover.graph, kind).  With vectors, rows
+    holds an orthonormal basis of the eigenspace of w[1] (the eigenvalues
+    within zero_tolerance of it, as in fiedler_basis), one row per vector,
+    lifted from the block eigenvectors g of character s as
+    g(v) (-1)^popcount(s & a) / sqrt(2^r) at vertex v * 2^r + a; otherwise
+    rows is None.
+
+    No size budget is needed beside the dense path's cap: with n base
+    vertices the 2^r blocks cost 2^r n^3 <= (2^r n)^3 flops and hold 2^r n^2
+    floats, against (2^r n)^2 for the dense matrix.
+    """
+    block_w, block_v = symmetric_eigensystem(character_laplacians(cover, kind), vectors)
+    w = np.sort(block_w, axis=None)
+    if block_v is None:
+        return w, None
+    if len(w) < 2:
+        return w, np.zeros((0, len(w)))
+    s, k = np.nonzero(np.abs(block_w - w[1]) <= zero_tolerance(w))
+    # bitwise_count gives uint8, so the signs are taken in float: 1 - 2 * 1 would wrap.
+    parity = np.bitwise_count(s[:, np.newaxis] & np.arange(cover.sheets)) & 1
+    signs = 1.0 - 2.0 * parity
+    lifted = block_v[s, :, k][:, :, np.newaxis] * signs[:, np.newaxis, :]
+    return w, lifted.reshape(len(s), -1) / math.sqrt(cover.sheets)
 
 
 def laplacian_eigensystem(
@@ -143,21 +218,26 @@ def zero_tolerance(eigenvalues: np.ndarray) -> float:
     return 1e-9 * max(1.0, radius)
 
 
+def lambda1_of(eigenvalues: np.ndarray) -> float | None:
+    """The first nonzero eigenvalue of an ascending spectrum (see SpectralSummary).
+
+    0.0 when zero is repeated (a disconnected graph), None when no
+    eigenvalue exceeds the zero tolerance.
+    """
+    tol = zero_tolerance(eigenvalues)
+    if np.count_nonzero(np.abs(eigenvalues) <= tol) > 1:
+        return 0.0
+    nonzero = eigenvalues[eigenvalues > tol]
+    return float(nonzero[0]) if len(nonzero) else None
+
+
 def summarize_spectrum(g: MultiGraph, kind: str, eigenvalues: np.ndarray) -> SpectralSummary:
     tol = zero_tolerance(eigenvalues)
-    zero_multiplicity = int(np.sum(np.abs(eigenvalues) <= tol))
-    nonzero = eigenvalues[eigenvalues > tol]
-    if zero_multiplicity > 1:
-        lambda1: float | None = 0.0
-    elif len(nonzero):
-        lambda1 = float(nonzero[0])
-    else:
-        lambda1 = None
     return SpectralSummary(
         kind=kind,
         eigenvalues=tuple(float(x) for x in eigenvalues),
-        lambda1=lambda1,
-        zero_multiplicity=zero_multiplicity,
+        lambda1=lambda1_of(eigenvalues),
+        zero_multiplicity=int(np.sum(np.abs(eigenvalues) <= tol)),
         max_degree=max(g.degrees, default=0),
     )
 
@@ -173,20 +253,25 @@ def fiedler_basis(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarr
     """Canonical basis of the second-smallest eigenvalue's eigenspace, one row each.
 
     The eigenspace holds every eigenvector whose eigenvalue lies within
-    zero_tolerance of the second-smallest.  Its basis is brought to reduced
-    row-echelon form; the pivots are the first vertex columns independent of
-    the earlier ones.  Both depend only on the eigenspace, so the rows are the
-    same (up to rounding) whatever basis the solver returned for a repeated
-    eigenvalue.
+    zero_tolerance of the second-smallest; canonical_basis reduces it.
     """
     w = np.asarray(eigenvalues, dtype=float)
     n = len(w)
     if n < 2:
         return np.zeros((0, n))
-    span = eigenvectors[:, np.abs(w - w[1]) <= zero_tolerance(w)].T
+    return canonical_basis(eigenvectors[:, np.abs(w - w[1]) <= zero_tolerance(w)].T)
+
+
+def canonical_basis(span: np.ndarray) -> np.ndarray:
+    """The reduced row-echelon form of a basis given as independent rows.
+
+    The pivots are the first vertex columns independent of the earlier ones.
+    Both depend only on the space the rows span, so the result is the same
+    (up to rounding) whatever basis of an eigenspace the solver returned.
+    """
     q = np.zeros((span.shape[0], 0))
     pivots: list[int] = []
-    for j in range(n):
+    for j in range(span.shape[1]):
         column = span[:, j]
         for _ in range(2):  # reorthogonalize once: Gram-Schmidt loses accuracy
             column = column - q @ (q.T @ column)

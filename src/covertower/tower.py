@@ -4,7 +4,10 @@ Level 0 is the seed graph; level n+1 is the homology double cover of level n
 over a freshly computed spanning tree.  Counts multiply by 2^rank per level,
 so the loop stops at the first level whose predicted size exceeds the vertex
 cap and records that level with predicted (exact big-integer) counts instead
-of constructing it.  A rank-0 level is its own cover, so a tree seed is
+of constructing it.  Each level above the seed is analysed from the cover
+that built it: its Laplacian spectra come from the character blocks of that
+cover (spectrum.cover_spectrum), and only the seed gets the dense
+eigensolve.  A rank-0 level is its own cover, so a tree seed is
 analysed once and its row repeated; such a tower is limited to
 MAX_TREE_LEVELS levels.  Serialized artifacts are byte-identical across reruns.
 """
@@ -16,9 +19,11 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import cheeger as cheeger_mod
 from . import spectrum as spectrum_mod
-from .covers import z2_cover
+from .covers import CoveredGraph, z2_cover
 from .errors import DisconnectedGraphError, SizeCapError, ValidationError
 from .multigraph import MultiGraph, is_connected, spanning_tree
 
@@ -91,7 +96,7 @@ def iterate_tower(
             f"a rank-0 seed is its own cover; levels must be at most {MAX_TREE_LEVELS}"
         )
 
-    rows = [_analyze_level(0, seed, None, cheeger_cap, spectrum_cap)]
+    rows = [_analyze_level(0, seed, None, cheeger_cap, spectrum_cap, None)]
     truncated_level: int | None = None
     current = seed
 
@@ -124,7 +129,7 @@ def iterate_tower(
             break
         cover = z2_cover(current, spanning_tree(current), vertex_cap=vertex_cap)
         lemma = cheeger_mod.lemma_cut(cover).value
-        rows.append(_analyze_level(level, cover.graph, lemma, cheeger_cap, spectrum_cap))
+        rows.append(_analyze_level(level, cover.graph, lemma, cheeger_cap, spectrum_cap, cover))
         current = cover.graph
 
     return TowerReport(
@@ -144,28 +149,24 @@ def _analyze_level(
     lemma_bound: Fraction | None,
     cheeger_cap: int,
     spectrum_cap: int,
+    cover: CoveredGraph | None,
 ) -> TowerLevel:
-    """Analyze one constructed level; g is connected, as every level is."""
+    """Analyze one constructed level; g is connected, as every level is.
+
+    cover is None for the seed and the CoveredGraph whose graph is g above it.
+    """
     lambda1_comb: float | None = None
     lambda1_norm: float | None = None
     sweep_basis = None
     if g.num_vertices <= spectrum_cap:
         need_vectors = g.num_vertices > cheeger_cap and g.num_vertices >= 2
-        w, vecs = spectrum_mod.laplacian_eigensystem(
-            g, spectrum_mod.COMBINATORIAL, vectors=need_vectors, max_vertices=spectrum_cap
+        lambda1_comb, sweep_basis = _lambda1(
+            g, cover, spectrum_mod.COMBINATORIAL, need_vectors, spectrum_cap
         )
-        lambda1_comb = spectrum_mod.summarize_spectrum(g, spectrum_mod.COMBINATORIAL, w).lambda1
-        if need_vectors:
-            sweep_basis = spectrum_mod.fiedler_basis(w, vecs)
         # A connected level without edges is one bare vertex, which has no
         # normalized Laplacian (and no lambda1 of either kind).
         if g.num_edges:
-            w_norm, _ = spectrum_mod.laplacian_eigensystem(
-                g, spectrum_mod.NORMALIZED, vectors=False, max_vertices=spectrum_cap
-            )
-            lambda1_norm = spectrum_mod.summarize_spectrum(
-                g, spectrum_mod.NORMALIZED, w_norm
-            ).lambda1
+            lambda1_norm, _ = _lambda1(g, cover, spectrum_mod.NORMALIZED, False, spectrum_cap)
 
     cheeger_value: Fraction | None = None
     certified: str | None = None
@@ -197,6 +198,25 @@ def _analyze_level(
         lambda1_combinatorial=lambda1_comb,
         lambda1_normalized=lambda1_norm,
     )
+
+
+def _lambda1(
+    g: MultiGraph, cover: CoveredGraph | None, kind: str, sweep: bool, spectrum_cap: int
+) -> tuple[float | None, np.ndarray | None]:
+    """lambda1 of one Laplacian kind, and the canonical sweep basis when asked.
+
+    A cover's spectrum comes from its character blocks (one stacked
+    eigensolve); only the seed assembles its dense Laplacian.
+    """
+    if cover is None:
+        w, vecs = spectrum_mod.laplacian_eigensystem(
+            g, kind, vectors=sweep, max_vertices=spectrum_cap
+        )
+        basis = spectrum_mod.fiedler_basis(w, vecs) if sweep else None
+    else:
+        w, rows = spectrum_mod.cover_spectrum(cover, kind, vectors=sweep)
+        basis = spectrum_mod.canonical_basis(rows) if sweep else None
+    return spectrum_mod.lambda1_of(w), basis
 
 
 # -- serialization -----------------------------------------------------------

@@ -8,9 +8,16 @@ from typing import NamedTuple
 
 import pytest
 
-from covertower import CoverSpec, MultiGraph, build_graph, spanning_tree, z2_cover
+from covertower import CoverSpec, MultiGraph, build_graph, spanning_tree, sweep_cut, z2_cover
 from covertower.covers import CoveredGraph
 from covertower.multigraph import component_count
+from covertower.spectrum import (
+    COMBINATORIAL,
+    NORMALIZED,
+    fiedler_basis,
+    laplacian_eigensystem,
+    summarize_spectrum,
+)
 
 
 def figure8() -> MultiGraph:
@@ -178,6 +185,28 @@ def loop_regular_cover_failures(cover: CoveredGraph) -> list[str]:
             )
             break
     return failures
+
+
+class DenseLevel(NamedTuple):
+    lambda1_combinatorial: float | None
+    lambda1_normalized: float | None
+    sweep: Fraction
+
+
+def dense_level_oracle(cover: CoveredGraph) -> DenseLevel:
+    """lambda1 of both kinds and the sweep value of a cover, by the dense path.
+
+    The whole cover Laplacian is assembled and solved, as the tower did for
+    every level before it took cover spectra from the character blocks.
+    """
+    g = cover.graph
+    w, v = laplacian_eigensystem(g, COMBINATORIAL)
+    w_norm, _ = laplacian_eigensystem(g, NORMALIZED, vectors=False)
+    return DenseLevel(
+        summarize_spectrum(g, COMBINATORIAL, w).lambda1,
+        summarize_spectrum(g, NORMALIZED, w_norm).lambda1,
+        sweep_cut(g, fiedler_basis(w, v)).value,
+    )
 
 
 @pytest.fixture(scope="session")

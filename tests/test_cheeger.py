@@ -223,6 +223,29 @@ class TestExactCheeger:
         with pytest.raises(SizeCapError):
             exact_cheeger(cycle(8), max_vertices=6)
 
+    def test_unique_minimum_skips_the_tie_classes(self, monkeypatch):
+        def refuse(masks, width):
+            raise AssertionError("tie classes built for a unique minimum")
+
+        monkeypatch.setattr(cheeger, "_bit_reverse", refuse)
+        # Each has one minimum-ratio cut: {0, 1}, {0} and {0, 1} respectively.
+        for g in (path(4), path(2), build_graph(3, [(0, 1), (0, 1), (1, 2)])):
+            result = exact_cheeger(g)
+            assert (result.value, result.witness.side_a) == naive_cheeger(g)
+
+    def test_ties_still_take_the_tie_classes(self, monkeypatch):
+        calls = []
+        original = cheeger._bit_reverse
+
+        def counting(masks, width):
+            calls.append(len(masks))
+            return original(masks, width)
+
+        monkeypatch.setattr(cheeger, "_bit_reverse", counting)
+        result = exact_cheeger(cycle(4))  # {0, 1} and {0, 3} both cut 2 over 2
+        assert result.witness.side_a == (0, 1)
+        assert calls and max(calls) >= 2
+
 
 _chunk_rng = random.Random(4)
 CHUNK_CORPUS = [

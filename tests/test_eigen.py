@@ -70,6 +70,45 @@ class TestSmallAndDegenerate:
             symmetric_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+class TestStacks:
+    """A (..., n, n) stack is solved matrix by matrix in one call."""
+
+    def test_stack_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(17)
+        a = rng.integers(-4, 5, size=(2, 3, 5, 5)).astype(float)
+        a = a + np.swapaxes(a, -1, -2)
+        a[0, 1] = np.diag([2.0, -1.0, 2.0, 0.0, 3.0])  # negative entries lead some columns
+        w, v = symmetric_eigensystem(a)
+        assert w.shape == (2, 3, 5) and v.shape == (2, 3, 5, 5)
+        values, none = symmetric_eigensystem(a, vectors=False)
+        assert none is None
+        for index in np.ndindex(2, 3):
+            w1, v1 = symmetric_eigensystem(a[index])
+            assert np.array_equal(w[index], w1) and np.array_equal(v[index], v1)
+            assert np.array_equal(values[index], symmetric_eigensystem(a[index], False)[0])
+            lead = v[index][np.argmax(np.abs(v[index]), axis=0), np.arange(5)]
+            assert np.all(lead > 0)
+
+    def test_empty_and_one_by_one_stacks(self):
+        w, v = symmetric_eigensystem(np.zeros((3, 0, 0)))
+        assert w.shape == (3, 0) and v.shape == (3, 0, 0)
+        w, v = symmetric_eigensystem(np.array([[[7.0]], [[-2.0]]]))
+        assert w.tolist() == [[7.0], [-2.0]]
+        assert v.tolist() == [[[1.0]], [[1.0]]]
+        assert symmetric_eigensystem(np.array([[[7.0]]]), vectors=False)[1] is None
+
+    def test_one_asymmetric_matrix_rejects_the_stack(self):
+        a = np.zeros((4, 3, 3))
+        a[2, 0, 1] = 1.0
+        with pytest.raises(ValidationError, match="symmetric"):
+            symmetric_eigensystem(a)
+
+    def test_rejects_non_square_stacks_and_vectors(self):
+        for shape in [(2, 3, 4), (3,)]:
+            with pytest.raises(ValidationError, match="square"):
+                symmetric_eigensystem(np.zeros(shape))
+
+
 class TestClosedForms:
     def test_doubled_four_cycle_laplacian(self):
         lap = np.array(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from covertower import (
     ValidationError,
     build_graph,
     cheeger_sandwich,
+    cover_spectrum,
     exact_cheeger,
     full_spectrum,
     laplacian,
@@ -21,8 +23,11 @@ from covertower.spectrum import (
     COMBINATORIAL,
     NORMALIZED,
     adjacency_matrix,
+    character_laplacians,
     fiedler_basis,
+    lambda1_of,
     summarize_spectrum,
+    symmetric_eigensystem,
     zero_tolerance,
 )
 
@@ -34,6 +39,7 @@ from conftest import (
     doubled_cycle,
     figure8,
     path,
+    random_connected_multigraph,
     theta,
 )
 
@@ -333,3 +339,88 @@ class TestEigensystemResiduals:
         w, _ = laplacian_eigensystem(g, vectors=False)
         s = summarize_spectrum(g, COMBINATORIAL, w)
         assert s.eigenvalues == tuple(float(x) for x in w)
+
+
+_block_rng = random.Random(808)
+BLOCK_COVERS = (
+    [cover_of(g) for g in CORPUS]
+    # seeded multigraphs: loops and parallel edges, up to 1,024 cover vertices
+    + [
+        cover_of(random_connected_multigraph(_block_rng, n, rank))
+        for n, rank in [(1, 3), (2, 6), (2, 7), (3, 5), (4, 4), (5, 3), (6, 6), (8, 4), (16, 6)]
+    ]
+    # rank-1 covers: one cotree edge, two blocks of the base's size
+    + [cover_of(g) for g in (cycle(1), cycle(6), build_graph(3, [(0, 1), (1, 2), (2, 2)]))]
+    + [cover_of(random_connected_multigraph(_block_rng, n, 1)) for n in (2, 5, 9, 400)]
+    # a level-2 cover (Gamma2, 128 vertices over the 4-vertex Gamma1)
+    + [cover_of(cover_of(figure8()).graph)]
+)
+
+
+def _cover_id(cover):
+    return f"V{cover.base.num_vertices}r{cover.rank}"
+
+
+class TestCharacterBlocks:
+    """The block path against the dense spectrum of the constructed cover."""
+
+    def test_corpus_shape(self):
+        assert all(c.graph.num_vertices <= 2048 for c in BLOCK_COVERS)
+        assert sum(c.rank == 1 for c in BLOCK_COVERS) >= 6
+        bases = [c.base for c in BLOCK_COVERS]
+        assert any(u == v for g in bases for u, v in g.edges)
+        assert any(len(set(g.edges)) < g.num_edges for g in bases)
+
+    @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
+    @pytest.mark.parametrize("cover", BLOCK_COVERS, ids=_cover_id)
+    def test_union_of_block_spectra_is_the_cover_spectrum(self, cover, kind):
+        dense = np.linalg.eigvalsh(laplacian(cover.graph, kind))
+        w, rows = cover_spectrum(cover, kind)
+        assert rows is None
+        assert np.max(np.abs(w - dense)) <= 1e-9
+        with_vectors = cover_spectrum(cover, kind, vectors=True)[0]
+        assert np.max(np.abs(with_vectors - dense)) <= 1e-9
+
+    @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
+    @pytest.mark.parametrize("cover", BLOCK_COVERS, ids=_cover_id)
+    def test_lifted_rows_span_the_lambda1_eigenspace(self, cover, kind):
+        lap = laplacian(cover.graph, kind)
+        w, rows = cover_spectrum(cover, kind, vectors=True)
+        for f in rows:
+            assert np.linalg.norm(lap @ f - w[1] * f) <= 1e-9
+        assert np.max(np.abs(rows @ rows.T - np.eye(len(rows)))) <= 1e-9
+        dense = np.linalg.eigvalsh(lap)
+        assert len(rows) == np.count_nonzero(np.abs(dense - dense[1]) <= zero_tolerance(dense))
+
+    @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
+    @pytest.mark.parametrize("cover", BLOCK_COVERS, ids=_cover_id)
+    def test_trivial_character_is_the_base(self, cover, kind):
+        blocks = character_laplacians(cover, kind)
+        assert blocks.shape == (cover.sheets, cover.base.num_vertices, cover.base.num_vertices)
+        assert np.array_equal(blocks[0], laplacian(cover.base, kind))
+        w, _ = cover_spectrum(cover, kind)
+        assert spectrum_inclusion(
+            full_spectrum(cover.base, kind), summarize_spectrum(cover.graph, kind, w)
+        )
+
+    @pytest.mark.parametrize("cover", BLOCK_COVERS[::4], ids=_cover_id)
+    def test_stacked_eigensolve_equals_per_matrix_calls(self, cover):
+        blocks = character_laplacians(cover, NORMALIZED)
+        w, v = symmetric_eigensystem(blocks)
+        values, none = symmetric_eigensystem(blocks, vectors=False)
+        assert none is None
+        for block, wb, vb, values_b in zip(blocks, w, v, values):
+            w1, v1 = symmetric_eigensystem(block)
+            assert np.array_equal(wb, w1) and np.array_equal(vb, v1)
+            assert np.array_equal(values_b, symmetric_eigensystem(block, vectors=False)[0])
+
+    def test_lambda1_of_matches_the_summary(self):
+        for cover in BLOCK_COVERS:
+            w, _ = cover_spectrum(cover)
+            assert lambda1_of(w) == summarize_spectrum(cover.graph, COMBINATORIAL, w).lambda1
+        assert lambda1_of(np.array([0.0, 0.0, 2.0])) == 0.0
+        assert lambda1_of(np.array([0.0])) is None
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValidationError):
+            character_laplacians(cover_of(theta()), "signless")

@@ -5,8 +5,10 @@ import csv
 import dataclasses
 import io
 import json
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from covertower import (
@@ -15,11 +17,23 @@ from covertower import (
     ValidationError,
     build_graph,
     iterate_tower,
+    spanning_tree,
+    z2_cover,
 )
+import covertower.cheeger as cheeger_mod
+import covertower.spectrum as spectrum_mod
 import covertower.tower as tower_mod
 from covertower.tower import MAX_TREE_LEVELS, report_to_csv_text, report_to_json_dict
 
-from conftest import bouquet, cycle, figure8, path, theta
+from conftest import (
+    bouquet,
+    cycle,
+    dense_level_oracle,
+    figure8,
+    path,
+    random_connected_multigraph,
+    theta,
+)
 
 
 def symbolic_bouquet_counts(levels: int) -> list[tuple[int, int]]:
@@ -170,6 +184,62 @@ class TestTreeSeed:
     def test_ceiling_ignores_seeds_of_positive_rank(self):
         report = iterate_tower(figure8(), MAX_TREE_LEVELS + 1, 100)
         assert report.truncated_level == 2
+
+
+class TestBlockSpectra:
+    """Levels above the seed take their spectra from the character blocks."""
+
+    @pytest.mark.parametrize("seed", [figure8(), theta()], ids=["figure8", "theta"])
+    def test_no_dense_laplacian_above_the_seed(self, seed, monkeypatch):
+        original = spectrum_mod.laplacian
+
+        def seed_only(g, kind=spectrum_mod.COMBINATORIAL):
+            if g.num_vertices > seed.num_vertices:
+                raise AssertionError(f"dense laplacian of {g.num_vertices} vertices")
+            return original(g, kind)
+
+        monkeypatch.setattr(spectrum_mod, "laplacian", seed_only)
+        report = iterate_tower(seed, 2, 10**6)
+        assert report.levels[2].vertex_count >= 128
+        for row in report.levels[1:]:
+            assert row.lambda1_combinatorial is not None
+            assert row.lambda1_normalized is not None
+        assert report.levels[2].cheeger_method in ("sweep", "lemma_cut")
+
+    def test_two_stacked_eigensolves_per_level(self, monkeypatch):
+        shapes = []
+        original = spectrum_mod.symmetric_eigensystem
+
+        def recording(matrix, vectors=True):
+            shapes.append(np.shape(matrix))
+            return original(matrix, vectors)
+
+        monkeypatch.setattr(spectrum_mod, "symmetric_eigensystem", recording)
+        iterate_tower(figure8(), 2, 10**6)
+        # the dense 1 x 1 seed, then 2^2 blocks of figure8 and 2^5 of Gamma1
+        assert shapes == [(1, 1)] * 2 + [(4, 1, 1)] * 2 + [(32, 4, 4)] * 2
+
+    def test_matches_the_dense_path_on_tower_spectral_covers(self, monkeypatch):
+        sweeps = []
+        original = cheeger_mod.sweep_cut
+
+        def recording(g, vectors):
+            sweeps.append(original(g, vectors))
+            return sweeps[-1]
+
+        monkeypatch.setattr(cheeger_mod, "sweep_cut", recording)
+        rng = random.Random("block-path-oracle")
+        for _ in range(200):
+            seed = random_connected_multigraph(rng, 2, 6)
+            row = iterate_tower(seed, 1).levels[1]
+            oracle = dense_level_oracle(z2_cover(seed, spanning_tree(seed)))
+            assert len(sweeps) == 1
+            assert sweeps.pop().value == oracle.sweep
+            assert row.cheeger_value == min(oracle.sweep, row.lemma_bound)
+            assert row.lambda1_combinatorial == pytest.approx(
+                oracle.lambda1_combinatorial, rel=1e-9
+            )
+            assert row.lambda1_normalized == pytest.approx(oracle.lambda1_normalized, rel=1e-9)
 
 
 class TestTraversalBudget:
