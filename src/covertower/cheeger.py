@@ -12,8 +12,8 @@ A as a sorted id list (so a shorter prefix beats its extensions).
 
 Every method states its claim (witness side, crossing count and smaller-side
 size) from its own arithmetic and passes it once through `verify_witness`,
-the single `cut_ratio` recount, before it returns; a claim the recount does
-not confirm raises ValidationError.  Callers need no second check.
+the single recount, before it returns; a claim the recount does not
+confirm raises ValidationError.  Callers need no second check.
 """
 from __future__ import annotations
 
@@ -86,6 +86,12 @@ class CheegerResult:
 def cut_ratio(g: MultiGraph, side_a: Iterable[int]) -> Cut:
     """Exact crossing count and ratio for the bipartition (side_a, complement)."""
     in_a = _side_mask(g, side_a)
+    crossing, smaller = _recount(g, in_a)
+    return Cut(*_sides(in_a), crossing, Fraction(crossing, smaller))
+
+
+def _recount(g: MultiGraph, in_a: np.ndarray) -> tuple[int, int]:
+    """(crossing count, smaller side size) of the bipartition marked by in_a."""
     size_a = int(np.count_nonzero(in_a))
     if size_a == 0:
         raise DegenerateCutError("side A is empty")
@@ -93,14 +99,7 @@ def cut_ratio(g: MultiGraph, side_a: Iterable[int]) -> Cut:
         raise DegenerateCutError("side A is the whole vertex set")
     # A loop's two ends are on one side, so loops never cross.
     crossing = int(np.count_nonzero(in_a[g.ends[:, 0]] != in_a[g.ends[:, 1]]))
-    side_a_sorted, side_b_sorted = _sides(in_a)
-    smaller = min(size_a, g.num_vertices - size_a)
-    return Cut(
-        side_a=side_a_sorted,
-        side_b=side_b_sorted,
-        crossing_edges=crossing,
-        ratio=Fraction(crossing, smaller),
-    )
+    return crossing, min(size_a, g.num_vertices - size_a)
 
 
 def _side_mask(g: MultiGraph, side_a: Iterable[int]) -> np.ndarray:
@@ -127,16 +126,14 @@ def _sides(in_a: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def verify_witness(g: MultiGraph, result: CheegerResult) -> None:
-    """Recompute the witness cut and insist it matches the claimed value."""
-    cut = cut_ratio(g, result.witness.side_a)
-    if (
-        cut.crossing_edges != result.witness.crossing_edges
-        or cut.ratio != result.witness.ratio
-        or cut.ratio != result.value
-    ):
+    """Recount the witness cut from its side A and insist it matches the claim."""
+    crossing, smaller = _recount(g, _side_mask(g, result.witness.side_a))
+    ratio = Fraction(crossing, smaller)
+    claim = result.witness
+    if (crossing, ratio, ratio) != (claim.crossing_edges, claim.ratio, result.value):
         raise ValidationError(
-            f"witness does not re-verify: recomputed {cut.crossing_edges} crossing "
-            f"edges and ratio {cut.ratio}, claimed {result.witness.crossing_edges} "
+            f"witness does not re-verify: recomputed {crossing} crossing "
+            f"edges and ratio {ratio}, claimed {claim.crossing_edges} "
             f"and {result.value}"
         )
 

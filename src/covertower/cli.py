@@ -30,7 +30,7 @@ from .errors import (
     SpectrumError,
     ValidationError,
 )
-from .multigraph import MultiGraph, spanning_tree
+from .multigraph import CoverLabels, MultiGraph, spanning_tree
 from .seeds import resolve_graph_input
 from .svgplot import tower_svg
 from .tower import (
@@ -149,14 +149,13 @@ def cmd_cover(args: argparse.Namespace) -> int:
     g, _ = resolve_graph_input(args.input)
     if args.iterate and g.num_edges - g.num_vertices + 1 == 0:
         # A connected rank-0 graph is its own cover and each step only
-        # appends "|" to every label, so k steps are one step plus k - 1 bars.
+        # appends "|" to every label, so k steps are one step, relabelled.
         if args.iterate > MAX_TREE_LEVELS:
             raise ValidationError(
                 f"a rank-0 graph is its own cover; --iterate must be at most {MAX_TREE_LEVELS}"
             )
-        g = _homology_cover(g, args.vertex_cap).graph
-        bars = "|" * (args.iterate - 1)
-        g = MultiGraph(g.num_vertices, g.ends, tuple(label + bars for label in g.labels))
+        labels = CoverLabels(g.labels, (0,) * args.iterate, g.num_vertices)
+        g = MultiGraph(g.num_vertices, _homology_cover(g, args.vertex_cap).graph.ends, labels)
     else:
         for _ in range(args.iterate):
             g = _homology_cover(g, args.vertex_cap).graph

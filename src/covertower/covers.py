@@ -11,9 +11,9 @@ flip is nonzero, so loops downstairs never lift to loops upstairs.
 
 Cover vertex (v, a) gets id v * 2^r + a, and similarly for edges, i.e. ids
 are lexicographic in (base id, bitvector-as-integer).  The cover's edge
-array is one broadcast of the base's edge rows against the 2^r bitvectors,
-and its labels come from the 2^r bitstrings made once, so building a level
-runs no Python per cover edge.  verify_regular_cover reads the same arrays.
+array is one broadcast of the base's edge rows against the 2^r bitvectors
+and its labels are read from the ids, so building a level runs no Python
+per cover vertex or edge.  verify_regular_cover reads the same arrays.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedGraphError, SizeCapError
-from .multigraph import CoverSpec, MultiGraph
+from .multigraph import CoverLabels, CoverSpec, MultiGraph
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,6 @@ def z2_cover(
             f"cover would have {predicted_vertices} vertices, above the cap {vertex_cap}"
         )
 
-    # Bit j of a is coordinate j + 1, written left to right.
-    bitstrings = [format(a, f"0{r}b")[::-1] for a in range(sheets)] if r else [""]
-    base_labels = base.labels if base.labels is not None else map(str, range(base.num_vertices))
-    labels = tuple(f"{label}|{bits}" for label in base_labels for bits in bitstrings)
-
     # Row e of the base lifts to rows e * sheets + a: (tail, a) -- (head, a ^ flip),
     # with tail, head and flip taken from the spec on cotree edges.
     tail, head = base.ends.T.copy()
@@ -116,9 +111,8 @@ def z2_cover(
     np.minimum(x, y, out=ends[:, :, 0])
     np.maximum(x, y, out=ends[:, :, 1])
 
-    graph = MultiGraph(
-        num_vertices=predicted_vertices, ends=ends.reshape(-1, 2), labels=labels
-    )
+    labels = CoverLabels(base.labels, (r,), predicted_vertices)
+    graph = MultiGraph(predicted_vertices, ends.reshape(-1, 2), labels)
     return CoveredGraph(graph=graph, base=base, spec=spec)
 
 

@@ -1,6 +1,7 @@
 """Finite unoriented multigraphs: loops and parallel edges are first-class.
 
-Vertices are dense integers 0..n-1 with optional string labels.  The edges
+Vertices are dense integers 0..n-1 with optional string labels; a cover's
+labels are a ``CoverLabels``, derived from the ids on read.  The edges
 are one (E, 2) int64 array, ``ends``, each row canonical (u, v) with u <= v;
 the edge id is the row index.  ``edges`` (a tuple of pairs), ``degrees`` and
 ``incidence`` are derived from it on first use, so code that handles large
@@ -11,9 +12,11 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
 import numpy as np
 
@@ -30,7 +33,7 @@ class MultiGraph:
 
     num_vertices: int
     ends: np.ndarray
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | CoverLabels | None = None
 
     def __post_init__(self):
         if self.num_vertices < 0:
@@ -108,13 +111,16 @@ class MultiGraph:
         """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, written directly.
 
         The standard encoder runs in pure Python when indenting.  Here the
-        labels go through the C encoder, whose item separator carries the
-        indent, and the edges through one ``%`` pass over a repeated
-        template; the text is the same, several times faster.
+        labels are joined from their escaped heads and tails (see
+        ``CoverLabels.parts``), and the edges formatted by one ``%`` pass
+        over a repeated template; the text is the same, several times faster.
         """
         parts = [f'{{\n  "schema": {JSON_SCHEMA_VERSION},\n  "vertices": {self.num_vertices},\n']
         if self.labels is not None:
-            labels = json.dumps(self.labels, separators=(",\n    ", ": "))[1:-1]
+            # Each head is an escaped string without its closing quote.
+            heads, tails = self._label_parts(lambda x: encode_basestring_ascii(x)[:-1])
+            sep = ",\n    "
+            labels = sep.join(h + ('"' + sep + h).join(tails) + '"' for h in heads)
             parts.append(f'  "labels": {_json_list("    " + labels if labels else "")},\n')
         edges = ",\n".join([_JSON_EDGE] * self.num_edges) % tuple(self.ends.ravel().tolist())
         parts.append(f'  "edges": {_json_list(edges)}\n}}\n')
@@ -154,24 +160,84 @@ class MultiGraph:
             raise ValidationError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(doc)
 
+    def _label_parts(self, escape) -> tuple[list[str], list[str]]:
+        """``CoverLabels.parts`` of the labels, eager or derived."""
+        return CoverLabels(self.labels, (), self.num_vertices).parts(escape)
+
     def to_dot(self) -> str:
         if self.labels is None:
             vertices = [f"  {v};\n" for v in range(self.num_vertices)]
         else:
-            vertices = [
-                f'  {v} [label="{_dot_escape(label)}"];\n' for v, label in enumerate(self.labels)
-            ]
+            heads, tails = self._label_parts(lambda x: x.replace("\\", "\\\\").replace('"', '\\"'))
+            labels = (h + t for h in heads for t in tails)
+            vertices = [f'  {v} [label="{label}"];\n' for v, label in enumerate(labels)]
         edges = "  %d -- %d;\n" * self.num_edges % tuple(self.ends.ravel().tolist())
         return "graph G {\n" + "".join(vertices) + edges + "}\n"
+
+
+class CoverLabels(Sequence):
+    """The labels of an iterated cover, derived from its vertex ids on read.
+
+    A cover of rank r labels vertex v as label(v >> r) + "|" + the low r bits
+    of v, bit j written j-th from the left.  ``root`` holds the labels of the
+    graph covered first (None: its ids), ``ranks`` the rank of each step
+    since; a ``root`` that is itself a CoverLabels is unfolded.  Labels
+    compare and hash as the tuple of their strings.
+    """
+
+    def __init__(self, root: Sequence[str] | None, ranks: tuple[int, ...], size: int):
+        if isinstance(root, CoverLabels):
+            root, ranks = root.root, root.ranks + ranks
+        self.root, self.ranks, self._size = root, ranks, size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        v, suffix = range(self._size)[index], ""
+        for r in reversed(self.ranks):
+            suffix = "|" + _bits(v & ((1 << r) - 1), r) + suffix
+            v >>= r
+        return (str(v) if self.root is None else self.root[v]) + suffix
+
+    def __iter__(self):
+        heads, tails = self.parts(str)
+        return (h + t for h in heads for t in tails)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, CoverLabels)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def parts(self, escape) -> tuple[list[str], list[str]]:
+        """(heads, tails): label i * len(tails) + j is heads[i] + tails[j].
+
+        Each root label is escaped once.  The tails hold the steps from the
+        last of positive rank on and the heads every step before it, so a
+        run of rank-0 steps only lengthens the tails.
+        """
+        roots = self.root if self.root is not None else range(self._size >> sum(self.ranks))
+        heads, tails = [escape(str(x)) for x in roots], [""]
+        for r in self.ranks:
+            if r:
+                heads, tails = [h + t for h in heads for t in tails], [""]
+            tails = [t + "|" + _bits(a, r) for t in tails for a in range(1 << r)]
+        return heads, tails
+
+
+def _bits(a: int, r: int) -> str:
+    """Bitvector a as r characters, bit j at position j."""
+    return format(a, f"0{r}b")[::-1] if r else ""
 
 
 def _json_list(body: str) -> str:
     """A top-level field's JSON array around its already indented items."""
     return "[\n" + body + "\n  ]" if body else "[]"
-
-
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 @dataclass(frozen=True)

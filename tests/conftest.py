@@ -128,6 +128,15 @@ def loop_cover(base: MultiGraph, spec: CoverSpec) -> LoopCover:
     )
 
 
+def loop_iterated_cover(base: MultiGraph, steps: int) -> MultiGraph:
+    """`steps` homology covers of base by `loop_cover`, each with eager labels."""
+    g = base
+    for _ in range(steps):
+        oracle = loop_cover(g, spanning_tree(g))
+        g = build_graph(oracle.num_vertices, oracle.edges, labels=oracle.labels)
+    return g
+
+
 def loop_cut_ratio(num_vertices: int, edges, side_a) -> tuple[int, Fraction]:
     """(crossing count, ratio) by set membership, one edge at a time."""
     a_set = set(side_a)

@@ -489,15 +489,15 @@ class TestVerifyWitness:
 
 
 def _recount_counter(monkeypatch):
-    """Count cut_ratio calls, recording the vertex count of each graph."""
+    """Count witness recounts, recording the vertex count of each graph."""
     calls = []
-    original = cheeger.cut_ratio
+    original = cheeger._recount
 
-    def counting(g, side_a):
+    def counting(g, in_a):
         calls.append(g.num_vertices)
-        return original(g, side_a)
+        return original(g, in_a)
 
-    monkeypatch.setattr(cheeger, "cut_ratio", counting)
+    monkeypatch.setattr(cheeger, "_recount", counting)
     return calls
 
 
@@ -529,15 +529,13 @@ class TestOneRecount:
     @pytest.mark.parametrize("method", ["exact", "lemma", "sweep"])
     def test_disagreeing_recount_raises(self, gamma1, method, monkeypatch):
         run = _cheeger_methods(gamma1)[method]
-        original = cheeger.cut_ratio
+        original = cheeger._recount
 
-        def off_by_one(g, side_a):
-            cut = original(g, side_a)
-            crossing = cut.crossing_edges + 1
-            smaller = min(len(cut.side_a), len(cut.side_b))
-            return Cut(cut.side_a, cut.side_b, crossing, Fraction(crossing, smaller))
+        def off_by_one(g, in_a):
+            crossing, smaller = original(g, in_a)
+            return crossing + 1, smaller
 
-        monkeypatch.setattr(cheeger, "cut_ratio", off_by_one)
+        monkeypatch.setattr(cheeger, "_recount", off_by_one)
         with pytest.raises(ValidationError, match="witness does not re-verify"):
             run()
 

@@ -24,6 +24,8 @@ from covertower import (
     z2_cover,
 )
 from covertower import tower
+from covertower.cli import main as cli_main
+from covertower.multigraph import CoverLabels
 
 from conftest import (
     bouquet,
@@ -34,6 +36,7 @@ from conftest import (
     flip_cotree_orientation,
     loop_cover,
     loop_cut_ratio,
+    loop_iterated_cover,
     loop_regular_cover_failures,
     path,
     random_connected_multigraph,
@@ -326,7 +329,8 @@ def loop_json(oracle) -> str:
 
 def loop_dot(oracle) -> str:
     lines = ["graph G {"]
-    lines += [f'  {v} [label="{label}"];' for v, label in enumerate(oracle.labels)]
+    escaped = [label.replace("\\", "\\\\").replace('"', '\\"') for label in oracle.labels]
+    lines += [f'  {v} [label="{label}"];' for v, label in enumerate(escaped)]
     lines += [f"  {u} -- {v};" for u, v in oracle.edges]
     return "\n".join(lines + ["}"]) + "\n"
 
@@ -386,7 +390,85 @@ class TestLoopOracles:
         self.check(rank10_seed())
 
 
+ESCAPED_NAMES = ['q"uote', "back\\slash", "für ∞ ☃", ""]
+
+
+class TestDerivedLabels:
+    """Cover labels derived from ids agree with the eager per-vertex oracle."""
+
+    @pytest.mark.parametrize(
+        "base, steps",
+        [
+            (figure8(), 2),
+            (theta(), 2),
+            (cycle(3), 3),
+            (bouquet(1), 3),
+            (build_graph(2, [(0, 1)] * 3, labels=ESCAPED_NAMES[:2]), 2),
+            (build_graph(4, [(i, (i + 1) % 4) for i in range(4)], labels=ESCAPED_NAMES), 3),
+        ],
+        ids=["figure8", "theta", "cycle3", "bouquet1", "theta-escaped", "cycle4-escaped"],
+    )
+    def test_iterated_covers(self, base, steps):
+        g = base
+        for _ in range(steps):
+            g = cover_of(g).graph
+        eager = loop_iterated_cover(base, steps)
+        assert isinstance(g.labels, CoverLabels) and isinstance(eager.labels, tuple)
+        assert g.labels == eager.labels and eager.labels == g.labels
+        assert [g.labels[v] for v in range(g.num_vertices)] == list(eager.labels)
+        assert (g.labels[-1], g.labels[1:5]) == (eager.labels[-1], eager.labels[1:5])
+        assert g.to_json() == loop_json(eager) == json.dumps(g.to_json_dict(), indent=2) + "\n"
+        assert g.to_dot() == loop_dot(eager)
+        assert g == eager and eager == g and hash(g) == hash(eager)
+        relabelled = build_graph(eager.num_vertices, eager.edges, eager.labels[:-1] + ("x",))
+        assert g != relabelled and relabelled != g
+
+    def test_rank0_steps_between_positive_ranks(self):
+        labels = CoverLabels(("a", 'b"'), (0, 2, 0), 8)
+        expected = [f"{name}||{bits}|" for name in ("a", 'b"') for bits in ("00", "10", "01", "11")]
+        assert list(labels) == [labels[v] for v in range(8)] == expected
+        eager = build_graph(8, [], labels=expected)
+        lazy = dataclasses.replace(eager, labels=labels)
+        assert lazy.to_json() == loop_json(eager) and lazy.to_dot() == loop_dot(eager)
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_rank0_cover_iterated(self, tmp_path, capsys, fmt):
+        base = build_graph(4, [(0, 1), (1, 2), (2, 3)], labels=ESCAPED_NAMES)
+        path = tmp_path / "path4.json"
+        path.write_text(base.to_json())
+        assert cli_main(["cover", str(path), "--iterate", "3", "--format", fmt]) == 0
+        eager = loop_iterated_cover(base, 3)
+        assert capsys.readouterr().out == (loop_json(eager) if fmt == "json" else loop_dot(eager))
+
+
 class TestArrayNative:
+    def test_cover_holds_only_its_edge_array(self):
+        # 8 vertices and rank 13: the cover has 65,536 vertices.
+        base = random_connected_multigraph(random.Random(13), 8, 13)
+        spec = spanning_tree(base)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cov = z2_cover(base, spec)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert cov.graph.num_vertices == 65536
+        # Eager label strings held 4.5 MB more.
+        assert held <= cov.graph.ends.nbytes + 64 * 1024
+
+    def test_tower_never_reads_cover_labels(self, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("read a cover label")
+
+        for name in ("__getitem__", "__iter__", "parts"):
+            monkeypatch.setattr(CoverLabels, name, refuse)
+        report = iterate_tower(rank10_seed(), 2)
+        assert [row.vertex_count for row in report.levels[:2]] == [8, 8192]
+        # figure8 L2 covers a cover, whose labels are derived in turn.
+        report = iterate_tower(figure8(), 2)
+        assert [row.vertex_count for row in report.levels] == [1, 4, 128]
+
     def test_cover_peak_memory(self):
         base = rank10_seed()
         spec = spanning_tree(base)
