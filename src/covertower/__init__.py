@@ -43,11 +43,9 @@ from .spectrum import (
     SandwichReport,
     SpectralSummary,
     cheeger_sandwich,
-    cover_spectrum,
-    fiedler_basis,
     full_spectrum,
     laplacian,
-    laplacian_eigensystem,
+    laplacian_spectrum,
     spectrum_inclusion,
     symmetric_eigensystem,
 )
@@ -76,15 +74,13 @@ __all__ = [
     "ValidationError",
     "build_graph",
     "cheeger_sandwich",
-    "cover_spectrum",
     "cut_ratio",
     "exact_cheeger",
-    "fiedler_basis",
     "full_spectrum",
     "is_connected",
     "iterate_tower",
     "laplacian",
-    "laplacian_eigensystem",
+    "laplacian_spectrum",
     "lemma_cut",
     "spanning_tree",
     "spectrum_inclusion",

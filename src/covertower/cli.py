@@ -166,26 +166,24 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 def cmd_cheeger(args: argparse.Namespace) -> int:
     g, _ = resolve_graph_input(args.input)
+    extra: dict = {"input_vertices": g.num_vertices}
     if args.method == "exact":
         result = cheeger_mod.exact_cheeger(g, max_vertices=args.cheeger_cap)
-        extra: dict = {"input_vertices": g.num_vertices}
     elif args.method == "lemma":
         # The certified cut lives on the homology cover of the input, giving
         # the bound h(cover) <= 2 / #V(input).
         cover = _homology_cover(g, DEFAULT_VERTEX_CAP)
         result = cheeger_mod.lemma_cut(cover)
-        extra = {
-            "input_vertices": g.num_vertices,
-            "cover_vertices": cover.graph.num_vertices,
-            "cover_edges": cover.graph.num_edges,
-            "cover_rank": cover.rank,
-        }
+        extra.update(
+            cover_vertices=cover.graph.num_vertices,
+            cover_edges=cover.graph.num_edges,
+            cover_rank=cover.rank,
+        )
     else:
         # Sweep the canonical basis of the whole lambda1 eigenspace, as the
         # tower does, so a repeated eigenvalue gives one answer.
-        w, vecs = spectrum_mod.laplacian_eigensystem(g, vectors=True)
-        result = cheeger_mod.sweep_cut(g, spectrum_mod.fiedler_basis(w, vecs))
-        extra = {"input_vertices": g.num_vertices}
+        _, rows = spectrum_mod.laplacian_spectrum(g, (), vectors=True)
+        result = cheeger_mod.sweep_cut(g, spectrum_mod.canonical_basis(rows))
     doc = result.to_json_dict()
     doc.update(extra)
     _emit(args.out, json.dumps(doc, indent=2) + "\n")

@@ -30,7 +30,8 @@ class CoveredGraph:
     """A constructed cover of ``base``; its ids are its fiber coordinates.
 
     Cover vertex (v, a) has id v * sheets + a and cover edge (e, a) has id
-    e * sheets + a, so ``fiber`` recovers (base id, bitvector) from either.
+    e * sheets + a, so divmod(id, sheets) recovers (base id, bitvector) from
+    either.
     """
 
     graph: MultiGraph
@@ -44,10 +45,6 @@ class CoveredGraph:
     @property
     def sheets(self) -> int:
         return 1 << self.spec.rank
-
-    def fiber(self, id_: int) -> tuple[int, int]:
-        """(base id, bitvector) of a cover vertex or edge id."""
-        return divmod(id_, self.sheets)
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ def z2_cover(
     predicted_vertices = base.num_vertices * sheets
     if vertex_cap is not None and predicted_vertices > vertex_cap:
         raise SizeCapError(
-            f"cover would have {predicted_vertices} vertices, above the cap {vertex_cap}"
+            f"cover would have {base.num_vertices} * 2^{r} vertices, above the cap {vertex_cap}"
         )
 
     # Row e of the base lifts to rows e * sheets + a: (tail, a) -- (head, a ^ flip),

@@ -6,26 +6,27 @@ Normalized spectra are computed from entrywise-symmetric formulas so the
 matrix handed to the eigensolver is symmetric to the last bit.
 
 Eigensystems come from LAPACK through numpy (``eigvalsh``/``eigh``), one
-call per matrix or per stack of matrices.
+call per stack of matrices.
 
-Two paths lead to a spectrum.  The dense path assembles the whole n x n
-Laplacian of any graph; the ``spectrum`` CLI, ``cheeger --method sweep`` and
-the tower's seed level use it.  A constructed cover takes the block path
-(``cover_spectrum``): the deck group (Z/2)^r splits the cover's Laplacian
-into one signed Laplacian of the base per character, so 2^r eigenproblems
-of the base's size replace one of the cover's.  Every tower level >= 1 is a
-cover of the level below and takes the block path.
+Every spectrum takes one path, ``laplacian_spectrum``.  It reads a graph as
+the Z/2-homology cover of a base along a set of cotree edges: the deck group
+(Z/2)^r splits the cover's Laplacian into one signed Laplacian of the base
+per character, so 2^r eigenproblems of the base's size replace one of the
+cover's.  A plain graph is its own rank-0 cover, with no cotree edges and one
+block, its Laplacian; the ``spectrum`` CLI, ``cheeger --method sweep`` and
+the tower's seed take that case, and every tower level >= 1 is the cover of
+the level below.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .cheeger import CheegerResult
-from .covers import CoveredGraph
 from .errors import ConvergenceError, SpectrumError, ValidationError
 from .multigraph import MultiGraph
 
@@ -129,17 +130,21 @@ def _laplacian_of(a: np.ndarray, deg: np.ndarray, kind: str) -> np.ndarray:
     # Entrywise-symmetric construction: off-diagonal -A_uv / sqrt(deg_u deg_v),
     # diagonal (deg_v - A_vv) / deg_v.
     denom = np.sqrt(np.outer(deg, deg).astype(float))
-    lap = -(a.astype(float)) / denom
+    lap = -(a.astype(float))
+    lap /= denom  # in place: numpy reuses a temporary only if both operands share a shape
     diagonal = np.arange(len(deg))
     lap[..., diagonal, diagonal] = (deg - a[..., diagonal, diagonal]) / deg.astype(float)
     return lap
 
 
-def character_laplacians(cover: CoveredGraph, kind: str = COMBINATORIAL) -> np.ndarray:
+def character_laplacians(
+    base: MultiGraph, cotree: Sequence[int], kind: str = COMBINATORIAL
+) -> np.ndarray:
     """The blocks of a cover's Laplacian, one per character of its deck group.
 
-    Character s of (Z/2)^r is a -> (-1)^popcount(s & a).  Block s is the
-    base-sized signed Laplacian D - A_s: A_s is the base's adjacency with
+    The cover is that of base along the r cotree edge ids (in coordinate
+    order).  Character s of (Z/2)^r is a -> (-1)^popcount(s & a).  Block s is
+    the base-sized signed Laplacian D - A_s: A_s is the base's adjacency with
     cotree edge j weighted by the sign (-1)^(bit j of s), so a cotree loop
     puts 2 * sign on the diagonal.  The cover keeps the base's degrees, so D
     is the base's, and the normalized block is D^(-1/2) (D - A_s) D^(-1/2).
@@ -149,40 +154,51 @@ def character_laplacians(cover: CoveredGraph, kind: str = COMBINATORIAL) -> np.n
     """
     if kind not in (COMBINATORIAL, NORMALIZED):
         raise ValidationError(f"unknown laplacian kind {kind!r}")
-    base, r = cover.base, cover.rank
-    n = base.num_vertices
+    n, r = base.num_vertices, len(cotree)
     coordinate = np.arange(r)
-    cotree = base.ends[[e for e, _, _ in cover.spec.cotree_edges]]
+    ends = base.ends[np.asarray(cotree, dtype=np.int64)]
     # generator[j] is the adjacency of cotree edge j alone.
     generator = np.zeros((r, n, n), dtype=np.int64)
-    np.add.at(generator, (coordinate, cotree[:, 0], cotree[:, 1]), 1)
-    np.add.at(generator, (coordinate, cotree[:, 1], cotree[:, 0]), 1)
-    # A_s = A - 2 * (the adjacency of the cotree edges that character s flips).
-    flipped = (np.arange(cover.sheets)[:, np.newaxis] >> coordinate) & 1
-    flips = (flipped @ generator.reshape(r, n * n)).reshape(-1, n, n)
-    return _laplacian_of(
-        adjacency_matrix(base) - 2 * flips, np.asarray(base.degrees, dtype=np.int64), kind
-    )
+    np.add.at(generator, (coordinate, ends[:, 0], ends[:, 1]), 1)
+    np.add.at(generator, (coordinate, ends[:, 1], ends[:, 0]), 1)
+    # A_s = A - 2 * (the adjacency of the cotree edges that character s flips),
+    # formed in place so that no second stack-sized array is held.
+    flipped = (np.arange(1 << r)[:, np.newaxis] >> coordinate) & 1
+    blocks = (flipped @ generator.reshape(r, n * n)).reshape(1 << r, n, n)
+    blocks *= -2
+    blocks += adjacency_matrix(base)
+    return _laplacian_of(blocks, np.asarray(base.degrees, dtype=np.int64), kind)
 
 
-def cover_spectrum(
-    cover: CoveredGraph, kind: str = COMBINATORIAL, vectors: bool = False
+def laplacian_spectrum(
+    base: MultiGraph,
+    cotree: Sequence[int],
+    kind: str = COMBINATORIAL,
+    vectors: bool = False,
+    max_vertices: int = DEFAULT_SPECTRUM_CAP,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """A cover's Laplacian spectrum from its character blocks, without the dense matrix.
+    """The Laplacian spectrum of the cover of base along the cotree edge ids.
 
-    Returns (w, rows): w is the union of the block spectra, ascending, which
-    is the spectrum of laplacian(cover.graph, kind).  With vectors, rows
-    holds an orthonormal basis of the eigenspace of w[1] (the eigenvalues
-    within zero_tolerance of it, as in fiedler_basis), one row per vector,
-    lifted from the block eigenvectors g of character s as
-    g(v) (-1)^popcount(s & a) / sqrt(2^r) at vertex v * 2^r + a; otherwise
-    rows is None.
+    With no cotree edges the cover is base itself.  Returns (w, rows): w is
+    the union of the character blocks' spectra, ascending, which is the
+    spectrum of laplacian(cover, kind).  With vectors, rows holds an
+    orthonormal basis of the eigenspace of w[1] (the eigenvalues within
+    zero_tolerance of it), one row per vector, lifted from the block
+    eigenvectors g of character s as g(v) (-1)^popcount(s & a) / sqrt(2^r)
+    at vertex v * 2^r + a; canonical_basis(rows) is the sweep basis.
+    Otherwise rows is None.
 
-    No size budget is needed beside the dense path's cap: with n base
-    vertices the 2^r blocks cost 2^r n^3 <= (2^r n)^3 flops and hold 2^r n^2
-    floats, against (2^r n)^2 for the dense matrix.
+    A cover above max_vertices is rejected before any matrix exists.  With
+    n base vertices the 2^r blocks cost 2^r n^3 <= (2^r n)^3 flops and hold
+    2^r n^2 floats, against (2^r n)^2 for the cover's own Laplacian.
     """
-    block_w, block_v = symmetric_eigensystem(character_laplacians(cover, kind), vectors)
+    sheets = 1 << len(cotree)
+    if base.num_vertices * sheets > max_vertices:
+        raise SpectrumError(
+            f"graph has {base.num_vertices * sheets} vertices, "
+            f"above the dense-solver cap {max_vertices}"
+        )
+    block_w, block_v = symmetric_eigensystem(character_laplacians(base, cotree, kind), vectors)
     w = np.sort(block_w, axis=None)
     if block_v is None:
         return w, None
@@ -190,27 +206,10 @@ def cover_spectrum(
         return w, np.zeros((0, len(w)))
     s, k = np.nonzero(np.abs(block_w - w[1]) <= zero_tolerance(w))
     # bitwise_count gives uint8, so the signs are taken in float: 1 - 2 * 1 would wrap.
-    parity = np.bitwise_count(s[:, np.newaxis] & np.arange(cover.sheets)) & 1
+    parity = np.bitwise_count(s[:, np.newaxis] & np.arange(sheets)) & 1
     signs = 1.0 - 2.0 * parity
     lifted = block_v[s, :, k][:, :, np.newaxis] * signs[:, np.newaxis, :]
-    return w, lifted.reshape(len(s), -1) / math.sqrt(cover.sheets)
-
-
-def laplacian_eigensystem(
-    g: MultiGraph,
-    kind: str = COMBINATORIAL,
-    vectors: bool = True,
-    max_vertices: int = DEFAULT_SPECTRUM_CAP,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Full eigensystem of the chosen Laplacian, eigenvalues ascending.
-
-    Graphs above max_vertices are rejected before the dense matrix exists.
-    """
-    if g.num_vertices > max_vertices:
-        raise SpectrumError(
-            f"graph has {g.num_vertices} vertices, above the dense-solver cap {max_vertices}"
-        )
-    return symmetric_eigensystem(laplacian(g, kind), vectors=vectors)
+    return w, lifted.reshape(len(s), -1) / math.sqrt(sheets)
 
 
 def zero_tolerance(eigenvalues: np.ndarray) -> float:
@@ -245,21 +244,8 @@ def summarize_spectrum(g: MultiGraph, kind: str, eigenvalues: np.ndarray) -> Spe
 def full_spectrum(
     g: MultiGraph, kind: str = COMBINATORIAL, max_vertices: int = DEFAULT_SPECTRUM_CAP
 ) -> SpectralSummary:
-    w, _ = laplacian_eigensystem(g, kind, vectors=False, max_vertices=max_vertices)
+    w, _ = laplacian_spectrum(g, (), kind, max_vertices=max_vertices)
     return summarize_spectrum(g, kind, w)
-
-
-def fiedler_basis(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
-    """Canonical basis of the second-smallest eigenvalue's eigenspace, one row each.
-
-    The eigenspace holds every eigenvector whose eigenvalue lies within
-    zero_tolerance of the second-smallest; canonical_basis reduces it.
-    """
-    w = np.asarray(eigenvalues, dtype=float)
-    n = len(w)
-    if n < 2:
-        return np.zeros((0, n))
-    return canonical_basis(eigenvectors[:, np.abs(w - w[1]) <= zero_tolerance(w)].T)
 
 
 def canonical_basis(span: np.ndarray) -> np.ndarray:

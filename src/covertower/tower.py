@@ -4,11 +4,11 @@ Level 0 is the seed graph; level n+1 is the homology double cover of level n
 over a freshly computed spanning tree.  Counts multiply by 2^rank per level,
 so the loop stops at the first level whose predicted size exceeds the vertex
 cap and records that level with predicted (exact big-integer) counts instead
-of constructing it.  Each level above the seed is analysed from the cover
-that built it: its Laplacian spectra come from the character blocks of that
-cover (spectrum.cover_spectrum), and only the seed gets the dense
-eigensolve.  A rank-0 level is its own cover, so a tree seed is
-analysed once and its row repeated; such a tower is limited to
+of constructing it.  Every level is analysed as a cover: level n+1 is the
+cover of level n along its cotree edges, and the seed is its own rank-0
+cover, so all Laplacian spectra come from character blocks
+(spectrum.laplacian_spectrum).  A rank-0 level is its own cover, so a tree
+seed is analysed once and its row repeated; such a tower is limited to
 MAX_TREE_LEVELS levels.  Serialized artifacts are byte-identical across reruns.
 """
 from __future__ import annotations
@@ -19,11 +19,9 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import cheeger as cheeger_mod
 from . import spectrum as spectrum_mod
-from .covers import CoveredGraph, z2_cover
+from .covers import z2_cover
 from .errors import DisconnectedGraphError, SizeCapError, ValidationError
 from .multigraph import MultiGraph, is_connected, spanning_tree
 
@@ -96,7 +94,7 @@ def iterate_tower(
             f"a rank-0 seed is its own cover; levels must be at most {MAX_TREE_LEVELS}"
         )
 
-    rows = [_analyze_level(0, seed, None, cheeger_cap, spectrum_cap, None)]
+    rows = [_analyze_level(0, seed, seed, [], None, cheeger_cap, spectrum_cap)]
     truncated_level: int | None = None
     current = seed
 
@@ -129,7 +127,10 @@ def iterate_tower(
             break
         cover = z2_cover(current, spanning_tree(current), vertex_cap=vertex_cap)
         lemma = cheeger_mod.lemma_cut(cover).value
-        rows.append(_analyze_level(level, cover.graph, lemma, cheeger_cap, spectrum_cap, cover))
+        cotree = [e for e, _, _ in cover.spec.cotree_edges]
+        rows.append(
+            _analyze_level(level, cover.graph, current, cotree, lemma, cheeger_cap, spectrum_cap)
+        )
         current = cover.graph
 
     return TowerReport(
@@ -146,27 +147,36 @@ def iterate_tower(
 def _analyze_level(
     level: int,
     g: MultiGraph,
+    base: MultiGraph,
+    cotree: list[int],
     lemma_bound: Fraction | None,
     cheeger_cap: int,
     spectrum_cap: int,
-    cover: CoveredGraph | None,
 ) -> TowerLevel:
     """Analyze one constructed level; g is connected, as every level is.
 
-    cover is None for the seed and the CoveredGraph whose graph is g above it.
+    g is the cover of base along the cotree edge ids: the seed is base
+    itself with no cotree edges, and each level above is the cover of the
+    level below.
     """
     lambda1_comb: float | None = None
     lambda1_norm: float | None = None
     sweep_basis = None
     if g.num_vertices <= spectrum_cap:
-        need_vectors = g.num_vertices > cheeger_cap and g.num_vertices >= 2
-        lambda1_comb, sweep_basis = _lambda1(
-            g, cover, spectrum_mod.COMBINATORIAL, need_vectors, spectrum_cap
+        need_vectors = g.num_vertices > cheeger_cap
+        w, rows = spectrum_mod.laplacian_spectrum(
+            base, cotree, spectrum_mod.COMBINATORIAL, need_vectors, spectrum_cap
         )
+        lambda1_comb = spectrum_mod.lambda1_of(w)
+        if need_vectors:
+            sweep_basis = spectrum_mod.canonical_basis(rows)
         # A connected level without edges is one bare vertex, which has no
         # normalized Laplacian (and no lambda1 of either kind).
         if g.num_edges:
-            lambda1_norm, _ = _lambda1(g, cover, spectrum_mod.NORMALIZED, False, spectrum_cap)
+            w, _ = spectrum_mod.laplacian_spectrum(
+                base, cotree, spectrum_mod.NORMALIZED, max_vertices=spectrum_cap
+            )
+            lambda1_norm = spectrum_mod.lambda1_of(w)
 
     cheeger_value: Fraction | None = None
     certified: str | None = None
@@ -198,25 +208,6 @@ def _analyze_level(
         lambda1_combinatorial=lambda1_comb,
         lambda1_normalized=lambda1_norm,
     )
-
-
-def _lambda1(
-    g: MultiGraph, cover: CoveredGraph | None, kind: str, sweep: bool, spectrum_cap: int
-) -> tuple[float | None, np.ndarray | None]:
-    """lambda1 of one Laplacian kind, and the canonical sweep basis when asked.
-
-    A cover's spectrum comes from its character blocks (one stacked
-    eigensolve); only the seed assembles its dense Laplacian.
-    """
-    if cover is None:
-        w, vecs = spectrum_mod.laplacian_eigensystem(
-            g, kind, vectors=sweep, max_vertices=spectrum_cap
-        )
-        basis = spectrum_mod.fiedler_basis(w, vecs) if sweep else None
-    else:
-        w, rows = spectrum_mod.cover_spectrum(cover, kind, vectors=sweep)
-        basis = spectrum_mod.canonical_basis(rows) if sweep else None
-    return spectrum_mod.lambda1_of(w), basis
 
 
 # -- serialization -----------------------------------------------------------

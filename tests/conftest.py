@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from covertower import CoverSpec, MultiGraph, build_graph, spanning_tree, sweep_cut, z2_cover
@@ -14,9 +15,10 @@ from covertower.multigraph import component_count
 from covertower.spectrum import (
     COMBINATORIAL,
     NORMALIZED,
-    fiedler_basis,
-    laplacian_eigensystem,
+    canonical_basis,
+    laplacian,
     summarize_spectrum,
+    zero_tolerance,
 )
 
 
@@ -64,6 +66,11 @@ def path(n: int) -> MultiGraph:
 
 def cover_of(g: MultiGraph) -> CoveredGraph:
     return z2_cover(g, spanning_tree(g))
+
+
+def cotree_of(cover: CoveredGraph) -> list[int]:
+    """The cotree edge ids of the base that a cover was built along."""
+    return [e for e, _, _ in cover.spec.cotree_edges]
 
 
 def rank_pi1(g: MultiGraph) -> int:
@@ -203,18 +210,20 @@ class DenseLevel(NamedTuple):
 
 
 def dense_level_oracle(cover: CoveredGraph) -> DenseLevel:
-    """lambda1 of both kinds and the sweep value of a cover, by the dense path.
+    """lambda1 of both kinds and the sweep value of a cover, by a dense solve.
 
-    The whole cover Laplacian is assembled and solved, as the tower did for
-    every level before it took cover spectra from the character blocks.
+    The whole cover Laplacian is assembled and handed to numpy's eigh, with
+    no character blocks, so the reference is independent of the path it
+    checks.  The sweep basis is the canonical basis of the lambda1 eigenspace.
     """
     g = cover.graph
-    w, v = laplacian_eigensystem(g, COMBINATORIAL)
-    w_norm, _ = laplacian_eigensystem(g, NORMALIZED, vectors=False)
+    w, v = np.linalg.eigh(laplacian(g, COMBINATORIAL))
+    w_norm = np.linalg.eigvalsh(laplacian(g, NORMALIZED))
+    eigenspace = np.abs(w - w[1]) <= zero_tolerance(w)
     return DenseLevel(
         summarize_spectrum(g, COMBINATORIAL, w).lambda1,
         summarize_spectrum(g, NORMALIZED, w_norm).lambda1,
-        sweep_cut(g, fiedler_basis(w, v)).value,
+        sweep_cut(g, canonical_basis(v[:, eigenspace].T)).value,
     )
 
 

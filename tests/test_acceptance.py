@@ -214,7 +214,7 @@ def test_criterion_7_covering_structure_suite():
             assert cover.graph.num_edges == base.num_edges * sheets
             assert is_connected(cover.graph)
             for vid in range(cover.graph.num_vertices):
-                assert cover.graph.degrees[vid] == base.degrees[cover.fiber(vid)[0]]
+                assert cover.graph.degrees[vid] == base.degrees[divmod(vid, cover.sheets)[0]]
             vertex_perms = set()
             for b in range(sheets):
                 vmap = tuple(x ^ b for x in range(cover.graph.num_vertices))

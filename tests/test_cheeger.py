@@ -22,7 +22,7 @@ from covertower import (
     cut_ratio,
     exact_cheeger,
     is_connected,
-    laplacian_eigensystem,
+    laplacian_spectrum,
     lemma_cut,
     sweep_cut,
     verify_witness,
@@ -30,7 +30,7 @@ from covertower import (
 from covertower import cheeger
 from covertower.cheeger import CheegerResult, Cut
 from covertower.cli import main as cli_main
-from covertower.spectrum import fiedler_basis, laplacian, symmetric_eigensystem, zero_tolerance
+from covertower.spectrum import canonical_basis, laplacian, symmetric_eigensystem, zero_tolerance
 from covertower.tower import iterate_tower
 
 from conftest import (
@@ -373,15 +373,20 @@ class TestLemmaCut:
             assert lemma_cut(cov).value >= exact
 
 
+def fiedler_vector(g):
+    """The first row of the lambda1 eigenspace, for sweeps along one vector."""
+    return laplacian_spectrum(g, (), vectors=True)[1][0]
+
+
 class TestSweepCut:
     def test_gamma1_fiedler_is_tight(self, gamma1):
-        result = sweep_cut(gamma1.graph, laplacian_eigensystem(gamma1.graph)[1][:, 1])
+        result = sweep_cut(gamma1.graph, fiedler_vector(gamma1.graph))
         # sandwiched: sweep is an upper bound, exact value is 2
         assert result.value >= 2
         assert result.value == 2
 
     def test_path3_cuts_endpoint(self):
-        result = sweep_cut(path(3), laplacian_eigensystem(path(3))[1][:, 1])
+        result = sweep_cut(path(3), fiedler_vector(path(3)))
         assert result.value == 1
 
     @pytest.mark.parametrize(
@@ -390,7 +395,7 @@ class TestSweepCut:
         ids=lambda g: f"V{g.num_vertices}E{g.num_edges}",
     )
     def test_never_beats_exact(self, g):
-        sweep = sweep_cut(g, laplacian_eigensystem(g)[1][:, 1])
+        sweep = sweep_cut(g, fiedler_vector(g))
         assert sweep.value >= exact_cheeger(g).value
         assert sweep.certified == "upper_bound"
         assert sweep.method == "sweep"
@@ -416,7 +421,7 @@ class TestCutRatio:
 
     def test_gamma2_lemma_side(self, gamma2):
         side = [
-            vid for vid in range(gamma2.graph.num_vertices) if not gamma2.fiber(vid)[1] >> 4 & 1
+            vid for vid in range(gamma2.graph.num_vertices) if not vid % gamma2.sheets >> 4 & 1
         ]
         cut = cut_ratio(gamma2.graph, side)
         assert cut.crossing_edges == 32
@@ -503,11 +508,11 @@ def _recount_counter(monkeypatch):
 
 def _cheeger_methods(gamma1):
     """One call of each method on Gamma1, as zero-argument callables."""
-    w, vecs = laplacian_eigensystem(gamma1.graph, vectors=True)
+    _, rows = laplacian_spectrum(gamma1.graph, (), vectors=True)
     return {
         "exact": lambda: exact_cheeger(gamma1.graph),
         "lemma": lambda: lemma_cut(gamma1),
-        "sweep": lambda: sweep_cut(gamma1.graph, fiedler_basis(w, vecs)),
+        "sweep": lambda: sweep_cut(gamma1.graph, canonical_basis(rows)),
     }
 
 
@@ -588,6 +593,11 @@ SWEEP_COVERS = [
 ]
 
 
+def eigenspace_basis(w, v):
+    """Canonical basis of the second-smallest eigenvalue's eigenspace of (w, v)."""
+    return canonical_basis(v[:, np.abs(w - w[1]) <= zero_tolerance(w)].T)
+
+
 def eigenspace_rotated(w, v, rng):
     """v with the second-smallest eigenvalue's eigenspace rotated at random."""
     block = np.flatnonzero(np.abs(w - w[1]) <= zero_tolerance(w))
@@ -643,11 +653,11 @@ class TestCanonicalSweep:
 
     def canonical_sweep(self, g, rotations=5):
         w, v = symmetric_eigensystem(laplacian(g))
-        result = sweep_cut(g, fiedler_basis(w, v))
+        result = sweep_cut(g, eigenspace_basis(w, v))
         rng = np.random.default_rng(g.num_vertices + g.num_edges)
         for _ in range(rotations):
             rotated, multiplicity = eigenspace_rotated(w, v, rng)
-            assert sweep_cut(g, fiedler_basis(w, rotated)) == result
+            assert sweep_cut(g, eigenspace_basis(w, rotated)) == result
         return result, multiplicity
 
     def test_gamma1(self, gamma1):
@@ -670,7 +680,7 @@ class TestCanonicalSweep:
     def test_tower_and_cli_use_the_canonical_sweep(self, capsys):
         g = cycle(5)  # lambda1 has multiplicity 2
         w, v = symmetric_eigensystem(laplacian(g))
-        sweep = sweep_cut(g, fiedler_basis(w, v))
+        sweep = sweep_cut(g, eigenspace_basis(w, v))
         row = iterate_tower(g, 0, cheeger_cap=1).levels[0]
         assert (row.cheeger_value, row.cheeger_method) == (sweep.value, "sweep")
         assert cli_main(["cheeger", "cycle:5", "--method", "sweep"]) == 0

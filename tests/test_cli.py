@@ -207,6 +207,16 @@ class TestCoverCommand:
         assert code == 4
         assert json.loads(err)["error"] == "SizeCapError"
 
+    def test_cover_count_past_the_int_to_str_digit_limit_exit_4(self, capsys):
+        # 2^20000 has more than 4300 decimal digits; the message words it as a power
+        code, out, err = run_cli("cover", "bouquet:20000", capsys=capsys)
+        assert (code, out) == (4, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "SizeCapError",
+            "message": "cover would have 1 * 2^20000 vertices, above the cap 1000000",
+        }
+
     def test_graph_above_cap_refused_before_traversal(self, capsys, no_traversal):
         code, _, err = run_cli("cover", "cycle:50", "--vertex-cap", "10", capsys=capsys)
         assert code == 4
@@ -323,6 +333,15 @@ class TestCheegerCommand:
         code, _, err = run_cli("cheeger", "bouquet:40", "--method", "lemma", capsys=capsys)
         assert code == 4
         assert json.loads(err)["error"] == "SizeCapError"
+
+    def test_lemma_cover_count_past_the_int_to_str_digit_limit_exit_4(self, capsys):
+        code, out, err = run_cli("cheeger", "bouquet:20000", "--method", "lemma", capsys=capsys)
+        assert (code, out) == (4, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "SizeCapError",
+            "message": "cover would have 1 * 2^20000 vertices, above the cap 1000000",
+        }
 
     def test_lemma_refuses_an_input_above_the_cap_before_traversal(
         self, monkeypatch, capsys, no_traversal

@@ -123,10 +123,10 @@ class TestZ2Cover:
 
     def test_lexicographic_vertex_order(self):
         cov = cover_of(theta())
-        assert [cov.fiber(vid) for vid in range(cov.graph.num_vertices)] == [
+        assert [divmod(vid, cov.sheets) for vid in range(cov.graph.num_vertices)] == [
             (v, a) for v in range(2) for a in range(4)
         ]
-        assert [cov.fiber(eid) for eid in range(cov.graph.num_edges)] == [
+        assert [divmod(eid, cov.sheets) for eid in range(cov.graph.num_edges)] == [
             (e, a) for e in range(3) for a in range(4)
         ]
 
@@ -248,7 +248,7 @@ class TestCoverProperties:
         assert cov.graph.num_edges == base.num_edges * sheets
         assert is_connected(cov.graph)
         for vid in range(cov.graph.num_vertices):
-            assert cov.graph.degrees[vid] == base.degrees[cov.fiber(vid)[0]]
+            assert cov.graph.degrees[vid] == base.degrees[divmod(vid, cov.sheets)[0]]
 
     @pytest.mark.parametrize("base", CORPUS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}")
     def test_regular_cover_checks(self, base):
@@ -316,7 +316,7 @@ class TestOrientationIndependence:
                 == original.graph.edges[original_eid]
             )
         for eid in range(original.graph.num_edges):
-            if original.fiber(eid)[0] != e_j:
+            if divmod(eid, original.sheets)[0] != e_j:
                 assert flipped.graph.edges[eid] == original.graph.edges[eid]
 
 
@@ -359,8 +359,8 @@ class TestLoopOracles:
         assert g.num_vertices == oracle.num_vertices
         assert g.edges == oracle.edges
         assert g.labels == oracle.labels
-        assert [cov.fiber(v) for v in range(g.num_vertices)] == oracle.vertex_fibers
-        assert [cov.fiber(e) for e in range(g.num_edges)] == oracle.edge_fibers
+        assert [divmod(v, cov.sheets) for v in range(g.num_vertices)] == oracle.vertex_fibers
+        assert [divmod(e, cov.sheets) for e in range(g.num_edges)] == oracle.edge_fibers
         assert g.to_json() == loop_json(oracle)
         assert g.to_dot() == loop_dot(oracle)
         if g.num_vertices < 2:

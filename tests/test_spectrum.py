@@ -12,19 +12,19 @@ from covertower import (
     ValidationError,
     build_graph,
     cheeger_sandwich,
-    cover_spectrum,
     exact_cheeger,
     full_spectrum,
     laplacian,
-    laplacian_eigensystem,
+    laplacian_spectrum,
     spectrum_inclusion,
 )
+from covertower import spectrum as spectrum_mod
 from covertower.spectrum import (
     COMBINATORIAL,
     NORMALIZED,
     adjacency_matrix,
+    canonical_basis,
     character_laplacians,
-    fiedler_basis,
     lambda1_of,
     summarize_spectrum,
     symmetric_eigensystem,
@@ -34,6 +34,7 @@ from covertower.spectrum import (
 from conftest import (
     bouquet,
     complete,
+    cotree_of,
     cover_of,
     cycle,
     doubled_cycle,
@@ -189,7 +190,7 @@ class TestFullSpectrum:
 
 class TestFiedler:
     def test_path_fiedler_orders_the_path(self):
-        vec = laplacian_eigensystem(path(5))[1][:, 1]
+        vec = laplacian_spectrum(path(5), (), vectors=True)[1][0]
         order = sorted(range(5), key=lambda v: vec[v])
         assert order == [0, 1, 2, 3, 4] or order == [4, 3, 2, 1, 0]
 
@@ -197,8 +198,8 @@ class TestFiedler:
 class TestFiedlerBasis:
     def test_reduced_row_echelon_form_of_the_eigenspace(self, gamma2):
         g = gamma2.graph
-        w, v = laplacian_eigensystem(g)
-        basis = fiedler_basis(w, v)
+        w, rows = laplacian_spectrum(g, (), vectors=True)
+        basis = canonical_basis(rows)
         assert basis.shape == (8, g.num_vertices)  # lambda1 of Gamma2 is 8-fold
         # each row is an eigenvector for lambda1
         residual = laplacian(g) @ basis.T - w[1] * basis.T
@@ -211,15 +212,15 @@ class TestFiedlerBasis:
 
     def test_simple_eigenvalue_gives_the_scaled_fiedler_vector(self):
         g = path(5)
-        w, v = laplacian_eigensystem(g)
-        basis = fiedler_basis(w, v)
+        _, rows = laplacian_spectrum(g, (), vectors=True)
+        basis = canonical_basis(rows)
         assert basis.shape == (1, 5)
         assert basis[0, 0] == pytest.approx(1.0)
-        assert np.allclose(basis[0], v[:, 1] / v[0, 1])
+        assert np.allclose(basis[0], rows[0] / rows[0, 0])
 
     def test_single_vertex_has_an_empty_basis(self):
-        w, v = laplacian_eigensystem(figure8())
-        assert fiedler_basis(w, v).shape == (0, 1)
+        _, rows = laplacian_spectrum(figure8(), (), vectors=True)
+        assert canonical_basis(rows).shape == (0, 1)
 
 
 class TestZeroEigenvalues:
@@ -238,9 +239,20 @@ class TestZeroEigenvalues:
                 assert shown == float(f"{raw:.12g}")
         assert doc["eigenvalues"].count(0.0) == s.zero_multiplicity
 
-    def test_cap_checked_before_the_matrix_is_built(self):
+    def test_cap_checked_before_the_matrix_is_built(self, monkeypatch):
+        def unbuildable(*args):
+            raise AssertionError("a matrix was built before the cap check")
+
+        monkeypatch.setattr(spectrum_mod, "character_laplacians", unbuildable)
+        message = "graph has 6 vertices, above the dense-solver cap 5"
+        with pytest.raises(SpectrumError, match=message):
+            laplacian_spectrum(cycle(6), (), max_vertices=5)
+        # a cover counts its own vertices, not its base's: 3 * 2^1 = 6
+        cover = cover_of(cycle(3))
+        with pytest.raises(SpectrumError, match=message):
+            laplacian_spectrum(cover.base, cotree_of(cover), vectors=True, max_vertices=5)
         with pytest.raises(SpectrumError, match="above the dense-solver cap 5"):
-            laplacian_eigensystem(cycle(6), max_vertices=5)
+            full_spectrum(cycle(6), max_vertices=5)
 
 
 class TestCheegerSandwich:
@@ -330,13 +342,14 @@ class TestEigensystemResiduals:
     )
     def test_laplacian_eigenpairs_residual(self, g):
         lap = laplacian(g)
-        w, v = laplacian_eigensystem(g)
+        w, v = symmetric_eigensystem(character_laplacians(g, ()))
+        w, v = w[0], v[0]
         scale = max(1.0, float(np.max(np.abs(lap))))
         assert np.max(np.abs(lap @ v - v * w)) <= 1e-8 * scale
 
     def test_summary_matches_eigensystem(self):
         g = cycle(6)
-        w, _ = laplacian_eigensystem(g, vectors=False)
+        w, _ = laplacian_spectrum(g, ())
         s = summarize_spectrum(g, COMBINATORIAL, w)
         assert s.eigenvalues == tuple(float(x) for x in w)
 
@@ -375,17 +388,17 @@ class TestCharacterBlocks:
     @pytest.mark.parametrize("cover", BLOCK_COVERS, ids=_cover_id)
     def test_union_of_block_spectra_is_the_cover_spectrum(self, cover, kind):
         dense = np.linalg.eigvalsh(laplacian(cover.graph, kind))
-        w, rows = cover_spectrum(cover, kind)
+        w, rows = laplacian_spectrum(cover.base, cotree_of(cover), kind)
         assert rows is None
         assert np.max(np.abs(w - dense)) <= 1e-9
-        with_vectors = cover_spectrum(cover, kind, vectors=True)[0]
+        with_vectors = laplacian_spectrum(cover.base, cotree_of(cover), kind, vectors=True)[0]
         assert np.max(np.abs(with_vectors - dense)) <= 1e-9
 
     @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
     @pytest.mark.parametrize("cover", BLOCK_COVERS, ids=_cover_id)
     def test_lifted_rows_span_the_lambda1_eigenspace(self, cover, kind):
         lap = laplacian(cover.graph, kind)
-        w, rows = cover_spectrum(cover, kind, vectors=True)
+        w, rows = laplacian_spectrum(cover.base, cotree_of(cover), kind, vectors=True)
         for f in rows:
             assert np.linalg.norm(lap @ f - w[1] * f) <= 1e-9
         assert np.max(np.abs(rows @ rows.T - np.eye(len(rows)))) <= 1e-9
@@ -395,17 +408,17 @@ class TestCharacterBlocks:
     @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
     @pytest.mark.parametrize("cover", BLOCK_COVERS, ids=_cover_id)
     def test_trivial_character_is_the_base(self, cover, kind):
-        blocks = character_laplacians(cover, kind)
+        blocks = character_laplacians(cover.base, cotree_of(cover), kind)
         assert blocks.shape == (cover.sheets, cover.base.num_vertices, cover.base.num_vertices)
         assert np.array_equal(blocks[0], laplacian(cover.base, kind))
-        w, _ = cover_spectrum(cover, kind)
+        w, _ = laplacian_spectrum(cover.base, cotree_of(cover), kind)
         assert spectrum_inclusion(
             full_spectrum(cover.base, kind), summarize_spectrum(cover.graph, kind, w)
         )
 
     @pytest.mark.parametrize("cover", BLOCK_COVERS[::4], ids=_cover_id)
     def test_stacked_eigensolve_equals_per_matrix_calls(self, cover):
-        blocks = character_laplacians(cover, NORMALIZED)
+        blocks = character_laplacians(cover.base, cotree_of(cover), NORMALIZED)
         w, v = symmetric_eigensystem(blocks)
         values, none = symmetric_eigensystem(blocks, vectors=False)
         assert none is None
@@ -416,11 +429,61 @@ class TestCharacterBlocks:
 
     def test_lambda1_of_matches_the_summary(self):
         for cover in BLOCK_COVERS:
-            w, _ = cover_spectrum(cover)
+            w, _ = laplacian_spectrum(cover.base, cotree_of(cover))
             assert lambda1_of(w) == summarize_spectrum(cover.graph, COMBINATORIAL, w).lambda1
         assert lambda1_of(np.array([0.0, 0.0, 2.0])) == 0.0
         assert lambda1_of(np.array([0.0])) is None
 
     def test_unknown_kind(self):
+        cover = cover_of(theta())
         with pytest.raises(ValidationError):
-            character_laplacians(cover_of(theta()), "signless")
+            character_laplacians(cover.base, cotree_of(cover), "signless")
+
+
+RANK0_CORPUS = CORPUS + [
+    build_graph(1, []),
+    build_graph(1, [(0, 0)] * 3),
+    build_graph(2, [(0, 0), (1, 1)]),
+    build_graph(2, [(0, 1)] * 5),
+    build_graph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 2)]),
+    build_graph(4, [(0, 1), (2, 3)]),
+] + [random_connected_multigraph(random.Random(n), n, 4) for n in (2, 6, 12, 40)]
+
+
+class TestRankZeroPath:
+    """A plain graph is its own rank-0 cover: one block, its Laplacian."""
+
+    @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
+    @pytest.mark.parametrize(
+        "g", RANK0_CORPUS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}"
+    )
+    def test_equals_the_dense_eigensolve(self, g, kind):
+        if kind == NORMALIZED and min(g.degrees) == 0:
+            with pytest.raises(SpectrumError, match="isolated"):
+                laplacian_spectrum(g, (), kind)
+            return
+        lap = laplacian(g, kind)
+        w, none = laplacian_spectrum(g, (), kind)
+        assert none is None
+        assert np.array_equal(w, np.linalg.eigvalsh(lap))
+        dense_w, dense_v = np.linalg.eigh(lap)
+        w, rows = laplacian_spectrum(g, (), kind, vectors=True)
+        assert np.array_equal(w, dense_w)
+        if g.num_vertices < 2:
+            assert rows.shape == (0, g.num_vertices)
+            return
+        eigenspace = np.abs(dense_w - dense_w[1]) <= zero_tolerance(dense_w)
+        expected = canonical_basis(dense_v[:, eigenspace].T)
+        assert canonical_basis(rows).shape == expected.shape
+        assert np.max(np.abs(canonical_basis(rows) - expected)) <= 1e-9
+
+    def test_corpus_shape(self):
+        graphs = RANK0_CORPUS
+        assert any(g.num_vertices == 1 for g in graphs)
+        assert any(g.num_edges and all(u == v for u, v in g.edges) for g in graphs)
+        assert any(len(set(g.edges)) < g.num_edges for g in graphs)
+        repeated = 0
+        for g in graphs:
+            w = np.linalg.eigvalsh(laplacian(g))
+            repeated += len(w) > 2 and abs(w[2] - w[1]) <= zero_tolerance(w)
+        assert repeated >= 3

@@ -191,15 +191,18 @@ class TestBlockSpectra:
 
     @pytest.mark.parametrize("seed", [figure8(), theta()], ids=["figure8", "theta"])
     def test_no_dense_laplacian_above_the_seed(self, seed, monkeypatch):
-        original = spectrum_mod.laplacian
+        # Every Laplacian starts from an adjacency matrix; a level's blocks
+        # start from the adjacency of the level below.
+        original = spectrum_mod.adjacency_matrix
+        sizes = []
 
-        def seed_only(g, kind=spectrum_mod.COMBINATORIAL):
-            if g.num_vertices > seed.num_vertices:
-                raise AssertionError(f"dense laplacian of {g.num_vertices} vertices")
-            return original(g, kind)
+        def recording(g):
+            sizes.append(g.num_vertices)
+            return original(g)
 
-        monkeypatch.setattr(spectrum_mod, "laplacian", seed_only)
+        monkeypatch.setattr(spectrum_mod, "adjacency_matrix", recording)
         report = iterate_tower(seed, 2, 10**6)
+        assert sorted(set(sizes)) == [row.vertex_count for row in report.levels[:2]]
         assert report.levels[2].vertex_count >= 128
         for row in report.levels[1:]:
             assert row.lambda1_combinatorial is not None
@@ -216,8 +219,8 @@ class TestBlockSpectra:
 
         monkeypatch.setattr(spectrum_mod, "symmetric_eigensystem", recording)
         iterate_tower(figure8(), 2, 10**6)
-        # the dense 1 x 1 seed, then 2^2 blocks of figure8 and 2^5 of Gamma1
-        assert shapes == [(1, 1)] * 2 + [(4, 1, 1)] * 2 + [(32, 4, 4)] * 2
+        # the seed's one 1 x 1 block, then 2^2 blocks of figure8 and 2^5 of Gamma1
+        assert shapes == [(1, 1, 1)] * 2 + [(4, 1, 1)] * 2 + [(32, 4, 4)] * 2
 
     def test_matches_the_dense_path_on_tower_spectral_covers(self, monkeypatch):
         sweeps = []
