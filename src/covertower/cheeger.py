@@ -167,6 +167,20 @@ def _bit_reverse(masks: np.ndarray, width: int) -> np.ndarray:
     return v >> np.uint64(64 - width)
 
 
+def _lex_key(masks: np.ndarray, n: int) -> np.ndarray:
+    """The rank of each set A (bit v of its mask marks id v) in the tie order.
+
+    The order is that of sorted id lists with a prefix before its
+    extensions; 1 is the rank of {0}.  The sets up to A are its prefixes
+    (popcount of them, A included) and, for each id b < max(A) missing from
+    A, the 2^(n-1-b) sets that agree with A below b and then take b.  With R
+    the bit reverse (id v weighs 2^(n-1-v)), those blocks sum to
+    2^n - R - (R & -R), since R & -R is the weight of max(A).
+    """
+    r = _bit_reverse(masks, n).astype(np.int64)
+    return (1 << n) - r - (r & -r) + np.bitwise_count(masks)
+
+
 def _edge_multiplicities(g: MultiGraph) -> list[tuple[int, int, int]]:
     """(u, v, multiplicity) of each distinct non-loop pair, ascending."""
     n = g.num_vertices
@@ -184,10 +198,6 @@ def _subset_sums(table: np.ndarray, base: int, weights: Sequence[int]) -> np.nda
     for i, w in enumerate(weights):
         np.add(table[: 1 << i], w, out=table[1 << i : 2 << i])
     return table
-
-
-def _mask_to_tuple(mask: int, width: int) -> tuple[int, ...]:
-    return tuple(v for v in range(width) if (mask >> v) & 1)
 
 
 def exact_cheeger(
@@ -248,9 +258,7 @@ def exact_cheeger(
     low_count = _subset_sums(np.empty(chunk, dtype=np.uint8), 0, [1] * k)  # |L_x|
     side = np.empty(chunk, dtype=np.uint8)
     ratio = np.empty(chunk, dtype=np.float64)
-    best_crossing = best_side = -1
-    best_tuple: tuple[int, ...] | None = None
-    one = np.uint64(1)
+    best_crossing = best_side = best_key = -1
     for start in range(0, total, chunk):
         count = min(chunk, total - start)
         s_mask = (start << 1) | 1  # S: vertex 0 and the chunk's high vertices
@@ -277,35 +285,21 @@ def exact_cheeger(
         c, s = int(cross[i_min]), int(smaller[i_min])
         if best_crossing >= 0 and c * best_side > best_crossing * s:
             continue
-        # Tie resolution: bit-reversed mask order equals sorted-list order
-        # within one |A| size class (the lowest differing vertex belongs to
-        # the smaller set), so reduce each class to one finalist and compare
-        # the few finalists as decoded tuples (which also honors the
-        # shorter-prefix-wins rule across sizes).
+        # Tie resolution: the least _lex_key among the chunk's minima, which
+        # is comparable with the best key of the earlier chunks.
         ties = np.flatnonzero(chunk_ratio == chunk_ratio[i_min])
-        chunk_best: tuple[tuple[int, ...], int] | None = None
-        if len(ties) == 1:  # a unique minimum needs no tie classes
-            chunk_best = (_mask_to_tuple(((start + i_min) << 1) | 1, n), i_min)
-        else:
-            tie_masks = ((ties.astype(np.uint64) + np.uint64(start)) << one) | one
-            tie_sizes = low_count[ties]  # |A| minus |S|, the same within the chunk
-            for size in np.unique(tie_sizes):
-                in_class = np.flatnonzero(tie_sizes == size)
-                j = in_class[int(np.argmax(_bit_reverse(tie_masks[in_class], n)))]
-                decoded = _mask_to_tuple(int(tie_masks[j]), n)
-                if chunk_best is None or decoded < chunk_best[0]:
-                    chunk_best = (decoded, int(ties[j]))
-        assert chunk_best is not None
+        keys = _lex_key(((ties + start) << 1) | 1, n)
+        j = int(np.argmin(keys))
         if (
             best_crossing < 0
             or c * best_side < best_crossing * s
-            or (c * best_side == best_crossing * s and chunk_best[0] < best_tuple)
+            or (c * best_side == best_crossing * s and keys[j] < best_key)
         ):
             # Claim the winner's own table entry: an equal ratio can come
             # from another (crossing, side) pair, as 8/2 ties with 4/1.
-            best_tuple, i = chunk_best
+            i = int(ties[j])
+            best_key, best_mask = int(keys[j]), ((start + i) << 1) | 1
             best_crossing, best_side = int(cross[i]), int(smaller[i])
-    assert best_tuple is not None
     # The counts are exact integers, so a zero minimum means a side with no
     # edge leaving it: the graph is disconnected.
     if best_crossing == 0:
@@ -313,7 +307,8 @@ def exact_cheeger(
             "cheeger constant of a disconnected graph degenerates to 0; "
             "refusing the trivial answer"
         )
-    return _verified(g, best_tuple, best_crossing, best_side, EXACT, METHOD_BRUTE_FORCE)
+    side_a = [v for v in range(n) if best_mask >> v & 1]
+    return _verified(g, side_a, best_crossing, best_side, EXACT, METHOD_BRUTE_FORCE)
 
 
 def lemma_cut(cover: CoveredGraph) -> CheegerResult:

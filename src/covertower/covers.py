@@ -24,6 +24,8 @@ import numpy as np
 from .errors import DisconnectedGraphError, SizeCapError
 from .multigraph import CoverLabels, CoverSpec, MultiGraph
 
+DEFAULT_VERTEX_CAP = 10**6
+
 
 @dataclass(frozen=True)
 class CoveredGraph:
@@ -72,13 +74,14 @@ class RegularCoverReport:
 def z2_cover(
     base: MultiGraph,
     spec: CoverSpec,
-    vertex_cap: int | None = None,
+    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> CoveredGraph:
     """Construct the homology double-cover tower step for one graph.
 
     Rejects disconnected bases: downstream tower semantics assume connected
     Cayley-like graphs, and a disconnected base would silently produce a
-    cover of only one piece's worth of structure.
+    cover of only one piece's worth of structure.  A cover above vertex_cap
+    is refused before anything is allocated.
     """
     spec.validate_for(base)
     # A validated spec is a maximal forest, which is one tree exactly when
@@ -88,7 +91,7 @@ def z2_cover(
     r = spec.rank
     sheets = 1 << r
     predicted_vertices = base.num_vertices * sheets
-    if vertex_cap is not None and predicted_vertices > vertex_cap:
+    if predicted_vertices > vertex_cap:
         raise SizeCapError(
             f"cover would have {base.num_vertices} * 2^{r} vertices, above the cap {vertex_cap}"
         )

@@ -155,18 +155,15 @@ def character_laplacians(
     if kind not in (COMBINATORIAL, NORMALIZED):
         raise ValidationError(f"unknown laplacian kind {kind!r}")
     n, r = base.num_vertices, len(cotree)
-    coordinate = np.arange(r)
-    ends = base.ends[np.asarray(cotree, dtype=np.int64)]
-    # generator[j] is the adjacency of cotree edge j alone.
-    generator = np.zeros((r, n, n), dtype=np.int64)
-    np.add.at(generator, (coordinate, ends[:, 0], ends[:, 1]), 1)
-    np.add.at(generator, (coordinate, ends[:, 1], ends[:, 0]), 1)
-    # A_s = A - 2 * (the adjacency of the cotree edges that character s flips),
-    # formed in place so that no second stack-sized array is held.
-    flipped = (np.arange(1 << r)[:, np.newaxis] >> coordinate) & 1
-    blocks = (flipped @ generator.reshape(r, n * n)).reshape(1 << r, n, n)
-    blocks *= -2
-    blocks += adjacency_matrix(base)
+    # sign[s, e] is the weight of edge e in A_s: 1 on a tree edge.
+    sign = np.ones((1 << r, base.num_edges), dtype=np.int64)
+    flipped = (np.arange(1 << r)[:, np.newaxis] >> np.arange(r)) & 1
+    sign[:, np.asarray(cotree, dtype=np.int64)] = 1 - 2 * flipped
+    blocks = np.zeros((1 << r, n, n), dtype=np.int64)
+    u, v = base.ends.T
+    # Adding at (u, v) and at (v, u) counts a loop twice on the diagonal.
+    np.add.at(blocks, (slice(None), u, v), sign)
+    np.add.at(blocks, (slice(None), v, u), sign)
     return _laplacian_of(blocks, np.asarray(base.degrees, dtype=np.int64), kind)
 
 
@@ -272,17 +269,20 @@ def canonical_basis(span: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Result of checking lambda1/2 <= h <= sqrt(2 d lambda1) on a regular graph."""
+    """Result of checking lambda1/2 <= h <= sqrt(2 d lambda1) on a regular graph.
+
+    The outcome fields after h_value stay None for a check not performed.
+    """
 
     performed: bool
     skip_reason: str | None
     degree: int | None
     lambda1: float | None
     h_value: Fraction
-    lower_ok: bool | None
-    upper_ok: bool | None
-    lower_slack: float | None
-    upper_slack: float | None
+    lower_ok: bool | None = None
+    upper_ok: bool | None = None
+    lower_slack: float | None = None
+    upper_slack: float | None = None
 
     @property
     def holds(self) -> bool:
@@ -311,45 +311,31 @@ def cheeger_sandwich(
             degree=None,
             lambda1=s.lambda1,
             h_value=h.value,
-            lower_ok=None,
-            upper_ok=None,
-            lower_slack=None,
-            upper_slack=None,
         )
+    d = next(iter(degrees))
     if s.zero_multiplicity > 1:
         return SandwichReport(
             performed=False,
             skip_reason="graph is disconnected",
-            degree=next(iter(degrees)),
+            degree=d,
             lambda1=s.lambda1,
             h_value=h.value,
-            lower_ok=None,
-            upper_ok=None,
-            lower_slack=None,
-            upper_slack=None,
         )
-    d = next(iter(degrees))
     lam = s.lambda1 if s.lambda1 is not None else 0.0
     h_float = float(h.value)
-    lower_ok = lam / 2.0 <= h_float + tol
-    lower_slack = h_float - lam / 2.0
+    upper = {}
     if h.certified == "exact":
         bound = math.sqrt(2.0 * d * lam)
-        upper_ok: bool | None = h_float <= bound + tol
-        upper_slack: float | None = bound - h_float
-    else:
-        upper_ok = None
-        upper_slack = None
+        upper = {"upper_ok": h_float <= bound + tol, "upper_slack": bound - h_float}
     return SandwichReport(
         performed=True,
         skip_reason=None,
         degree=d,
         lambda1=lam,
         h_value=h.value,
-        lower_ok=lower_ok,
-        upper_ok=upper_ok,
-        lower_slack=lower_slack,
-        upper_slack=upper_slack,
+        lower_ok=lam / 2.0 <= h_float + tol,
+        lower_slack=h_float - lam / 2.0,
+        **upper,
     )
 
 

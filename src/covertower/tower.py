@@ -9,7 +9,9 @@ cover of level n along its cotree edges, and the seed is its own rank-0
 cover, so all Laplacian spectra come from character blocks
 (spectrum.laplacian_spectrum).  A rank-0 level is its own cover, so a tree
 seed is analysed once and its row repeated; such a tower is limited to
-MAX_TREE_LEVELS levels.  Serialized artifacts are byte-identical across reruns.
+MAX_TREE_LEVELS levels.  Each level is one TowerLevel row, whose fields are
+the report's columns in order; a field the analysis cannot fill stays None.
+Serialized artifacts are byte-identical across reruns.
 """
 from __future__ import annotations
 
@@ -21,30 +23,34 @@ from fractions import Fraction
 
 from . import cheeger as cheeger_mod
 from . import spectrum as spectrum_mod
-from .covers import z2_cover
+from .covers import DEFAULT_VERTEX_CAP, z2_cover
 from .errors import DisconnectedGraphError, SizeCapError, ValidationError
 from .multigraph import MultiGraph, is_connected, spanning_tree
 
-DEFAULT_VERTEX_CAP = 10**6
 # A rank-0 tower never grows, so no vertex cap ends it; this bounds its rows.
 MAX_TREE_LEVELS = 10_000
 
 
 @dataclass(frozen=True)
 class TowerLevel:
-    """One row of a tower report; analysis fields are None when infeasible."""
+    """One row of a tower report: its fields, in order, are the report columns.
+
+    The JSON and CSV writers read the fields by name (LEVEL_FIELDS), so a new
+    column is one field here.  The analysis fields after lemma_bound default
+    to None, which they keep when the analysis is infeasible.
+    """
 
     level: int
     constructed: bool
-    vertex_count: int
-    edge_count: int
+    vertices: int
+    edges: int
     rank: int
     lemma_bound: Fraction | None
-    cheeger_value: Fraction | None
-    cheeger_certified: str | None
-    cheeger_method: str | None
-    lambda1_combinatorial: float | None
-    lambda1_normalized: float | None
+    cheeger_value: Fraction | None = None
+    cheeger_certified: str | None = None
+    cheeger_method: str | None = None
+    lambda1_combinatorial: float | None = None
+    lambda1_normalized: float | None = None
 
 
 @dataclass(frozen=True)
@@ -112,15 +118,10 @@ def iterate_tower(
                 TowerLevel(
                     level=level,
                     constructed=False,
-                    vertex_count=predicted_vertices,
-                    edge_count=predicted_edges,
+                    vertices=predicted_vertices,
+                    edges=predicted_edges,
                     rank=predicted_edges - predicted_vertices + 1,
                     lemma_bound=Fraction(2, current.num_vertices),
-                    cheeger_value=None,
-                    cheeger_certified=None,
-                    cheeger_method=None,
-                    lambda1_combinatorial=None,
-                    lambda1_normalized=None,
                 )
             )
             truncated_level = level
@@ -159,15 +160,14 @@ def _analyze_level(
     itself with no cotree edges, and each level above is the cover of the
     level below.
     """
-    lambda1_comb: float | None = None
-    lambda1_norm: float | None = None
+    columns: dict = {}
     sweep_basis = None
     if g.num_vertices <= spectrum_cap:
         need_vectors = g.num_vertices > cheeger_cap
         w, rows = spectrum_mod.laplacian_spectrum(
             base, cotree, spectrum_mod.COMBINATORIAL, need_vectors, spectrum_cap
         )
-        lambda1_comb = spectrum_mod.lambda1_of(w)
+        columns["lambda1_combinatorial"] = spectrum_mod.lambda1_of(w)
         if need_vectors:
             sweep_basis = spectrum_mod.canonical_basis(rows)
         # A connected level without edges is one bare vertex, which has no
@@ -176,71 +176,44 @@ def _analyze_level(
             w, _ = spectrum_mod.laplacian_spectrum(
                 base, cotree, spectrum_mod.NORMALIZED, max_vertices=spectrum_cap
             )
-            lambda1_norm = spectrum_mod.lambda1_of(w)
+            columns["lambda1_normalized"] = spectrum_mod.lambda1_of(w)
 
-    cheeger_value: Fraction | None = None
-    certified: str | None = None
-    method: str | None = None
     if 2 <= g.num_vertices <= cheeger_cap:
         result = cheeger_mod.exact_cheeger(g, max_vertices=cheeger_cap)
-        cheeger_value, certified, method = result.value, result.certified, result.method
+        columns.update(
+            cheeger_value=result.value,
+            cheeger_certified=result.certified,
+            cheeger_method=result.method,
+        )
     else:
-        best: tuple[Fraction, str] | None = None
+        # Both are upper bounds: keep the smaller, and the lemma cut on a tie.
+        bounds = []
         if lemma_bound is not None:
-            best = (lemma_bound, cheeger_mod.METHOD_LEMMA_CUT)
+            bounds.append((lemma_bound, cheeger_mod.METHOD_LEMMA_CUT))
         if sweep_basis is not None:
-            sweep = cheeger_mod.sweep_cut(g, sweep_basis)
-            if best is None or sweep.value < best[0]:
-                best = (sweep.value, cheeger_mod.METHOD_SWEEP)
-        if best is not None:
-            cheeger_value, certified, method = best[0], cheeger_mod.UPPER_BOUND, best[1]
+            bounds.append((cheeger_mod.sweep_cut(g, sweep_basis).value, cheeger_mod.METHOD_SWEEP))
+        if bounds:
+            value, method = min(bounds, key=lambda bound: bound[0])
+            columns.update(
+                cheeger_value=value,
+                cheeger_certified=cheeger_mod.UPPER_BOUND,
+                cheeger_method=method,
+            )
 
     return TowerLevel(
         level=level,
         constructed=True,
-        vertex_count=g.num_vertices,
-        edge_count=g.num_edges,
+        vertices=g.num_vertices,
+        edges=g.num_edges,
         rank=g.num_edges - g.num_vertices + 1,
         lemma_bound=lemma_bound,
-        cheeger_value=cheeger_value,
-        cheeger_certified=certified,
-        cheeger_method=method,
-        lambda1_combinatorial=lambda1_comb,
-        lambda1_normalized=lambda1_norm,
+        **columns,
     )
 
 
 # -- serialization -----------------------------------------------------------
 
-LEVEL_FIELDS = (
-    "level",
-    "constructed",
-    "vertices",
-    "edges",
-    "rank",
-    "lemma_bound",
-    "cheeger_value",
-    "cheeger_certified",
-    "cheeger_method",
-    "lambda1_combinatorial",
-    "lambda1_normalized",
-)
-
-
-def _level_values(row: TowerLevel) -> dict:
-    return {
-        "level": row.level,
-        "constructed": row.constructed,
-        "vertices": row.vertex_count,
-        "edges": row.edge_count,
-        "rank": row.rank,
-        "lemma_bound": row.lemma_bound,
-        "cheeger_value": row.cheeger_value,
-        "cheeger_certified": row.cheeger_certified,
-        "cheeger_method": row.cheeger_method,
-        "lambda1_combinatorial": row.lambda1_combinatorial,
-        "lambda1_normalized": row.lambda1_normalized,
-    }
+LEVEL_FIELDS = tuple(field.name for field in dataclasses.fields(TowerLevel))
 
 
 def _json_value(value):
@@ -265,7 +238,7 @@ def _csv_value(value) -> str:
 
 def report_to_json_dict(report: TowerReport) -> dict:
     levels = [
-        {key: _json_value(val) for key, val in _level_values(row).items()}
+        {key: _json_value(getattr(row, key)) for key in LEVEL_FIELDS}
         for row in report.levels
     ]
     return {
@@ -286,6 +259,5 @@ def report_to_csv_text(report: TowerReport) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(LEVEL_FIELDS)
     for row in report.levels:
-        values = _level_values(row)
-        writer.writerow([_csv_value(values[key]) for key in LEVEL_FIELDS])
+        writer.writerow([_csv_value(getattr(row, key)) for key in LEVEL_FIELDS])
     return buffer.getvalue()

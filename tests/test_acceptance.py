@@ -84,7 +84,7 @@ def test_criterion_2_level3_prediction():
         gamma2_level = report.levels[2]
         assert gamma2_level.rank == 129  # = #V_2 + 1
         predicted = report.levels[3]
-        assert predicted.vertex_count == 128 * 2**129
+        assert predicted.vertices == 128 * 2**129
         assert predicted.constructed is False
 
 
@@ -137,7 +137,7 @@ def test_criterion_5_decay_trend():
         # structural fact that the multiplier 2^(V+1) exceeds 1 whenever
         # V >= 1, so V grows strictly and 2/V decreases strictly
         level3_vertices = 128 * 2**129
-        assert report.levels[3].vertex_count == level3_vertices
+        assert report.levels[3].vertices == level3_vertices
         assert Fraction(2, level3_vertices) < Fraction(2, 128)
         for v in [1, 4, 128, level3_vertices]:
             assert v + 1 > 0  # exponent of the growth factor stays positive

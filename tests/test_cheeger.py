@@ -223,28 +223,42 @@ class TestExactCheeger:
         with pytest.raises(SizeCapError):
             exact_cheeger(cycle(8), max_vertices=6)
 
-    def test_unique_minimum_skips_the_tie_classes(self, monkeypatch):
-        def refuse(masks, width):
-            raise AssertionError("tie classes built for a unique minimum")
+    def test_unique_minimum_is_the_only_tie_candidate(self, monkeypatch):
+        candidates = []
+        original = cheeger._lex_key
 
-        monkeypatch.setattr(cheeger, "_bit_reverse", refuse)
+        def recording(masks, n):
+            candidates.append(len(masks))
+            return original(masks, n)
+
+        monkeypatch.setattr(cheeger, "_lex_key", recording)
         # Each has one minimum-ratio cut: {0, 1}, {0} and {0, 1} respectively.
         for g in (path(4), path(2), build_graph(3, [(0, 1), (0, 1), (1, 2)])):
+            candidates.clear()
             result = exact_cheeger(g)
             assert (result.value, result.witness.side_a) == naive_cheeger(g)
+            assert candidates == [1]
 
     def test_ties_still_take_the_tie_classes(self, monkeypatch):
         calls = []
-        original = cheeger._bit_reverse
+        original = cheeger._lex_key
 
-        def counting(masks, width):
+        def counting(masks, n):
             calls.append(len(masks))
-            return original(masks, width)
+            return original(masks, n)
 
-        monkeypatch.setattr(cheeger, "_bit_reverse", counting)
+        monkeypatch.setattr(cheeger, "_lex_key", counting)
         result = exact_cheeger(cycle(4))  # {0, 1} and {0, 3} both cut 2 over 2
         assert result.witness.side_a == (0, 1)
         assert calls and max(calls) >= 2
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_lex_key_orders_like_sorted_id_lists(self, n):
+        masks = np.arange(1 << (n - 1), dtype=np.int64) * 2 + 1  # every A holding vertex 0
+        lists = [tuple(v for v in range(n) if mask >> v & 1) for mask in masks.tolist()]
+        keys = cheeger._lex_key(masks, n)
+        assert [lists[i] for i in np.argsort(keys)] == sorted(lists)
+        assert sorted(keys.tolist()) == list(range(1, (1 << (n - 1)) + 1))
 
 
 _chunk_rng = random.Random(4)

@@ -118,6 +118,15 @@ class TestZ2Cover:
         with pytest.raises(SizeCapError):
             z2_cover(figure8(), spanning_tree(figure8()), vertex_cap=3)
 
+    def test_default_cap_refuses_a_rank_321_base(self):
+        # A 2-vertex rank-6 seed's level 1 has 128 vertices and rank 321;
+        # its cover is refused before numpy is asked for 2^321 sheets.
+        seed = build_graph(2, [(0, 1)] * 3 + [(0, 0), (0, 0), (1, 1), (1, 1)])
+        level1 = cover_of(seed).graph
+        assert (level1.num_vertices, level1.num_edges) == (128, 448)
+        with pytest.raises(SizeCapError, match=r"128 \* 2\^321 vertices, above the cap 1000000"):
+            z2_cover(level1, spanning_tree(level1))
+
     def test_fiber_labels(self, gamma1):
         assert gamma1.graph.labels == ("0|00", "0|10", "0|01", "0|11")
 
@@ -464,10 +473,10 @@ class TestArrayNative:
         for name in ("__getitem__", "__iter__", "parts"):
             monkeypatch.setattr(CoverLabels, name, refuse)
         report = iterate_tower(rank10_seed(), 2)
-        assert [row.vertex_count for row in report.levels[:2]] == [8, 8192]
+        assert [row.vertices for row in report.levels[:2]] == [8, 8192]
         # figure8 L2 covers a cover, whose labels are derived in turn.
         report = iterate_tower(figure8(), 2)
-        assert [row.vertex_count for row in report.levels] == [1, 4, 128]
+        assert [row.vertices for row in report.levels] == [1, 4, 128]
 
     def test_cover_peak_memory(self):
         base = rank10_seed()
@@ -491,6 +500,6 @@ class TestArrayNative:
 
         monkeypatch.setattr(tower, "z2_cover", recording)
         report = iterate_tower(rank10_seed(), 2)
-        assert [row.vertex_count for row in report.levels[:2]] == [8, 8192]
+        assert [row.vertices for row in report.levels[:2]] == [8, 8192]
         assert len(covers) == 1
         assert "edges" not in vars(covers[0].graph)

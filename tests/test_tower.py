@@ -23,7 +23,13 @@ from covertower import (
 import covertower.cheeger as cheeger_mod
 import covertower.spectrum as spectrum_mod
 import covertower.tower as tower_mod
-from covertower.tower import MAX_TREE_LEVELS, report_to_csv_text, report_to_json_dict
+from covertower.tower import (
+    LEVEL_FIELDS,
+    MAX_TREE_LEVELS,
+    TowerLevel,
+    report_to_csv_text,
+    report_to_json_dict,
+)
 
 from conftest import (
     bouquet,
@@ -49,8 +55,8 @@ def symbolic_bouquet_counts(levels: int) -> list[tuple[int, int]]:
 class TestFigure8Tower:
     def test_levels_2_counts(self):
         report = iterate_tower(figure8(), 2, 10**6, seed_description="figure8")
-        assert [row.vertex_count for row in report.levels] == [1, 4, 128]
-        assert [row.edge_count for row in report.levels] == [2, 8, 256]
+        assert [row.vertices for row in report.levels] == [1, 4, 128]
+        assert [row.edges for row in report.levels] == [2, 8, 256]
         assert not report.truncated
         assert [row.rank for row in report.levels] == [2, 5, 129]
 
@@ -58,13 +64,13 @@ class TestFigure8Tower:
         report = iterate_tower(figure8(), 2, 10**6)
         expected = symbolic_bouquet_counts(2)
         assert [
-            (row.vertex_count, row.edge_count) for row in report.levels
+            (row.vertices, row.edges) for row in report.levels
         ] == expected
 
     def test_edge_count_twice_vertex_count(self):
         report = iterate_tower(figure8(), 2, 10**6)
         for row in report.levels:
-            assert row.edge_count == 2 * row.vertex_count
+            assert row.edges == 2 * row.vertices
 
     def test_levels_3_truncates_with_predicted_counts(self):
         report = iterate_tower(figure8(), 3, 10**6, seed_description="figure8")
@@ -72,9 +78,9 @@ class TestFigure8Tower:
         assert report.truncated_level == 3
         predicted = report.levels[3]
         assert not predicted.constructed
-        assert predicted.vertex_count == 128 * 2**129
-        assert predicted.edge_count == 256 * 2**129
-        assert predicted.vertex_count == symbolic_bouquet_counts(3)[3][0]
+        assert predicted.vertices == 128 * 2**129
+        assert predicted.edges == 256 * 2**129
+        assert predicted.vertices == symbolic_bouquet_counts(3)[3][0]
         assert predicted.lemma_bound == Fraction(2, 128)
 
     def test_lemma_bounds_sequence(self):
@@ -102,17 +108,17 @@ class TestFigure8Tower:
         report = iterate_tower(figure8(), 3, 10**6)
         for prev, nxt in zip(report.levels, report.levels[1:]):
             factor = 2**prev.rank
-            assert nxt.vertex_count == prev.vertex_count * factor
-            assert nxt.edge_count == prev.edge_count * factor
+            assert nxt.vertices == prev.vertices * factor
+            assert nxt.edges == prev.edges * factor
 
 
 class TestOtherSeeds:
     def test_triangle_tower_doubles_cycles(self):
         report = iterate_tower(cycle(3), 3, 10**6, seed_description="cycle:3")
-        assert [row.vertex_count for row in report.levels] == [3, 6, 12, 24]
+        assert [row.vertices for row in report.levels] == [3, 6, 12, 24]
         assert [row.rank for row in report.levels] == [1, 1, 1, 1]
         for row in report.levels:
-            assert row.edge_count == row.vertex_count  # cycles stay cycles
+            assert row.edges == row.vertices  # cycles stay cycles
 
     def test_triangle_tower_lemma_tight_where_exact_known(self):
         report = iterate_tower(cycle(3), 3, 10**6)
@@ -122,13 +128,13 @@ class TestOtherSeeds:
 
     def test_theta_tower_one_step(self):
         report = iterate_tower(theta(), 1, 10**6, seed_description="theta")
-        assert report.levels[1].vertex_count == 8  # 2 * 2^2
-        assert report.levels[1].edge_count == 12
+        assert report.levels[1].vertices == 8  # 2 * 2^2
+        assert report.levels[1].edges == 12
         assert report.levels[1].lemma_bound == Fraction(1)
 
     def test_tree_seed_never_grows(self):
         report = iterate_tower(path(3), 4, 100)
-        assert [row.vertex_count for row in report.levels] == [3] * 5
+        assert [row.vertices for row in report.levels] == [3] * 5
         assert not report.truncated
         for row in report.levels[1:]:
             assert row.lemma_bound is None  # rank-0 covers carry no fiber cut
@@ -136,7 +142,7 @@ class TestOtherSeeds:
     def test_levels_zero_reports_seed_only(self):
         report = iterate_tower(figure8(), 0, 10**6)
         assert len(report.levels) == 1
-        assert report.levels[0].vertex_count == 1
+        assert report.levels[0].vertices == 1
 
 
 class TestTreeSeed:
@@ -175,7 +181,7 @@ class TestTreeSeed:
         # One vertex without loops has no normalized Laplacian; the row
         # reports no lambda1 rather than failing.
         report = iterate_tower(bouquet(0), 3, 100)
-        assert [row.vertex_count for row in report.levels] == [1] * 4
+        assert [row.vertices for row in report.levels] == [1] * 4
         for row in report.levels:
             assert row.lambda1_combinatorial is None
             assert row.lambda1_normalized is None
@@ -191,19 +197,23 @@ class TestBlockSpectra:
 
     @pytest.mark.parametrize("seed", [figure8(), theta()], ids=["figure8", "theta"])
     def test_no_dense_laplacian_above_the_seed(self, seed, monkeypatch):
-        # Every Laplacian starts from an adjacency matrix; a level's blocks
-        # start from the adjacency of the level below.
-        original = spectrum_mod.adjacency_matrix
+        # Every spectrum is built from character blocks; a level's blocks
+        # are base-sized, the base being the level below.
+        original = spectrum_mod.character_laplacians
         sizes = []
 
-        def recording(g):
-            sizes.append(g.num_vertices)
-            return original(g)
+        def recording(base, cotree, kind):
+            sizes.append(base.num_vertices)
+            return original(base, cotree, kind)
 
-        monkeypatch.setattr(spectrum_mod, "adjacency_matrix", recording)
+        def refuse(g, kind=spectrum_mod.COMBINATORIAL):
+            raise AssertionError("dense Laplacian built in the tower")
+
+        monkeypatch.setattr(spectrum_mod, "character_laplacians", recording)
+        monkeypatch.setattr(spectrum_mod, "laplacian", refuse)
         report = iterate_tower(seed, 2, 10**6)
-        assert sorted(set(sizes)) == [row.vertex_count for row in report.levels[:2]]
-        assert report.levels[2].vertex_count >= 128
+        assert sorted(set(sizes)) == [row.vertices for row in report.levels[:2]]
+        assert report.levels[2].vertices >= 128
         for row in report.levels[1:]:
             assert row.lambda1_combinatorial is not None
             assert row.lambda1_normalized is not None
@@ -308,6 +318,38 @@ class TestSerialization:
                     assert float(cell) == value
                 else:
                     assert str(value) == cell
+
+    def test_level_fields_are_the_json_keys_and_csv_header(self):
+        report = iterate_tower(figure8(), 3, 10**6)
+        header = next(csv.reader(io.StringIO(report_to_csv_text(report))))
+        assert tuple(header) == LEVEL_FIELDS
+        assert all(tuple(row) == LEVEL_FIELDS for row in report_to_json_dict(report)["levels"])
+        assert LEVEL_FIELDS == (
+            "level",
+            "constructed",
+            "vertices",
+            "edges",
+            "rank",
+            "lemma_bound",
+            "cheeger_value",
+            "cheeger_certified",
+            "cheeger_method",
+            "lambda1_combinatorial",
+            "lambda1_normalized",
+        )
+
+    def test_truncated_row_leaves_the_analysis_fields_at_none(self):
+        row = TowerLevel(
+            level=3,
+            constructed=False,
+            vertices=128 * 2**129,
+            edges=256 * 2**129,
+            rank=128 * 2**129 + 1,
+            lemma_bound=Fraction(1, 64),
+        )
+        analysis = LEVEL_FIELDS[LEVEL_FIELDS.index("lemma_bound") + 1 :]
+        assert analysis and all(getattr(row, key) is None for key in analysis)
+        assert iterate_tower(figure8(), 3, 10**6).levels[3] == row
 
     def test_big_integers_survive_json(self):
         report = iterate_tower(figure8(), 3, 10**6)
