@@ -1,10 +1,11 @@
 """Z/2-homology covers of multigraphs and their deck transformations.
 
 Given a graph with a maximal tree and r cotree edges, the cover has vertex
-set V x (Z/2)^r and edge set E x (Z/2)^r.  An edge (e, a) joins (u, a) to
-(v, a) when e is a tree edge, and (tail, a) to (head, a + e_j) when e is the
-j-th cotree edge, where e_j flips coordinate j only.  Bitvectors are packed
-into integers with coordinate j stored in bit j-1, so e_j = 1 << (j - 1).
+set V x (Z/2)^r and edge set E x (Z/2)^r.  For the edge row (u, v) of e,
+the edge (e, a) joins (u, a) to (v, a) when e is a tree edge, and (u, a) to
+(v, a + e_j) when e is the j-th cotree edge (counting from 0), where e_j
+flips coordinate j only.  Bitvectors are packed into integers with
+coordinate j stored in bit j, so e_j = 1 << j.
 
 For a cotree loop at v, the edge (e_j, a) joins (v, a) to (v, a + e_j); the
 flip is nonzero, so loops downstairs never lift to loops upstairs.
@@ -84,11 +85,11 @@ def z2_cover(
     is refused before anything is allocated.
     """
     spec.validate_for(base)
-    # A validated spec is a maximal forest, which is one tree exactly when
-    # the base is connected.
-    if base.num_vertices > 0 and len(spec.tree_edges) != base.num_vertices - 1:
-        raise DisconnectedGraphError("cover construction requires a connected base")
     r = spec.rank
+    # A validated spec's tree edges are a maximal forest, which is one tree
+    # exactly when the base is connected.
+    if base.num_vertices > 0 and base.num_edges - r != base.num_vertices - 1:
+        raise DisconnectedGraphError("cover construction requires a connected base")
     sheets = 1 << r
     predicted_vertices = base.num_vertices * sheets
     if predicted_vertices > vertex_cap:
@@ -96,14 +97,11 @@ def z2_cover(
             f"cover would have {base.num_vertices} * 2^{r} vertices, above the cap {vertex_cap}"
         )
 
-    # Row e of the base lifts to rows e * sheets + a: (tail, a) -- (head, a ^ flip),
-    # with tail, head and flip taken from the spec on cotree edges.
-    tail, head = base.ends.T.copy()
+    # Row (tail, head) of edge e lifts to rows e * sheets + a:
+    # (tail, a) -- (head, a ^ flip[e]), flip[e] = e_j for cotree edge j.
+    tail, head = base.ends.T
     flip = np.zeros(base.num_edges, dtype=np.int64)
-    if r:
-        cotree = np.array(spec.cotree_edges, dtype=np.int64)
-        tail[cotree[:, 0]], head[cotree[:, 0]] = cotree[:, 1], cotree[:, 2]
-        flip[cotree[:, 0]] = 1 << np.arange(r, dtype=np.int64)
+    flip[list(spec.cotree_edges)] = 1 << np.arange(r, dtype=np.int64)
     a = np.arange(sheets, dtype=np.int64)
     x = (tail * sheets)[:, None] + a
     y = (head * sheets)[:, None] + (a ^ flip[:, None])

@@ -143,14 +143,9 @@ class MultiGraph:
         labels = doc.get("labels")
         if labels is not None and not isinstance(labels, list):
             raise ValidationError("'labels' must be a list")
-        edges = []
-        for i, pair in enumerate(doc["edges"]):
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                raise ValidationError(f"edge {i} must be a pair of vertex ids")
-            edges.append((pair[0], pair[1]))
         if labels is not None:
             labels = [str(x) for x in labels]
-        return build_graph(n, edges, labels=labels)
+        return build_graph(n, doc["edges"], labels=labels)
 
     @classmethod
     def from_json(cls, text: str) -> "MultiGraph":
@@ -242,35 +237,30 @@ def _json_list(body: str) -> str:
 
 @dataclass(frozen=True)
 class CoverSpec:
-    """A maximal forest plus ordered, oriented cotree edges.
+    """The cotree of a maximal forest, as edge ids in coordinate order.
 
-    ``cotree_edges`` entries are (edge id, tail, head); the orientation only
-    matters for parameterizing the double cover, not for the underlying
-    undirected result.
+    Cotree edge j is coordinate j of the cover's fibers; the tree edges are
+    the rest.  Each cotree edge is read in its canonical ``ends`` row: over
+    Z/2 its direction does not change the cover, only the ids in its fiber.
     """
 
-    tree_edges: frozenset[int]
-    cotree_edges: tuple[tuple[int, int, int], ...]
+    cotree_edges: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return len(self.cotree_edges)
 
     def validate_for(self, g: MultiGraph) -> None:
-        """Raise SpecMismatchError unless this spec is a maximal forest of g."""
+        """Raise SpecMismatchError unless the other edges are a maximal forest of g."""
         from .errors import SpecMismatchError
 
-        cotree_ids = [e for e, _, _ in self.cotree_edges]
-        claimed = set(self.tree_edges) | set(cotree_ids)
-        if len(self.tree_edges) + len(cotree_ids) != g.num_edges or claimed != set(
-            range(g.num_edges)
-        ):
-            raise SpecMismatchError("tree and cotree do not partition the edge set")
-        ends = g.ends.tolist()
-        for e, tail, head in self.cotree_edges:
-            u, v = ends[e]
-            if {tail, head} != {u, v}:
-                raise SpecMismatchError(f"cotree edge {e} directed between non-endpoints")
+        cotree: set[int] = set()
+        for e in self.cotree_edges:
+            if not (_is_int(e) and 0 <= e < g.num_edges):
+                raise SpecMismatchError(f"cotree edge {e!r} is not an edge id of the graph")
+            if e in cotree:
+                raise SpecMismatchError(f"cotree edge {e} is listed twice")
+            cotree.add(e)
         # The tree edges must be acyclic, and maximal: no cotree edge may
         # join two of their trees.
         parent = list(range(g.num_vertices))
@@ -281,14 +271,17 @@ class CoverSpec:
                 x = parent[x]
             return x
 
-        for e in sorted(self.tree_edges):
-            u, v = ends[e]
+        ends = g.ends.tolist()
+        for e, (u, v) in enumerate(ends):
+            if e in cotree:
+                continue
             ru, rv = find(u), find(v)
             if ru == rv:
                 raise SpecMismatchError(f"tree edge {e} closes a cycle")
             parent[ru] = rv
-        for _, tail, head in self.cotree_edges:
-            if find(tail) != find(head):
+        for e in self.cotree_edges:
+            u, v = ends[e]
+            if find(u) != find(v):
                 raise SpecMismatchError("tree is not maximal (does not span every component)")
 
 
@@ -333,8 +326,7 @@ def spanning_tree(g: MultiGraph) -> CoverSpec:
     """Deterministic maximal forest via BFS.
 
     BFS starts at the lowest vertex id of each component and explores edges
-    in ascending edge-id order.  Cotree edges are listed ascending and each
-    is directed from its lower-id endpoint to its higher-id endpoint.
+    in ascending edge-id order.  The cotree edge ids are listed ascending.
     """
     visited = [False] * g.num_vertices
     tree: set[int] = set()
@@ -350,15 +342,12 @@ def spanning_tree(g: MultiGraph) -> CoverSpec:
                     visited[other] = True
                     tree.add(eid)
                     queue.append(other)
-    cotree = tuple(
-        (e, u, v) for e, (u, v) in enumerate(g.ends.tolist()) if e not in tree
-    )
-    return CoverSpec(tree_edges=frozenset(tree), cotree_edges=cotree)
+    return CoverSpec(tuple(e for e in range(g.num_edges) if e not in tree))
 
 
 def component_count(g: MultiGraph) -> int:
     """Connected components: a maximal forest has #V - #components edges."""
-    return g.num_vertices - len(spanning_tree(g).tree_edges)
+    return g.num_vertices - g.num_edges + spanning_tree(g).rank
 
 
 def is_connected(g: MultiGraph) -> bool:

@@ -78,27 +78,21 @@ def symmetric_eigensystem(
 
     ``matrix`` is one n x n matrix or a stack of shape (..., n, n), solved
     matrix by matrix in one call.  Returns (w, V) with V[..., :, k] the
-    eigenvector for w[..., k], or (w, None) when vectors is False.  Each
-    eigenvector is sign-normalized so its largest-magnitude entry is positive.
+    eigenvector for w[..., k], or (w, None) when vectors is False.  The
+    eigenvectors' signs are LAPACK's.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError("matrix must be square")
     if not np.array_equal(a, np.swapaxes(a, -1, -2)):
         raise ValidationError("matrix must be symmetric")
-    n = a.shape[-1]
-    if n == 0:
-        return np.zeros(a.shape[:-1]), (np.zeros(a.shape) if vectors else None)
-    if n == 1:
-        return a[..., 0].copy(), (np.ones(a.shape) if vectors else None)
     try:
         if not vectors:
             return np.linalg.eigvalsh(a), None
         w, v = np.linalg.eigh(a)
+        return w, v
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., np.newaxis, :], axis=-2)
-    return w, np.where(lead < 0.0, -v, v)
 
 
 def adjacency_matrix(g: MultiGraph) -> np.ndarray:

@@ -100,7 +100,7 @@ def iterate_tower(
             f"a rank-0 seed is its own cover; levels must be at most {MAX_TREE_LEVELS}"
         )
 
-    rows = [_analyze_level(0, seed, seed, [], None, cheeger_cap, spectrum_cap)]
+    rows = [_analyze_level(0, seed, seed, (), None, cheeger_cap, spectrum_cap)]
     truncated_level: int | None = None
     current = seed
 
@@ -128,7 +128,7 @@ def iterate_tower(
             break
         cover = z2_cover(current, spanning_tree(current), vertex_cap=vertex_cap)
         lemma = cheeger_mod.lemma_cut(cover).value
-        cotree = [e for e, _, _ in cover.spec.cotree_edges]
+        cotree = cover.spec.cotree_edges
         rows.append(
             _analyze_level(level, cover.graph, current, cotree, lemma, cheeger_cap, spectrum_cap)
         )
@@ -149,7 +149,7 @@ def _analyze_level(
     level: int,
     g: MultiGraph,
     base: MultiGraph,
-    cotree: list[int],
+    cotree: tuple[int, ...],
     lemma_bound: Fraction | None,
     cheeger_cap: int,
     spectrum_cap: int,

@@ -68,22 +68,9 @@ def cover_of(g: MultiGraph) -> CoveredGraph:
     return z2_cover(g, spanning_tree(g))
 
 
-def cotree_of(cover: CoveredGraph) -> list[int]:
-    """The cotree edge ids of the base that a cover was built along."""
-    return [e for e, _, _ in cover.spec.cotree_edges]
-
-
 def rank_pi1(g: MultiGraph) -> int:
     """Rank of the fundamental group: #E - #V + #components."""
     return g.num_edges - g.num_vertices + component_count(g)
-
-
-def flip_cotree_orientation(spec: CoverSpec, position: int) -> CoverSpec:
-    """The spec with the cotree edge at ``position`` directed the other way."""
-    cotree = list(spec.cotree_edges)
-    e, tail, head = cotree[position]
-    cotree[position] = (e, head, tail)
-    return CoverSpec(tree_edges=spec.tree_edges, cotree_edges=tuple(cotree))
 
 
 def random_connected_multigraph(rng: random.Random, n: int, rank: int) -> MultiGraph:
@@ -107,11 +94,12 @@ class LoopCover(NamedTuple):
     edge_fibers: list[tuple[int, int]]
 
 
-def loop_cover(base: MultiGraph, spec: CoverSpec) -> LoopCover:
+def loop_cover(base: MultiGraph, spec: CoverSpec, reversed_positions=frozenset()) -> LoopCover:
     """The per-edge, per-sheet construction z2_cover used before it broadcast.
 
-    Vertex (v, a) and edge (e, a) are appended in lexicographic order; a
-    cotree edge j joins (tail, a) to (head, a ^ 2^j).
+    Vertex (v, a) and edge (e, a) are appended in lexicographic order; the
+    cotree edge j with row (u, v) joins (u, a) to (v, a ^ 2^j), or (v, a) to
+    (u, a ^ 2^j) when j is in ``reversed_positions``.
     """
     r = spec.rank
     sheets = 1 << r
@@ -122,10 +110,12 @@ def loop_cover(base: MultiGraph, spec: CoverSpec) -> LoopCover:
         for a in range(sheets):
             labels.append(f"{name}|{bitstrings[a]}")
             vertex_fibers.append((v, a))
-    cotree = {e: (tail, head, 1 << j) for j, (e, tail, head) in enumerate(spec.cotree_edges)}
+    position = {e: j for j, e in enumerate(spec.cotree_edges)}
     edges, edge_fibers = [], []
     for e, (u, v) in enumerate(base.edges):
-        tail, head, flip = cotree.get(e, (u, v, 0))
+        j = position.get(e)
+        flip = 0 if j is None else 1 << j
+        tail, head = (v, u) if j in reversed_positions else (u, v)
         for a in range(sheets):
             x, y = tail * sheets + a, head * sheets + (a ^ flip)
             edges.append((x, y) if x <= y else (y, x))

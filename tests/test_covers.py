@@ -33,7 +33,6 @@ from conftest import (
     cover_of,
     cycle,
     figure8,
-    flip_cotree_orientation,
     loop_cover,
     loop_cut_ratio,
     loop_iterated_cover,
@@ -284,50 +283,40 @@ class TestCoverProperties:
 
 
 class TestOrientationIndependence:
+    """Over Z/2 a cotree edge's direction does not change the cover: the
+    per-edge oracle drawing one cotree edge head to tail builds the same
+    edge multiset, with the ids in that edge's fiber swapped."""
+
     @pytest.mark.parametrize(
         "base", [figure8(), theta(), cycle(4), bouquet(3)],
         ids=lambda g: f"V{g.num_vertices}E{g.num_edges}",
     )
     def test_flip_yields_same_undirected_cover(self, base):
-        from covertower import full_spectrum
-
         spec = spanning_tree(base)
         original = z2_cover(base, spec)
-        reference_spectrum = full_spectrum(original.graph).eigenvalues
         for position in range(spec.rank):
-            flipped = z2_cover(base, flip_cotree_orientation(spec, position))
+            flipped = loop_cover(base, spec, {position})
             # same vertex set and same edge multiset: the identity on vertices
             # is an isomorphism
-            assert flipped.graph.num_vertices == original.graph.num_vertices
-            assert Counter(flipped.graph.edges) == Counter(original.graph.edges)
-            assert sorted(flipped.graph.degrees) == sorted(original.graph.degrees)
-            flipped_spectrum = full_spectrum(flipped.graph).eigenvalues
-            assert all(
-                abs(a - b) <= 1e-9
-                for a, b in zip(flipped_spectrum, reference_spectrum)
-            )
+            assert flipped.num_vertices == original.graph.num_vertices
+            assert Counter(flipped.edges) == Counter(original.graph.edges)
 
     def test_explicit_edge_relabeling(self):
         base = theta()
         spec = spanning_tree(base)
         original = z2_cover(base, spec)
         position = 1
-        flipped_spec = flip_cotree_orientation(spec, position)
-        flipped = z2_cover(base, flipped_spec)
-        e_j, _, _ = spec.cotree_edges[position]
+        flipped = loop_cover(base, spec, {position})
+        e_j = spec.cotree_edges[position]
         flip = 1 << position
         sheets = original.sheets
         for a in range(sheets):
             flipped_eid = e_j * sheets + a
             original_eid = e_j * sheets + (a ^ flip)
-            assert (
-                flipped.graph.edges[flipped_eid]
-                == original.graph.edges[original_eid]
-            )
+            assert flipped.edges[flipped_eid] == original.graph.edges[original_eid]
         for eid in range(original.graph.num_edges):
             if divmod(eid, original.sheets)[0] != e_j:
-                assert flipped.graph.edges[eid] == original.graph.edges[eid]
-
+                assert flipped.edges[eid] == original.graph.edges[eid]
 
 
 def loop_json(oracle) -> str:

@@ -77,7 +77,7 @@ class TestStacks:
         rng = np.random.default_rng(17)
         a = rng.integers(-4, 5, size=(2, 3, 5, 5)).astype(float)
         a = a + np.swapaxes(a, -1, -2)
-        a[0, 1] = np.diag([2.0, -1.0, 2.0, 0.0, 3.0])  # negative entries lead some columns
+        a[0, 1] = np.diag([2.0, -1.0, 2.0, 0.0, 3.0])  # a repeated eigenvalue
         w, v = symmetric_eigensystem(a)
         assert w.shape == (2, 3, 5) and v.shape == (2, 3, 5, 5)
         values, none = symmetric_eigensystem(a, vectors=False)
@@ -86,8 +86,6 @@ class TestStacks:
             w1, v1 = symmetric_eigensystem(a[index])
             assert np.array_equal(w[index], w1) and np.array_equal(v[index], v1)
             assert np.array_equal(values[index], symmetric_eigensystem(a[index], False)[0])
-            lead = v[index][np.argmax(np.abs(v[index]), axis=0), np.arange(5)]
-            assert np.all(lead > 0)
 
     def test_empty_and_one_by_one_stacks(self):
         w, v = symmetric_eigensystem(np.zeros((3, 0, 0)))
@@ -176,14 +174,6 @@ class TestRandomMatrices:
         w2, v2 = symmetric_eigensystem(a)
         assert np.array_equal(w1, w2)
         assert np.array_equal(v1, v2)
-
-    def test_sign_normalization(self):
-        rng = np.random.default_rng(5)
-        m = rng.integers(-5, 6, size=(12, 12)).astype(float)
-        _, v = symmetric_eigensystem(m + m.T)
-        for k in range(12):
-            col = v[:, k]
-            assert col[int(np.argmax(np.abs(col)))] > 0.0
 
 
 class TestSolverFailure:

@@ -91,55 +91,47 @@ class TestDegree:
 class TestSpanningTree:
     def test_figure8_all_cotree(self):
         spec = spanning_tree(figure8())
-        assert spec.tree_edges == frozenset()
-        assert spec.cotree_edges == ((0, 0, 0), (1, 0, 0))
+        assert spec.cotree_edges == (0, 1)
         assert spec.rank == 2
 
     def test_triangle(self):
         spec = spanning_tree(cycle(3))
-        assert spec.tree_edges == frozenset({0, 2})
-        assert spec.cotree_edges == ((1, 1, 2),)
+        assert spec.cotree_edges == (1,)
         assert spec.rank == 1
 
     def test_tree_has_empty_cotree(self):
         spec = spanning_tree(path(5))
         assert spec.cotree_edges == ()
-        assert spec.tree_edges == frozenset(range(4))
-
-    def test_cotree_directed_low_to_high(self):
-        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 1)])
-        spec = spanning_tree(g)
-        for _, tail, head in spec.cotree_edges:
-            assert tail <= head
 
     def test_validate_for_accepts_own_graph(self):
         g = theta()
         spanning_tree(g).validate_for(g)
 
+    @pytest.mark.parametrize(
+        "cotree, message",
+        [
+            # edge 2 listed twice
+            ((2, 2), "listed twice"),
+            # the graph has edges 0..3 only
+            ((4,), "not an edge id"),
+            # True is not an edge id, though it compares equal to 1
+            ((True,), "not an edge id"),
+            # tree edge 2 closes the cycle 0-1-2
+            ((3,), "closes a cycle"),
+            # the bridge 2-3 moved to the cotree: the forest misses vertex 3
+            ((2, 3), "not maximal"),
+        ],
+        ids=["repeated", "out-of-range", "bool", "cycle", "non-maximal"],
+    )
+    def test_validate_for_rejects_bad_specs(self, cotree, message):
+        # a triangle 0-1-2 with a pendant vertex 3 on the bridge 2-3
+        g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        with pytest.raises(SpecMismatchError, match=message):
+            CoverSpec(cotree).validate_for(g)
+
     def test_validate_for_rejects_foreign_graph(self):
         with pytest.raises(SpecMismatchError):
             spanning_tree(theta()).validate_for(cycle(3))
-
-    @pytest.mark.parametrize(
-        "tree, cotree, message",
-        [
-            # tree edge 2 closes the cycle 0-1-2
-            ({0, 1, 2}, ((3, 2, 3),), "closes a cycle"),
-            # the bridge 2-3 moved to the cotree: the forest misses vertex 3
-            ({0, 1}, ((2, 0, 2), (3, 2, 3)), "not maximal"),
-            # cotree edge 2 (0-2) directed from 1
-            ({0, 1, 3}, ((2, 1, 2),), "non-endpoints"),
-            # edge 3 claimed by both sides, edge 2 by neither
-            ({0, 1, 3}, ((3, 2, 3),), "partition"),
-        ],
-        ids=["cycle", "non-maximal", "non-endpoints", "non-partition"],
-    )
-    def test_validate_for_rejects_bad_specs(self, tree, cotree, message):
-        # a triangle 0-1-2 with a pendant vertex 3 on the bridge 2-3
-        g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        spec = CoverSpec(tree_edges=frozenset(tree), cotree_edges=cotree)
-        with pytest.raises(SpecMismatchError, match=message):
-            spec.validate_for(g)
 
     @given(multigraphs())
     @settings(max_examples=60, deadline=None)
@@ -253,6 +245,13 @@ class TestProperties:
     def test_json_rejects_booleans_as_integers(self, text):
         with pytest.raises(ValidationError):
             MultiGraph.from_json(text)
+
+    @pytest.mark.parametrize(
+        "edge", ['[0, 1, 1]', '5', 'null', '{"a": 0, "b": 1}', '"01"', '[0, true]']
+    )
+    def test_json_rejects_edges_that_are_not_id_pairs(self, edge):
+        with pytest.raises(ValidationError, match="edge 0 "):
+            MultiGraph.from_json(f'{{"vertices": 2, "edges": [{edge}, [0, 1]]}}')
 
     def test_build_graph_rejects_booleans(self):
         with pytest.raises(ValidationError):

@@ -34,7 +34,6 @@ from covertower.spectrum import (
 from conftest import (
     bouquet,
     complete,
-    cotree_of,
     cover_of,
     cycle,
     doubled_cycle,
@@ -250,7 +249,7 @@ class TestZeroEigenvalues:
         # a cover counts its own vertices, not its base's: 3 * 2^1 = 6
         cover = cover_of(cycle(3))
         with pytest.raises(SpectrumError, match=message):
-            laplacian_spectrum(cover.base, cotree_of(cover), vectors=True, max_vertices=5)
+            laplacian_spectrum(cover.base, cover.spec.cotree_edges, vectors=True, max_vertices=5)
         with pytest.raises(SpectrumError, match="above the dense-solver cap 5"):
             full_spectrum(cycle(6), max_vertices=5)
 
@@ -388,17 +387,17 @@ class TestCharacterBlocks:
     @pytest.mark.parametrize("cover", BLOCK_COVERS, ids=_cover_id)
     def test_union_of_block_spectra_is_the_cover_spectrum(self, cover, kind):
         dense = np.linalg.eigvalsh(laplacian(cover.graph, kind))
-        w, rows = laplacian_spectrum(cover.base, cotree_of(cover), kind)
+        w, rows = laplacian_spectrum(cover.base, cover.spec.cotree_edges, kind)
         assert rows is None
         assert np.max(np.abs(w - dense)) <= 1e-9
-        with_vectors = laplacian_spectrum(cover.base, cotree_of(cover), kind, vectors=True)[0]
+        with_vectors, _ = laplacian_spectrum(cover.base, cover.spec.cotree_edges, kind, True)
         assert np.max(np.abs(with_vectors - dense)) <= 1e-9
 
     @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
     @pytest.mark.parametrize("cover", BLOCK_COVERS, ids=_cover_id)
     def test_lifted_rows_span_the_lambda1_eigenspace(self, cover, kind):
         lap = laplacian(cover.graph, kind)
-        w, rows = laplacian_spectrum(cover.base, cotree_of(cover), kind, vectors=True)
+        w, rows = laplacian_spectrum(cover.base, cover.spec.cotree_edges, kind, vectors=True)
         for f in rows:
             assert np.linalg.norm(lap @ f - w[1] * f) <= 1e-9
         assert np.max(np.abs(rows @ rows.T - np.eye(len(rows)))) <= 1e-9
@@ -408,17 +407,17 @@ class TestCharacterBlocks:
     @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
     @pytest.mark.parametrize("cover", BLOCK_COVERS, ids=_cover_id)
     def test_trivial_character_is_the_base(self, cover, kind):
-        blocks = character_laplacians(cover.base, cotree_of(cover), kind)
+        blocks = character_laplacians(cover.base, cover.spec.cotree_edges, kind)
         assert blocks.shape == (cover.sheets, cover.base.num_vertices, cover.base.num_vertices)
         assert np.array_equal(blocks[0], laplacian(cover.base, kind))
-        w, _ = laplacian_spectrum(cover.base, cotree_of(cover), kind)
+        w, _ = laplacian_spectrum(cover.base, cover.spec.cotree_edges, kind)
         assert spectrum_inclusion(
             full_spectrum(cover.base, kind), summarize_spectrum(cover.graph, kind, w)
         )
 
     @pytest.mark.parametrize("cover", BLOCK_COVERS[::4], ids=_cover_id)
     def test_stacked_eigensolve_equals_per_matrix_calls(self, cover):
-        blocks = character_laplacians(cover.base, cotree_of(cover), NORMALIZED)
+        blocks = character_laplacians(cover.base, cover.spec.cotree_edges, NORMALIZED)
         w, v = symmetric_eigensystem(blocks)
         values, none = symmetric_eigensystem(blocks, vectors=False)
         assert none is None
@@ -429,7 +428,7 @@ class TestCharacterBlocks:
 
     def test_lambda1_of_matches_the_summary(self):
         for cover in BLOCK_COVERS:
-            w, _ = laplacian_spectrum(cover.base, cotree_of(cover))
+            w, _ = laplacian_spectrum(cover.base, cover.spec.cotree_edges)
             assert lambda1_of(w) == summarize_spectrum(cover.graph, COMBINATORIAL, w).lambda1
         assert lambda1_of(np.array([0.0, 0.0, 2.0])) == 0.0
         assert lambda1_of(np.array([0.0])) is None
@@ -437,7 +436,7 @@ class TestCharacterBlocks:
     def test_unknown_kind(self):
         cover = cover_of(theta())
         with pytest.raises(ValidationError):
-            character_laplacians(cover.base, cotree_of(cover), "signless")
+            character_laplacians(cover.base, cover.spec.cotree_edges, "signless")
 
 
 RANK0_CORPUS = CORPUS + [
