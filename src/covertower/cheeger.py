@@ -126,10 +126,16 @@ def _sides(in_a: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def verify_witness(g: MultiGraph, result: CheegerResult) -> None:
-    """Recount the witness cut from its side A and insist it matches the claim."""
-    crossing, smaller = _recount(g, _side_mask(g, result.witness.side_a))
-    ratio = Fraction(crossing, smaller)
+    """Recount the witness cut from its side A and insist it matches the claim.
+
+    Side B must be the sorted complement of side A, as emitted.
+    """
     claim = result.witness
+    in_a = _side_mask(g, claim.side_a)
+    crossing, smaller = _recount(g, in_a)
+    if np.flatnonzero(~in_a).tolist() != list(claim.side_b):
+        raise ValidationError("witness side B is not the sorted complement of side A")
+    ratio = Fraction(crossing, smaller)
     if (crossing, ratio, ratio) != (claim.crossing_edges, claim.ratio, result.value):
         raise ValidationError(
             f"witness does not re-verify: recomputed {crossing} crossing "

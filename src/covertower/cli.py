@@ -147,6 +147,9 @@ def cmd_cover(args: argparse.Namespace) -> int:
     if args.iterate < 0:
         raise ValidationError("--iterate must be nonnegative")
     g, _ = resolve_graph_input(args.input)
+    # The export formats ids from a table as long as the graph, so even an
+    # input that is not covered (--iterate 0) is held to the cap.
+    _check_vertex_cap(g, args.vertex_cap)
     if args.iterate and g.num_edges - g.num_vertices + 1 == 0:
         # A connected rank-0 graph is its own cover and each step only
         # appends "|" to every label, so k steps are one step, relabelled.
@@ -199,11 +202,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _homology_cover(g: MultiGraph, vertex_cap: int) -> CoveredGraph:
     """The homology cover of g; a g already above the cap is refused untraversed."""
+    _check_vertex_cap(g, vertex_cap)
+    return z2_cover(g, spanning_tree(g), vertex_cap=vertex_cap)
+
+
+def _check_vertex_cap(g: MultiGraph, vertex_cap: int) -> None:
     if g.num_vertices > vertex_cap:
         raise SizeCapError(
             f"graph has {g.num_vertices} vertices, above the cap {vertex_cap}"
         )
-    return z2_cover(g, spanning_tree(g), vertex_cap=vertex_cap)
 
 
 def _write_text(path: str, text: str) -> None:

@@ -23,8 +23,8 @@ import numpy as np
 from .errors import SizeCapError, ValidationError
 
 JSON_SCHEMA_VERSION = 1
-# One JSON-indented edge; the edge list is formatted by one "%" pass.
-_JSON_EDGE = "    [\n      %d,\n      %d\n    ]"
+# Edges formatted per block by ``_edge_text``: bounds its byte buffers.
+_EDGE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,8 +112,9 @@ class MultiGraph:
 
         The standard encoder runs in pure Python when indenting.  Here the
         labels are joined from their escaped heads and tails (see
-        ``CoverLabels.parts``), and the edges formatted by one ``%`` pass
-        over a repeated template; the text is the same, several times faster.
+        ``CoverLabels.parts``) and the edges are formatted from byte rows by
+        ``_edge_text``, so no Python object is built per edge; the text is
+        the same, several times faster.
         """
         parts = [f'{{\n  "schema": {JSON_SCHEMA_VERSION},\n  "vertices": {self.num_vertices},\n']
         if self.labels is not None:
@@ -121,9 +122,11 @@ class MultiGraph:
             heads, tails = self._label_parts(lambda x: encode_basestring_ascii(x)[:-1])
             sep = ",\n    "
             labels = sep.join(h + ('"' + sep + h).join(tails) + '"' for h in heads)
-            parts.append(f'  "labels": {_json_list("    " + labels if labels else "")},\n')
-        edges = ",\n".join([_JSON_EDGE] * self.num_edges) % tuple(self.ends.ravel().tolist())
-        parts.append(f'  "edges": {_json_list(edges)}\n}}\n')
+            parts += ['  "labels": ', *_json_list(["    ", labels] if labels else []), ",\n"]
+        edges = _edge_text(self.ends, "    [\n      ", ",\n      ", "\n    ],\n")
+        if edges:
+            edges[-1] = edges[-1][:-2]  # the last edge has no ",\n"
+        parts += ['  "edges": ', *_json_list(edges), "\n}\n"]
         return "".join(parts)
 
     @classmethod
@@ -160,14 +163,18 @@ class MultiGraph:
         return CoverLabels(self.labels, (), self.num_vertices).parts(escape)
 
     def to_dot(self) -> str:
+        """The graph in Graphviz DOT: one line per vertex, then one per edge.
+
+        The edge lines are formatted from byte rows by ``_edge_text``.
+        """
         if self.labels is None:
             vertices = [f"  {v};\n" for v in range(self.num_vertices)]
         else:
             heads, tails = self._label_parts(lambda x: x.replace("\\", "\\\\").replace('"', '\\"'))
             labels = (h + t for h in heads for t in tails)
             vertices = [f'  {v} [label="{label}"];\n' for v, label in enumerate(labels)]
-        edges = "  %d -- %d;\n" * self.num_edges % tuple(self.ends.ravel().tolist())
-        return "graph G {\n" + "".join(vertices) + edges + "}\n"
+        edges = _edge_text(self.ends, "  ", " -- ", ";\n")
+        return "".join(["graph G {\n", *vertices, *edges, "}\n"])
 
 
 class CoverLabels(Sequence):
@@ -221,7 +228,11 @@ class CoverLabels(Sequence):
         for r in self.ranks:
             if r:
                 heads, tails = [h + t for h in heads for t in tails], [""]
-            tails = [t + "|" + _bits(a, r) for t in tails for a in range(1 << r)]
+            # bits[a] is "|" and then bitvector a, bit j at position j.
+            bits = ["|"]
+            for _ in range(r):
+                bits = [b + "0" for b in bits] + [b + "1" for b in bits]
+            tails = [t + b for t in tails for b in bits]
         return heads, tails
 
 
@@ -230,9 +241,56 @@ def _bits(a: int, r: int) -> str:
     return format(a, f"0{r}b")[::-1] if r else ""
 
 
-def _json_list(body: str) -> str:
-    """A top-level field's JSON array around its already indented items."""
-    return "[\n" + body + "\n  ]" if body else "[]"
+def _json_list(body: list[str]) -> list[str]:
+    """A top-level field's JSON array around the pieces of its indented items."""
+    return ["[\n", *body, "\n  ]"] if body else ["[]"]
+
+
+def _id_rows(count: int) -> np.ndarray:
+    """The ids 0..count-1 in decimal, one void row each, right-aligned in NULs.
+
+    The ids are an arange, so the digits at place 10^j repeat each digit
+    10^j times, in a cycle; the ids below 10^j (j > 0) have none there.
+    """
+    width = len(str(count - 1))
+    rows = np.zeros((count, width), dtype=np.uint8)
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    for j in range(width):
+        place = 10**j
+        column = rows[:, width - 1 - j]
+        column[:] = np.tile(np.repeat(digits, place), -(-count // (10 * place)))[:count]
+        if j:
+            column[:place] = 0
+    return rows.view(f"V{width}").ravel()
+
+
+def _edge_text(ends: np.ndarray, lead: str, mid: str, tail: str) -> list[str]:
+    """lead + u + mid + v + tail for each edge row (u, v), as blocks of text.
+
+    Each block of ``_EDGE_CHUNK`` edges gathers the endpoints' ``_id_rows``
+    into one buffer of fixed-width rows, which is decoded once after its
+    NUL padding is dropped.
+    """
+    if not len(ends):
+        return []
+    ids = _id_rows(int(ends.max()) + 1)
+    pad = "\0" * ids.itemsize
+    template = (lead + pad + mid + pad + tail).encode()
+    row = np.dtype({
+        "names": ["u", "v"],
+        "formats": [ids.dtype, ids.dtype],
+        "offsets": [len(lead), len(lead) + ids.itemsize + len(mid)],
+        "itemsize": len(template),
+    })
+    buffer = np.frombuffer(bytearray(template * min(len(ends), _EDGE_CHUNK)), dtype=row)
+    blocks = []
+    for start in range(0, len(ends), _EDGE_CHUNK):
+        chunk = ends[start:start + _EDGE_CHUNK]
+        block = buffer[: len(chunk)]
+        block["u"] = ids[chunk[:, 0]]
+        block["v"] = ids[chunk[:, 1]]
+        blocks.append(block.tobytes().replace(b"\0", b"").decode("ascii"))
+    return blocks
 
 
 @dataclass(frozen=True)

@@ -506,6 +506,19 @@ class TestVerifyWitness:
         with pytest.raises(ValidationError):
             verify_witness(gamma1.graph, tampered)
 
+    @pytest.mark.parametrize(
+        "side_b", [(0, 1, 2, 3), (3, 2), (2,), (2, 3, 4)],
+        ids=["everything", "unsorted", "short", "extra"],
+    )
+    def test_rejects_side_b_not_the_sorted_complement(self, side_b):
+        # {0, 1} of the 4-cycle: 2 crossing edges, ratio 1, side B {2, 3}.
+        def result(side_b):
+            return CheegerResult(Fraction(1), Cut((0, 1), side_b, 2, Fraction(1)), "exact", "brute_force")
+
+        verify_witness(cycle(4), result((2, 3)))
+        with pytest.raises(ValidationError, match="side B is not the sorted complement"):
+            verify_witness(cycle(4), result(side_b))
+
 
 def _recount_counter(monkeypatch):
     """Count witness recounts, recording the vertex count of each graph."""

@@ -224,6 +224,16 @@ class TestCoverCommand:
             "error": "SizeCapError", "message": "graph has 50 vertices, above the cap 10",
         }
 
+    def test_uncovered_graph_above_cap_refused(self, capsys):
+        # --iterate 0 only exports, and the export's id table is graph-sized
+        code, out, err = run_cli(
+            "cover", "cycle:50", "--iterate", "0", "--vertex-cap", "10", capsys=capsys
+        )
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {
+            "error": "SizeCapError", "message": "graph has 50 vertices, above the cap 10",
+        }
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -23,7 +23,7 @@ from covertower import (
     verify_regular_cover,
     z2_cover,
 )
-from covertower import tower
+from covertower import multigraph, tower
 from covertower.cli import main as cli_main
 from covertower.multigraph import CoverLabels
 
@@ -327,8 +327,11 @@ def loop_json(oracle) -> str:
 
 def loop_dot(oracle) -> str:
     lines = ["graph G {"]
-    escaped = [label.replace("\\", "\\\\").replace('"', '\\"') for label in oracle.labels]
-    lines += [f'  {v} [label="{label}"];' for v, label in enumerate(escaped)]
+    if oracle.labels is None:
+        lines += [f"  {v};" for v in range(oracle.num_vertices)]
+    else:
+        escaped = [label.replace("\\", "\\\\").replace('"', '\\"') for label in oracle.labels]
+        lines += [f'  {v} [label="{label}"];' for v, label in enumerate(escaped)]
     lines += [f"  {u} -- {v};" for u, v in oracle.edges]
     return "\n".join(lines + ["}"]) + "\n"
 
@@ -386,6 +389,35 @@ class TestLoopOracles:
 
     def test_rank10_seed(self):
         self.check(rank10_seed())
+
+
+class TestExportBlocks:
+    """The block edge formatter agrees with the encoder and the loop oracle on
+    degenerate graphs, across decimal-width changes and across blocks."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            build_graph(0, []),
+            build_graph(4, []),
+            build_graph(3, [], labels=["a", "b", "c"]),
+            build_graph(1, [(0, 0)] * 3),
+            build_graph(12, [(11, 11), (0, 0), (11, 11)]),
+            # ids crossing 9->10, 99->100 and 999->1000 in one graph, 1,004 edges
+            build_graph(
+                1001,
+                [(i, i + 1) for i in range(1000)] + [(9, 10), (99, 100), (999, 1000), (0, 1000)],
+            ),
+            build_graph(11, [(i, i + 1) for i in range(10)] + [(0, 10)] * 4),
+        ],
+        ids=["empty", "edgeless", "edgeless-labelled", "loops", "loops-2-digits",
+             "widths-1-to-4", "widths-1-to-2"],
+    )
+    @pytest.mark.parametrize("chunk", [1, 7, 14, 1 << 16])
+    def test_matches_encoder_and_loop_oracle(self, g, chunk, monkeypatch):
+        monkeypatch.setattr(multigraph, "_EDGE_CHUNK", chunk)
+        assert g.to_json() == json.dumps(g.to_json_dict(), indent=2) + "\n"
+        assert g.to_dot() == loop_dot(g)
 
 
 ESCAPED_NAMES = ['q"uote', "back\\slash", "für ∞ ☃", ""]
