@@ -1,6 +1,9 @@
 """Cheeger constants: exact brute force, certified cuts, and sweep bounds.
 
 All ratios are exact rationals (crossing count over smaller-side size).
+The exhaustive search ranks them in float32 when W * floor(n/2)^2 < 2^23
+(W the non-loop edge weight), where rounding can neither merge nor reorder
+two of them, and in float64 otherwise.
 Crossing counts include parallel-edge multiplicity; loops never cross.
 
 The exhaustive search fixes vertex 0 on side A, halving the 2^n subsets.
@@ -225,6 +228,13 @@ def exact_cheeger(
     (t[x + 2^i] = t[x] + ...), so the search costs O(2^(n-1)) table entries
     whatever the edge count.
 
+    Each chunk ranks its ratios in float32 when W * floor(n/2)^2 < 2^23
+    (W the non-loop edge weight), else in float64; float32 is exact there,
+    since counts up to W and sides up to floor(n/2) convert exactly, equal
+    rationals give equal correctly rounded quotients, and each quotient is
+    within W 2^-24 of its ratio while distinct ratios differ by at least
+    1 / floor(n/2)^2.
+
     The chunks are reduced in order with a deterministic minimum-and-tiebreak
     reduction, so any partitioning of the range (serial or parallel) yields
     the identical result.
@@ -246,7 +256,8 @@ def exact_cheeger(
     chunk = 1 << k
     # Every table entry is a partial sum of crossing(S), the a_w and the
     # -2m terms, so it lies within 3 * (non-loop edge weight) of zero.
-    dtype = np.min_scalar_type(-3 * sum(m for _, _, m in edge_mults))
+    weight = sum(m for _, _, m in edge_mults)
+    dtype = np.min_scalar_type(-3 * weight)
     crossing = np.empty(chunk, dtype=dtype)
     # inner[x] = -2 e(L_x), by doubling over the low vertices w:
     # inner[x + 2^(w-1)] = inner[x] + row[x], where row is the subset-sum
@@ -263,7 +274,9 @@ def exact_cheeger(
         np.add(inner[:half], row, out=inner[half : 2 * half])
     low_count = _subset_sums(np.empty(chunk, dtype=np.uint8), 0, [1] * k)  # |L_x|
     side = np.empty(chunk, dtype=np.uint8)
-    ratio = np.empty(chunk, dtype=np.float64)
+    # The float ratios rank the cuts exactly (see the docstring's bound).
+    single = weight * (n // 2) ** 2 < 1 << 23
+    ratio = np.empty(chunk, dtype=np.float32 if single else np.float64)
     best_crossing = best_side = best_key = -1
     for start in range(0, total, chunk):
         count = min(chunk, total - start)
@@ -286,7 +299,7 @@ def exact_cheeger(
         other = ratio.view(np.uint8)[:count]  # scratch until the ratios land
         np.subtract(n, smaller, out=other)
         np.minimum(smaller, other, out=smaller)
-        chunk_ratio = np.divide(cross, smaller, out=ratio[:count])
+        chunk_ratio = np.divide(cross, smaller, out=ratio[:count], dtype=ratio.dtype)
         i_min = int(np.argmin(chunk_ratio))
         c, s = int(cross[i_min]), int(smaller[i_min])
         if best_crossing >= 0 and c * best_side > best_crossing * s:

@@ -51,6 +51,7 @@ def naive_cheeger(g):
     lexicographically smallest sorted side containing vertex 0.
     """
     n = g.num_vertices
+    pairs = Counter(g.edges)
     best = None
     best_a = None
     for k in range(0, n - 1):
@@ -58,9 +59,9 @@ def naive_cheeger(g):
             side = (0,) + extra
             members = set(side)
             crossing = 0
-            for u, v in g.edges:
+            for (u, v), mult in pairs.items():
                 if u != v and ((u in members) != (v in members)):
-                    crossing += 1
+                    crossing += mult
             ratio = Fraction(crossing, min(len(side), n - len(side)))
             if best is None or ratio < best or (ratio == best and side < best_a):
                 best = ratio
@@ -99,6 +100,15 @@ def random_seed(rng, n, rank):
     edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rank)]
     rng.shuffle(edges)
     return build_graph(n, edges)
+
+
+def with_heavy_pairs(rng, n, edges, extra):
+    """The graph of `edges` plus `extra` parallel edges spread over three
+    random vertex pairs."""
+    heavy = rng.sample(list(itertools.combinations(range(n), 2)), 3)
+    a, b = sorted(rng.randint(0, extra) for _ in range(2))
+    mults = (a, b - a, extra - b)
+    return build_graph(n, list(edges) + [p for p, m in zip(heavy, mults) for _ in range(m)])
 
 
 def cube(d):
@@ -311,11 +321,17 @@ class TestMaskOracle:
     def test_oracle_matches_naive(self, g):
         assert mask_cheeger(g) == naive_cheeger(g)
 
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", range(16))
     def test_random_multigraphs(self, seed):
+        """From seed 10 on, heavy parallel pairs put the non-loop edge weight
+        W on both sides of the float32 bound W * floor(n/2)^2 < 2^23: below
+        it for even seeds, above it for the odd seeds drawn here."""
         rng = random.Random(1000 + seed)
         n = rng.randint(14, 18)
         g = random_seed(rng, n, rng.randint(n, 3 * n))
+        if seed >= 10:
+            limit = (1 << 23) // (n // 2) ** 2 - 3 * n
+            g = with_heavy_pairs(rng, n, g.edges, rng.randint(1, limit) + seed % 2 * limit)
         result = exact_cheeger(g)
         assert (result.value, result.witness.side_a) == mask_cheeger(g)
 
@@ -327,8 +343,37 @@ class TestMaskOracle:
         assert result.value == Fraction(2, m)
 
 
+class TestRatioPrecision:
+    """At n = 12 (floor(n/2)^2 = 36) the search ranks its ratios in float32
+    up to W = 233,016, since 233,016 * 36 < 2^23 <= 233,017 * 36."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "weight, precision", [(233_016, np.float32), (233_017, np.float64)]
+    )
+    def test_weight_at_the_bound(self, weight, precision, seed, monkeypatch):
+        rng = random.Random(seed)
+        # K12 repeated to about half the weight keeps every ratio large.
+        pairs = list(itertools.combinations(range(12), 2))
+        base = pairs * (weight // 2 // len(pairs))
+        g = with_heavy_pairs(rng, 12, base, weight - len(base))
+        assert sum(u != v for u, v in g.edges) == weight
+        divide, precisions = np.divide, []
+
+        def spy(*args, **kwargs):
+            precisions.append(kwargs.get("dtype"))
+            return divide(*args, **kwargs)
+
+        monkeypatch.setattr(np, "divide", spy)
+        result = exact_cheeger(g)
+        monkeypatch.undo()
+        assert precisions == [precision]
+        assert (result.value, result.witness.side_a) == mask_cheeger(g) == naive_cheeger(g)
+
+
 def test_search_memory_peak_on_c26():
-    """The 26-vertex search stays under the per-edge enumerator's 42 MB peak."""
+    """The 26-vertex search stays under 11 MB of traced peak: its float32
+    ratio buffer and the int8 tables peak at 9.45 MB (13.64 MB in float64)."""
     tracemalloc.start()
     try:
         result = exact_cheeger(cycle(26))
@@ -336,7 +381,7 @@ def test_search_memory_peak_on_c26():
     finally:
         tracemalloc.stop()
     assert result.value == Fraction(2, 13)
-    assert peak < 42 * 10**6
+    assert peak < 11 * 10**6
 
 
 class TestLemmaCut:
