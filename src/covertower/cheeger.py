@@ -21,6 +21,7 @@ confirm raises ValidationError.  Callers need no second check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -49,14 +50,39 @@ _CHUNK_BITS = 20
 SWEEP_TIE_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cut:
-    """A vertex bipartition with its crossing count and expansion ratio."""
+    """A vertex bipartition with its crossing count and expansion ratio.
 
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
+    ``in_a`` marks side A as a read-only boolean mask over the vertex ids.
+    ``side_a`` and ``side_b`` (its complement) are the sorted id tuples,
+    built from the mask on first read, so a caller that reads only the
+    ratio never builds one.
+    """
+
+    in_a: np.ndarray
     crossing_edges: int
     ratio: Fraction
+
+    @cached_property
+    def side_a(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.in_a).tolist())
+
+    @cached_property
+    def side_b(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(~self.in_a).tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Cut):
+            return NotImplemented
+        return (
+            self.crossing_edges == other.crossing_edges
+            and self.ratio == other.ratio
+            and np.array_equal(self.in_a, other.in_a)
+        )
+
+    def __hash__(self):
+        return hash((self.in_a.tobytes(), self.crossing_edges, self.ratio))
 
     def to_json_dict(self) -> dict:
         return {
@@ -89,8 +115,9 @@ class CheegerResult:
 def cut_ratio(g: MultiGraph, side_a: Iterable[int]) -> Cut:
     """Exact crossing count and ratio for the bipartition (side_a, complement)."""
     in_a = _side_mask(g, side_a)
+    in_a.flags.writeable = False
     crossing, smaller = _recount(g, in_a)
-    return Cut(*_sides(in_a), crossing, Fraction(crossing, smaller))
+    return Cut(in_a, crossing, Fraction(crossing, smaller))
 
 
 def _recount(g: MultiGraph, in_a: np.ndarray) -> tuple[int, int]:
@@ -123,21 +150,25 @@ def _side_mask(g: MultiGraph, side_a: Iterable[int]) -> np.ndarray:
     return in_a
 
 
-def _sides(in_a: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Sorted vertex ids of side A and of its complement."""
-    return tuple(np.flatnonzero(in_a).tolist()), tuple(np.flatnonzero(~in_a).tolist())
-
-
 def verify_witness(g: MultiGraph, result: CheegerResult) -> None:
-    """Recount the witness cut from its side A and insist it matches the claim.
+    """Recount the witness cut from its mask and insist it matches the claim.
 
-    Side B must be the sorted complement of side A, as emitted.
+    The mask must be a read-only bool array with one entry per vertex, so
+    the side tuples derived from it cannot drift from what was recounted.
     """
     claim = result.witness
-    in_a = _side_mask(g, claim.side_a)
+    in_a = claim.in_a
+    if not (
+        isinstance(in_a, np.ndarray)
+        and in_a.dtype == np.bool_
+        and in_a.shape == (g.num_vertices,)
+    ):
+        raise ValidationError(
+            f"witness mask must be a bool array of {g.num_vertices} entries"
+        )
+    if in_a.flags.writeable:
+        raise ValidationError("witness mask must be read-only")
     crossing, smaller = _recount(g, in_a)
-    if np.flatnonzero(~in_a).tolist() != list(claim.side_b):
-        raise ValidationError("witness side B is not the sorted complement of side A")
     ratio = Fraction(crossing, smaller)
     if (crossing, ratio, ratio) != (claim.crossing_edges, claim.ratio, result.value):
         raise ValidationError(
@@ -149,16 +180,20 @@ def verify_witness(g: MultiGraph, result: CheegerResult) -> None:
 
 def _verified(
     g: MultiGraph,
-    side_a: Iterable[int],
+    in_a: np.ndarray,
     crossing: int,
     smaller: int,
     certified: str,
     method: str,
 ) -> CheegerResult:
-    """The claimed cut as a result, once `verify_witness` has recounted it."""
-    side_a, side_b = _sides(_side_mask(g, side_a))
+    """The claimed cut as a result, once `verify_witness` has recounted it.
+
+    The result's witness takes over in_a, the caller's fresh mask of side A,
+    and makes it read-only.
+    """
+    in_a.flags.writeable = False
     ratio = Fraction(crossing, smaller)
-    result = CheegerResult(ratio, Cut(side_a, side_b, crossing, ratio), certified, method)
+    result = CheegerResult(ratio, Cut(in_a, crossing, ratio), certified, method)
     verify_witness(g, result)
     return result
 
@@ -326,8 +361,8 @@ def exact_cheeger(
             "cheeger constant of a disconnected graph degenerates to 0; "
             "refusing the trivial answer"
         )
-    side_a = [v for v in range(n) if best_mask >> v & 1]
-    return _verified(g, side_a, best_crossing, best_side, EXACT, METHOD_BRUTE_FORCE)
+    in_a = (best_mask >> np.arange(n)) & 1 == 1
+    return _verified(g, in_a, best_crossing, best_side, EXACT, METHOD_BRUTE_FORCE)
 
 
 def lemma_cut(cover: CoveredGraph) -> CheegerResult:
@@ -341,11 +376,11 @@ def lemma_cut(cover: CoveredGraph) -> CheegerResult:
     if r < 1:
         raise ValidationError("trivial cover (rank 0) has no coordinate cut")
     high_bit = 1 << (r - 1)  # the bitvector is the low r bits of a vertex id
-    side_a = np.flatnonzero((np.arange(cover.graph.num_vertices) & high_bit) == 0)
+    in_a = (np.arange(cover.graph.num_vertices) & high_bit) == 0
     # The claim is the closed form: 2^r crossing lifts, 2^(r-1) #V(base) a side.
     half = high_bit * cover.base.num_vertices
     return _verified(
-        cover.graph, side_a, cover.sheets, half, UPPER_BOUND, METHOD_LEMMA_CUT
+        cover.graph, in_a, cover.sheets, half, UPPER_BOUND, METHOD_LEMMA_CUT
     )
 
 
@@ -356,8 +391,9 @@ def sweep_cut(g: MultiGraph, vectors: Sequence[float] | np.ndarray) -> CheegerRe
     orders the vertices by value, and values within SWEEP_TIE_TOLERANCE times
     the row's largest magnitude form one tie class, ordered by vertex id.
     Ties between equal-ratio cuts keep the shortest prefix, then the earliest
-    row.  The result is an upper bound on the Cheeger constant (and equals it
-    whenever the optimum cut is a prefix).
+    row.  All rows are sorted and counted in one batched pass.  The result
+    is an upper bound on the Cheeger constant (and equals it whenever the
+    optimum cut is a prefix).
     """
     n = g.num_vertices
     rows = np.asarray(vectors, dtype=float)
@@ -375,37 +411,44 @@ def sweep_cut(g: MultiGraph, vectors: Sequence[float] | np.ndarray) -> CheegerRe
         raise ValidationError("sweep cut needs at least one vector")
     if not is_connected(g):
         raise DisconnectedGraphError("sweep cut requires a connected graph")
+    k = len(rows)
+    order = _sweep_orders(rows)
+    position = np.empty_like(order)
+    position[np.arange(k)[:, np.newaxis], order] = np.arange(n)
+    # Edge {u, v} crosses the prefix of size s when min(pos) < s <= max(pos):
+    # it enters the count at min + 1 and leaves it at max + 1.  One bincount
+    # takes every row's entries and then every row's exits, n + 1 bins each.
     ends = g.ends[g.ends[:, 0] != g.ends[:, 1]]
+    pu, pv = position[:, ends[:, 0]], position[:, ends[:, 1]]
+    steps = np.concatenate((np.minimum(pu, pv), np.maximum(pu, pv)))
+    steps += np.arange(2 * k)[:, np.newaxis] * (n + 1) + 1
+    enter, leave = np.bincount(steps.ravel(), minlength=2 * k * (n + 1)).reshape(2, k, n + 1)
+    crossing = np.cumsum(enter - leave, axis=1)[:, 1:n]
     smaller = np.minimum(np.arange(1, n), np.arange(n - 1, 0, -1))
-    best: tuple[Fraction, int, np.ndarray] | None = None
-    for row in rows:
-        order = _sweep_order(row)
-        position = np.empty(n, dtype=np.int64)
-        position[order] = np.arange(n)
-        # Edge {u, v} crosses the prefix of size s when min(pos) < s <= max(pos).
-        pos = position[ends]
-        delta = np.bincount(pos.min(axis=1) + 1, minlength=n + 1) - np.bincount(
-            pos.max(axis=1) + 1, minlength=n + 1
-        )
-        crossing = np.cumsum(delta)[1:n]
-        ratio = crossing / smaller
-        # Float ratios only shortlist; the exact minimum is taken on Fractions.
-        near = np.flatnonzero(ratio <= ratio.min() * (1 + 1e-9))
-        value, i = min(
-            (Fraction(int(crossing[i]), int(smaller[i])), int(i)) for i in near
-        )
-        if best is None or (value, i) < best[:2]:
-            best = (value, i, int(crossing[i]), order)
-    assert best is not None
-    _, i, count, order = best
-    return _verified(g, order[: i + 1], count, int(smaller[i]), UPPER_BOUND, METHOD_SWEEP)
+    ratio = crossing / smaller
+    # Float ratios only shortlist (rounding is monotone, so the exact minima
+    # are on it); the exact minimum is taken on Fractions, ties keeping the
+    # shortest prefix and then the earliest row.
+    near_rows, near = np.nonzero(ratio <= ratio.min() * (1 + 1e-9))
+    _, i, r = min(
+        (Fraction(int(crossing[r, i]), int(smaller[i])), i, r)
+        for r, i in zip(near_rows.tolist(), near.tolist())
+    )
+    in_a = position[r] <= i
+    return _verified(g, in_a, int(crossing[r, i]), int(smaller[i]), UPPER_BOUND, METHOD_SWEEP)
 
 
-def _sweep_order(values: np.ndarray) -> np.ndarray:
-    """Vertex ids by value, with near-equal values as one tie class by id."""
-    by_value = np.argsort(values, kind="stable")
-    scale = float(np.max(np.abs(values)))
-    starts = np.diff(values[by_value]) > SWEEP_TIE_TOLERANCE * scale
-    tie_class = np.empty(len(values), dtype=np.int64)
-    tie_class[by_value] = np.concatenate(([0], np.cumsum(starts)))
-    return np.lexsort((np.arange(len(values)), tie_class))
+def _sweep_orders(rows: np.ndarray) -> np.ndarray:
+    """Each row's vertex ids by value, near-equal values as one tie class by id."""
+    k, n = rows.shape
+    by_value = np.argsort(rows, axis=1, kind="stable")
+    scale = np.max(np.abs(rows), axis=1, keepdims=True)
+    starts = np.diff(np.take_along_axis(rows, by_value, axis=1), axis=1) > (
+        SWEEP_TIE_TOLERANCE * scale
+    )
+    tie_class = np.zeros((k, n), dtype=np.int64)
+    np.cumsum(starts, axis=1, out=tie_class[:, 1:])
+    # Tie classes run in value order, so (class, id) as one key orders each
+    # class by id and keeps the classes in place.
+    key = tie_class * n + by_value
+    return np.take_along_axis(by_value, np.argsort(key, axis=1), axis=1)

@@ -404,8 +404,38 @@ def spanning_tree(g: MultiGraph) -> CoverSpec:
 
 
 def component_count(g: MultiGraph) -> int:
-    """Connected components: a maximal forest has #V - #components edges."""
-    return g.num_vertices - g.num_edges + spanning_tree(g).rank
+    """Connected components, by hooking and pointer jumping over ``ends``.
+
+    Each vertex holds a label, first its own id; a label only decreases, so
+    following labels ends at a root (a vertex labelled by itself).  Each
+    round hooks, for every edge whose two ends have different labels, the
+    larger of those roots to the smaller (``np.minimum.at``), then repeats
+    ``label = label[label]`` until it stops changing, so every label is a
+    root again.  A root's vertices are always connected.  The rounds stop
+    when every edge has equal labels at both ends; the roots are then the
+    components.
+
+    A root with a neighbouring root either hooks to a smaller one or is
+    smaller than all of them, and then each of them hooks into another
+    root's tree: its own (it absorbed a root), or one below it, which it
+    hooks to in the next round.  So within two rounds every such root stops
+    being a root or absorbs another, which at least halves them: O(log V)
+    rounds of O(E) hooks, each followed by O(log V) jumps of O(V).
+    """
+    label = np.arange(g.num_vertices)
+    u, v = g.ends[:, 0], g.ends[:, 1]
+    while True:
+        lu, lv = label[u], label[v]
+        split = lu != lv
+        if not split.any():
+            return int(np.count_nonzero(label == np.arange(g.num_vertices)))
+        lu, lv = lu[split], lv[split]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 def is_connected(g: MultiGraph) -> bool:

@@ -531,6 +531,12 @@ class TestCutRatio:
         assert cut_one.ratio == cut_two.ratio
 
 
+def read_only_mask(values, dtype=bool):
+    mask = np.array(values, dtype=dtype)
+    mask.flags.writeable = False
+    return mask
+
+
 class TestVerifyWitness:
     def test_accepts_honest_result(self, gamma1):
         verify_witness(gamma1.graph, exact_cheeger(gamma1.graph))
@@ -540,29 +546,54 @@ class TestVerifyWitness:
         tampered = CheegerResult(
             value=Fraction(1, 2),
             witness=Cut(
-                side_a=honest.witness.side_a,
-                side_b=honest.witness.side_b,
+                in_a=honest.witness.in_a,
                 crossing_edges=honest.witness.crossing_edges,
                 ratio=Fraction(1, 2),
             ),
             certified="exact",
             method="brute_force",
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="witness does not re-verify"):
             verify_witness(gamma1.graph, tampered)
 
-    @pytest.mark.parametrize(
-        "side_b", [(0, 1, 2, 3), (3, 2), (2,), (2, 3, 4)],
-        ids=["everything", "unsorted", "short", "extra"],
-    )
-    def test_rejects_side_b_not_the_sorted_complement(self, side_b):
-        # {0, 1} of the 4-cycle: 2 crossing edges, ratio 1, side B {2, 3}.
-        def result(side_b):
-            return CheegerResult(Fraction(1), Cut((0, 1), side_b, 2, Fraction(1)), "exact", "brute_force")
+    @staticmethod
+    def four_cycle_result(in_a):
+        """{0, 1} of the 4-cycle claimed: 2 crossing edges, ratio 1."""
+        return CheegerResult(Fraction(1), Cut(in_a, 2, Fraction(1)), "exact", "brute_force")
 
-        verify_witness(cycle(4), result((2, 3)))
-        with pytest.raises(ValidationError, match="side B is not the sorted complement"):
-            verify_witness(cycle(4), result(side_b))
+    def test_mask_derives_the_sorted_sides(self):
+        result = self.four_cycle_result(read_only_mask([True, True, False, False]))
+        verify_witness(cycle(4), result)
+        assert (result.witness.side_a, result.witness.side_b) == ((0, 1), (2, 3))
+        assert result.witness.to_json_dict() == {
+            "side_a": [0, 1], "side_b": [2, 3], "crossing_edges": 2, "ratio": "1",
+        }
+
+    @pytest.mark.parametrize(
+        "mask, message",
+        [
+            (read_only_mask([True, True, False]), "bool array of 4 entries"),
+            (read_only_mask([True, True, False, False, False]), "bool array of 4 entries"),
+            (read_only_mask([1, 1, 0, 0], np.uint8), "bool array of 4 entries"),
+            ((True, True, False, False), "bool array of 4 entries"),
+            (np.array([True, True, False, False]), "read-only"),
+        ],
+        ids=["short", "long", "not-bool", "not-an-array", "writable"],
+    )
+    def test_rejects_a_malformed_mask(self, mask, message):
+        with pytest.raises(ValidationError, match=message):
+            verify_witness(cycle(4), self.four_cycle_result(mask))
+
+    @pytest.mark.parametrize("fill", [False, True], ids=["empty", "full"])
+    def test_rejects_a_degenerate_mask(self, fill):
+        with pytest.raises(DegenerateCutError):
+            verify_witness(cycle(4), self.four_cycle_result(read_only_mask([fill] * 4)))
+
+    def test_results_hold_read_only_masks(self, gamma1):
+        for run in _cheeger_methods(gamma1).values():
+            in_a = run().witness.in_a
+            assert in_a.dtype == bool and not in_a.flags.writeable
+        assert not cut_ratio(gamma1.graph, [0, 1]).in_a.flags.writeable
 
 
 def _recount_counter(monkeypatch):
@@ -699,12 +730,31 @@ class TestVectorizedSweep:
             assert result.witness.side_a == tuple(sorted(order[:size]))
 
     def test_basis_takes_best_row(self):
-        g = SWEEP_COVERS[0]
+        """The batched sweep equals the (value, prefix size, row) minimum of
+        the per-row oracle, on bases whose rows tie on the ratio."""
         rng = np.random.default_rng(3)
-        rows = rng.standard_normal((5, g.num_vertices))
-        singles = [sweep_cut(g, row) for row in rows]
-        best = min(singles, key=lambda r: (r.value, len(r.witness.side_a)))
-        assert sweep_cut(g, rows) == best
+        bases = [(SWEEP_COVERS[0], rng.standard_normal((5, SWEEP_COVERS[0].num_vertices)))]
+        # Q3's coordinate functions, last bit first: every row's best cut is
+        # a half-cube of ratio 1, so the first row wins on a full tie.
+        bases.append((cube(3), np.array([[v >> b & 1 for v in range(8)] for b in (2, 1, 0)])))
+        # Rows of -1, 0 and 1: ties within rows and between them.
+        for g in [g for g in SMALL_CONNECTED if g.num_vertices >= 2] + SWEEP_COVERS[:6]:
+            for k in (2, 3, 5):
+                bases.append((g, rng.integers(-1, 2, size=(k, g.num_vertices)).astype(float)))
+        tied_rows = shorter_later = 0
+        for g, rows in bases:
+            n = g.num_vertices
+            orders = [sorted(range(n), key=lambda v: (row[v], v)) for row in rows]
+            per_row = [(*loop_sweep(g, order), r) for r, order in enumerate(orders)]
+            ratio, size, r = min(per_row)
+            result = sweep_cut(g, rows)
+            assert result.value == ratio
+            assert result.witness.side_a == tuple(sorted(orders[r][:size]))
+            tied = [(s, q) for value, s, q in per_row if value == ratio]
+            tied_rows += len(tied) > 1
+            shorter_later += r > min(q for _, q in tied)
+        assert sweep_cut(*bases[1]).witness.side_a == (0, 1, 2, 3)
+        assert tied_rows >= 10 and shorter_later >= 3, (tied_rows, shorter_later)
 
     def test_near_ties_order_by_vertex_id(self):
         g = cycle(6)

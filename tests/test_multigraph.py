@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -152,6 +153,27 @@ class TestConnectivityAndMetrics:
         g = build_graph(2, [])
         assert not is_connected(g)
         assert component_count(g) == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_component_count_matches_the_spanning_forest(self, seed):
+        # A maximal forest has #V - #components edges.
+        rng = random.Random(seed)
+        for n in range(31):
+            for _ in range(4):
+                edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+                edges += [(v, v) for v in rng.sample(range(n), min(n, 3))]  # loops
+                edges += rng.sample(edges, min(len(edges), 4))  # parallel copies
+                g = build_graph(n, edges)
+                assert component_count(g) == n - g.num_edges + spanning_tree(g).rank
+
+    def test_component_count_of_large_and_split_graphs(self):
+        n = 100_000
+        assert component_count(cycle(n)) == 1
+        ids = np.random.default_rng(0).permutation(n)
+        shuffled_path = MultiGraph(n, np.sort(np.column_stack((ids[:-1], ids[1:])), axis=1))
+        assert component_count(shuffled_path) == 1
+        two_cycles = build_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
+        assert component_count(two_cycles) == 2
 
     def test_degree_sequence_sorted(self):
         g = build_graph(3, [(0, 1), (0, 1), (0, 2)])
