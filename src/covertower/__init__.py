@@ -10,7 +10,6 @@ and track Laplacian spectral gaps along the tower.
 from .cheeger import (
     CheegerResult,
     Cut,
-    cut_ratio,
     exact_cheeger,
     lemma_cut,
     sweep_cut,
@@ -46,7 +45,6 @@ from .spectrum import (
     full_spectrum,
     laplacian,
     laplacian_spectrum,
-    spectrum_inclusion,
     symmetric_eigensystem,
 )
 from .tower import TowerLevel, TowerReport, iterate_tower
@@ -74,7 +72,6 @@ __all__ = [
     "ValidationError",
     "build_graph",
     "cheeger_sandwich",
-    "cut_ratio",
     "exact_cheeger",
     "full_spectrum",
     "is_connected",
@@ -83,7 +80,6 @@ __all__ = [
     "laplacian_spectrum",
     "lemma_cut",
     "spanning_tree",
-    "spectrum_inclusion",
     "sweep_cut",
     "symmetric_eigensystem",
     "verify_regular_cover",

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -112,14 +112,6 @@ class CheegerResult:
         }
 
 
-def cut_ratio(g: MultiGraph, side_a: Iterable[int]) -> Cut:
-    """Exact crossing count and ratio for the bipartition (side_a, complement)."""
-    in_a = _side_mask(g, side_a)
-    in_a.flags.writeable = False
-    crossing, smaller = _recount(g, in_a)
-    return Cut(in_a, crossing, Fraction(crossing, smaller))
-
-
 def _recount(g: MultiGraph, in_a: np.ndarray) -> tuple[int, int]:
     """(crossing count, smaller side size) of the bipartition marked by in_a."""
     size_a = int(np.count_nonzero(in_a))
@@ -130,24 +122,6 @@ def _recount(g: MultiGraph, in_a: np.ndarray) -> tuple[int, int]:
     # A loop's two ends are on one side, so loops never cross.
     crossing = int(np.count_nonzero(in_a[g.ends[:, 0]] != in_a[g.ends[:, 1]]))
     return crossing, min(size_a, g.num_vertices - size_a)
-
-
-def _side_mask(g: MultiGraph, side_a: Iterable[int]) -> np.ndarray:
-    """Boolean membership of side A; every id must be an integer vertex."""
-    items = side_a if isinstance(side_a, np.ndarray) else list(side_a)
-    ids = np.asarray(items)
-    if ids.dtype.kind not in "iu":
-        # Empty, bool, huge or mixed ids: check each one as given.
-        for v in items:
-            if not (isinstance(v, (int, np.integer)) and 0 <= v < g.num_vertices):
-                raise ValidationError(f"vertex id {v!r} out of range")
-        ids = np.array(items, dtype=np.int64)
-    elif ids.size and (ids.min() < 0 or ids.max() >= g.num_vertices):
-        bad = (ids < 0) | (ids >= g.num_vertices)
-        raise ValidationError(f"vertex id {int(ids[bad.argmax()])!r} out of range")
-    in_a = np.zeros(g.num_vertices, dtype=bool)
-    in_a[ids] = True
-    return in_a
 
 
 def verify_witness(g: MultiGraph, result: CheegerResult) -> None:

@@ -16,6 +16,7 @@ All artifacts are byte-deterministic for a fixed command line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -64,6 +65,7 @@ class _TruncatedStrict(Exception):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the four subcommands; `main` builds one and keeps it."""
     parser = argparse.ArgumentParser(
         prog="covertower",
         description=(
@@ -232,17 +234,32 @@ def _error_exit_code(exc: BaseException) -> int:
     return EXIT_CONFIG
 
 
+_HANDLERS = {
+    "tower": cmd_tower,
+    "cover": cmd_cover,
+    "cheeger": cmd_cheeger,
+    "spectrum": cmd_spectrum,
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on first use, not at import, so importing the module stays cheap.
+    # Parsing leaves no state in the parser: no argument appends or has a
+    # mutable default.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "tower": cmd_tower,
-        "cover": cmd_cover,
-        "cheeger": cmd_cheeger,
-        "spectrum": cmd_spectrum,
-    }
+    """Run one command and return its exit code; safe to call repeatedly.
+
+    The parser is built on the first call and reused by later calls in the
+    process, so its defaults (the vertex, Cheeger and spectrum caps) are read
+    once per process.
+    """
+    args = _parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return _HANDLERS[args.command](args)
     except _TruncatedStrict as exc:
         print(
             json.dumps({"error": "Truncated", "message": str(exc)}),

@@ -331,26 +331,3 @@ def cheeger_sandwich(
         lower_slack=h_float - lam / 2.0,
         **upper,
     )
-
-
-def spectrum_inclusion(
-    base: SpectralSummary, cover: SpectralSummary, tol: float = 1e-9
-) -> bool:
-    """Whether the base eigenvalue multiset embeds in the cover's, within tol.
-
-    Greedy two-pointer matching on the ascending lists; correct because both
-    lists are sorted.
-    """
-    if base.kind != cover.kind:
-        raise ValidationError(
-            f"kind mismatch: {base.kind!r} vs {cover.kind!r}"
-        )
-    i = 0
-    cover_vals = cover.eigenvalues
-    for value in base.eigenvalues:
-        while i < len(cover_vals) and cover_vals[i] < value - tol:
-            i += 1
-        if i >= len(cover_vals) or abs(cover_vals[i] - value) > tol:
-            return False
-        i += 1
-    return True

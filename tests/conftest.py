@@ -4,17 +4,27 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import pytest
 
-from covertower import CoverSpec, MultiGraph, build_graph, spanning_tree, sweep_cut, z2_cover
+from covertower import (
+    CoverSpec,
+    MultiGraph,
+    ValidationError,
+    build_graph,
+    spanning_tree,
+    sweep_cut,
+    z2_cover,
+)
+from covertower.cheeger import Cut, _recount
 from covertower.covers import CoveredGraph
 from covertower.multigraph import component_count
 from covertower.spectrum import (
     COMBINATORIAL,
     NORMALIZED,
+    SpectralSummary,
     canonical_basis,
     laplacian,
     summarize_spectrum,
@@ -82,6 +92,55 @@ def random_connected_multigraph(rng: random.Random, n: int, rank: int) -> MultiG
     edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rank)]
     rng.shuffle(edges)
     return build_graph(n, edges)
+
+
+def cut_ratio(g: MultiGraph, side_a: Iterable[int]) -> Cut:
+    """Exact crossing count and ratio for the bipartition (side_a, complement)."""
+    in_a = _side_mask(g, side_a)
+    in_a.flags.writeable = False
+    crossing, smaller = _recount(g, in_a)
+    return Cut(in_a, crossing, Fraction(crossing, smaller))
+
+
+def _side_mask(g: MultiGraph, side_a: Iterable[int]) -> np.ndarray:
+    """Boolean membership of side A; every id must be an integer vertex."""
+    items = side_a if isinstance(side_a, np.ndarray) else list(side_a)
+    ids = np.asarray(items)
+    if ids.dtype.kind not in "iu":
+        # Empty, bool, huge or mixed ids: check each one as given.
+        for v in items:
+            if not (isinstance(v, (int, np.integer)) and 0 <= v < g.num_vertices):
+                raise ValidationError(f"vertex id {v!r} out of range")
+        ids = np.array(items, dtype=np.int64)
+    elif ids.size and (ids.min() < 0 or ids.max() >= g.num_vertices):
+        bad = (ids < 0) | (ids >= g.num_vertices)
+        raise ValidationError(f"vertex id {int(ids[bad.argmax()])!r} out of range")
+    in_a = np.zeros(g.num_vertices, dtype=bool)
+    in_a[ids] = True
+    return in_a
+
+
+def spectrum_inclusion(
+    base: SpectralSummary, cover: SpectralSummary, tol: float = 1e-9
+) -> bool:
+    """Whether the base eigenvalue multiset embeds in the cover's, within tol.
+
+    Greedy two-pointer matching on the ascending lists; correct because both
+    lists are sorted.
+    """
+    if base.kind != cover.kind:
+        raise ValidationError(
+            f"kind mismatch: {base.kind!r} vs {cover.kind!r}"
+        )
+    i = 0
+    cover_vals = cover.eigenvalues
+    for value in base.eigenvalues:
+        while i < len(cover_vals) and cover_vals[i] < value - tol:
+            i += 1
+        if i >= len(cover_vals) or abs(cover_vals[i] - value) > tol:
+            return False
+        i += 1
+    return True
 
 
 class LoopCover(NamedTuple):

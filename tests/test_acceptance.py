@@ -17,7 +17,6 @@ from covertower import (
     is_connected,
     iterate_tower,
     lemma_cut,
-    spectrum_inclusion,
     verify_regular_cover,
 )
 from covertower.cli import main as cli_main
@@ -32,6 +31,7 @@ from conftest import (
     figure8,
     loop_cover,
     path,
+    spectrum_inclusion,
     theta,
 )
 

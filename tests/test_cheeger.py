@@ -19,7 +19,6 @@ from covertower import (
     SizeCapError,
     ValidationError,
     build_graph,
-    cut_ratio,
     exact_cheeger,
     is_connected,
     laplacian_spectrum,
@@ -36,6 +35,7 @@ from covertower.tower import iterate_tower
 from conftest import (
     complete,
     cover_of,
+    cut_ratio,
     cycle,
     doubled_cycle,
     figure8,

@@ -10,8 +10,10 @@ import pytest
 import covertower.cli as cli_mod
 import covertower.multigraph as multigraph_mod
 import covertower.tower as tower_mod
-from covertower import MultiGraph, cut_ratio
+from covertower import MultiGraph
 from covertower.cli import main
+
+from conftest import cut_ratio
 
 
 def run_cli(*argv, capsys=None):
@@ -427,6 +429,64 @@ class TestSpectrumCommand:
             "spectrum", "cycle:10", "--spectrum-cap", "4", capsys=capsys
         )
         assert code == 5
+
+
+def run_fresh(*argv):
+    """The same command line in a new interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "covertower.cli", *argv], capture_output=True, text=True
+    )
+
+
+class TestRepeatedMainCalls:
+    """`main` reuses one parser; nothing carries over from call to call."""
+
+    def test_nothing_carries_over_between_calls(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            "tower", "--seed", "bouquet:3", "--levels", "3", "--vertex-cap", "64",
+            "--strict", "--format", "svg", "--out", str(tmp_path / "strict"), capsys=capsys,
+        )
+        assert (code, out, json.loads(err)["error"]) == (3, "", "Truncated")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["strict.svg"]
+
+        # No --vertex-cap, --strict or --format from the call before.
+        (tmp_path / "in").mkdir()
+        (tmp_path / "fresh").mkdir()
+        argv = ("tower", "--seed", "figure8", "--levels", "2", "--out")
+        assert run_cli(*argv, str(tmp_path / "in" / "r")) == 0
+        assert sorted(p.name for p in (tmp_path / "in").iterdir()) == ["r.csv", "r.json", "r.svg"]
+        assert run_fresh(*argv, str(tmp_path / "fresh" / "r")).returncode == 0
+        for ext in ("json", "csv", "svg"):
+            in_process = (tmp_path / "in" / f"r.{ext}").read_bytes()
+            assert in_process == (tmp_path / "fresh" / f"r.{ext}").read_bytes(), ext
+        assert json.loads((tmp_path / "in" / "r.json").read_text())["vertex_cap"] == 1_000_000
+        capsys.readouterr()
+
+        with pytest.raises(SystemExit) as exc:
+            main(["tower", "--levels", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+
+        code, out, err = run_cli("cheeger", "theta", capsys=capsys)
+        fresh = run_fresh("cheeger", "theta")
+        assert (code, out, err) == (0, fresh.stdout, "")
+        assert fresh.returncode == 0
+
+    def test_parser_built_once_per_process(self, monkeypatch):
+        build_parser = cli_mod.build_parser
+        built = []
+
+        def counting_build_parser():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli_mod, "build_parser", counting_build_parser)
+        cli_mod._parser.cache_clear()
+        for argv in (["spectrum", "theta"], ["cheeger", "theta"], ["cover", "figure8"]) * 3:
+            assert run_cli(*argv) == 0
+        assert len(built) == 1
+        assert cli_mod._parser() is built[0]
+        assert build_parser() is not build_parser()
 
 
 class TestEntryPoint:

@@ -15,7 +15,6 @@ from covertower import (
     DisconnectedGraphError,
     SizeCapError,
     build_graph,
-    cut_ratio,
     is_connected,
     iterate_tower,
     lemma_cut,
@@ -31,6 +30,7 @@ from conftest import (
     bouquet,
     complete,
     cover_of,
+    cut_ratio,
     cycle,
     figure8,
     loop_cover,

@@ -16,7 +16,6 @@ from covertower import (
     full_spectrum,
     laplacian,
     laplacian_spectrum,
-    spectrum_inclusion,
 )
 from covertower import spectrum as spectrum_mod
 from covertower.spectrum import (
@@ -40,6 +39,7 @@ from conftest import (
     figure8,
     path,
     random_connected_multigraph,
+    spectrum_inclusion,
     theta,
 )
 
