@@ -39,9 +39,7 @@ from .multigraph import (
     spanning_tree,
 )
 from .spectrum import (
-    SandwichReport,
     SpectralSummary,
-    cheeger_sandwich,
     full_spectrum,
     laplacian,
     laplacian_spectrum,
@@ -62,7 +60,6 @@ __all__ = [
     "DisconnectedGraphError",
     "MultiGraph",
     "RegularCoverReport",
-    "SandwichReport",
     "SizeCapError",
     "SpecMismatchError",
     "SpectralSummary",
@@ -71,7 +68,6 @@ __all__ = [
     "TowerReport",
     "ValidationError",
     "build_graph",
-    "cheeger_sandwich",
     "exact_cheeger",
     "full_spectrum",
     "is_connected",

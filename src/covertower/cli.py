@@ -4,7 +4,8 @@ Exit codes (frozen contract):
   0  success
   2  configuration or input validation error
   3  tower truncated by the vertex cap while --strict is set
-  4  computation infeasible for the input (size cap, degenerate cut)
+  4  computation infeasible for the input (size cap, degenerate cut,
+     allocation failure)
   5  spectral computation rejected its input (cap, isolated vertex)
   6  filesystem I/O error
 
@@ -57,6 +58,7 @@ _ERROR_CODES: tuple[tuple[type, int], ...] = (
     (SpectrumError, EXIT_SPECTRUM),
     (ConvergenceError, EXIT_SPECTRUM),
     (OSError, EXIT_IO),
+    (MemoryError, EXIT_INFEASIBLE),
 )
 
 
@@ -266,11 +268,12 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_TRUNCATED
-    except (CovertowerError, OSError) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+    except (CovertowerError, OSError, MemoryError) as exc:
+        name, message = type(exc).__name__, str(exc)
+        if isinstance(exc, MemoryError):
+            # An allocation that failed is a size the input made infeasible.
+            name, message = SizeCapError.__name__, message or "out of memory"
+        print(json.dumps({"error": name, "message": message}), file=sys.stderr)
         return _error_exit_code(exc)
 
 

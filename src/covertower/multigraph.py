@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import SizeCapError, ValidationError
+from .errors import SizeCapError, SpecMismatchError, ValidationError
 
 JSON_SCHEMA_VERSION = 1
 # Edges formatted per block by ``_edge_text``: bounds its byte buffers.
@@ -310,8 +310,6 @@ class CoverSpec:
 
     def validate_for(self, g: MultiGraph) -> None:
         """Raise SpecMismatchError unless the other edges are a maximal forest of g."""
-        from .errors import SpecMismatchError
-
         cotree: set[int] = set()
         for e in self.cotree_edges:
             if not (_is_int(e) and 0 <= e < g.num_edges):
@@ -319,27 +317,16 @@ class CoverSpec:
             if e in cotree:
                 raise SpecMismatchError(f"cotree edge {e} is listed twice")
             cotree.add(e)
-        # The tree edges must be acyclic, and maximal: no cotree edge may
-        # join two of their trees.
-        parent = list(range(g.num_vertices))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        # The tree edges are acyclic when their BFS forest keeps every one,
+        # and maximal when no cotree edge joins two of its trees.
+        tree, root = _bfs_forest(g, cotree)
+        if len(tree) < g.num_edges - len(cotree):
+            e = next(e for e in range(g.num_edges) if e not in cotree and e not in tree)
+            raise SpecMismatchError(f"tree edge {e} closes a cycle")
         ends = g.ends.tolist()
-        for e, (u, v) in enumerate(ends):
-            if e in cotree:
-                continue
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise SpecMismatchError(f"tree edge {e} closes a cycle")
-            parent[ru] = rv
         for e in self.cotree_edges:
             u, v = ends[e]
-            if find(u) != find(v):
+            if root[u] != root[v]:
                 raise SpecMismatchError("tree is not maximal (does not span every component)")
 
 
@@ -381,26 +368,32 @@ def _is_int(value) -> bool:
 
 
 def spanning_tree(g: MultiGraph) -> CoverSpec:
-    """Deterministic maximal forest via BFS.
+    """Deterministic maximal forest via BFS (``_bfs_forest``); cotree ids ascending."""
+    tree, _ = _bfs_forest(g, set())
+    return CoverSpec(tuple(e for e in range(g.num_edges) if e not in tree))
+
+
+def _bfs_forest(g: MultiGraph, skip: set[int]) -> tuple[set[int], list[int]]:
+    """(tree edge ids, BFS root of each vertex) of g without the edges in skip.
 
     BFS starts at the lowest vertex id of each component and explores edges
-    in ascending edge-id order.  The cotree edge ids are listed ascending.
+    in ascending edge-id order.
     """
-    visited = [False] * g.num_vertices
+    incidence = g.incidence
+    root = [-1] * g.num_vertices
     tree: set[int] = set()
-    for root in range(g.num_vertices):
-        if visited[root]:
+    for r in range(g.num_vertices):
+        if root[r] >= 0:
             continue
-        visited[root] = True
-        queue = deque([root])
+        root[r] = r
+        queue = deque([r])
         while queue:
-            v = queue.popleft()
-            for eid, other in g.incidence[v]:
-                if not visited[other]:
-                    visited[other] = True
+            for eid, other in incidence[queue.popleft()]:
+                if root[other] < 0 and eid not in skip:
+                    root[other] = r
                     tree.add(eid)
                     queue.append(other)
-    return CoverSpec(tuple(e for e in range(g.num_edges) if e not in tree))
+    return tree, root
 
 
 def component_count(g: MultiGraph) -> int:

@@ -1,4 +1,4 @@
-"""Graph Laplacians, spectral summaries, and discrete Cheeger inequalities.
+"""Graph Laplacians and spectral summaries.
 
 Degree convention: a loop adds 2 to both the adjacency diagonal and the
 degree, so loops cancel exactly in the combinatorial Laplacian L = D - A.
@@ -22,11 +22,9 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .cheeger import CheegerResult
 from .errors import ConvergenceError, SpectrumError, ValidationError
 from .multigraph import MultiGraph
 
@@ -259,75 +257,3 @@ def canonical_basis(span: np.ndarray) -> np.ndarray:
             if len(pivots) == span.shape[0]:
                 break
     return np.linalg.solve(span[:, pivots], span)
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    """Result of checking lambda1/2 <= h <= sqrt(2 d lambda1) on a regular graph.
-
-    The outcome fields after h_value stay None for a check not performed.
-    """
-
-    performed: bool
-    skip_reason: str | None
-    degree: int | None
-    lambda1: float | None
-    h_value: Fraction
-    lower_ok: bool | None = None
-    upper_ok: bool | None = None
-    lower_slack: float | None = None
-    upper_slack: float | None = None
-
-    @property
-    def holds(self) -> bool:
-        return bool(self.lower_ok) and (self.upper_ok is not False)
-
-
-def cheeger_sandwich(
-    g: MultiGraph,
-    h: CheegerResult,
-    s: SpectralSummary,
-    tol: float = 1e-8,
-) -> SandwichReport:
-    """Check the discrete Cheeger inequalities against an exact Cheeger value.
-
-    Requires the combinatorial spectrum of a connected regular graph.  With a
-    non-exact (upper-bound) h only the lower inequality is checked, since
-    lambda1/2 <= h_true <= h_upper still holds.
-    """
-    if s.kind != COMBINATORIAL:
-        raise ValidationError("cheeger sandwich uses the combinatorial spectrum")
-    degrees = set(g.degrees)
-    if len(degrees) != 1:
-        return SandwichReport(
-            performed=False,
-            skip_reason="graph is not regular",
-            degree=None,
-            lambda1=s.lambda1,
-            h_value=h.value,
-        )
-    d = next(iter(degrees))
-    if s.zero_multiplicity > 1:
-        return SandwichReport(
-            performed=False,
-            skip_reason="graph is disconnected",
-            degree=d,
-            lambda1=s.lambda1,
-            h_value=h.value,
-        )
-    lam = s.lambda1 if s.lambda1 is not None else 0.0
-    h_float = float(h.value)
-    upper = {}
-    if h.certified == "exact":
-        bound = math.sqrt(2.0 * d * lam)
-        upper = {"upper_ok": h_float <= bound + tol, "upper_slack": bound - h_float}
-    return SandwichReport(
-        performed=True,
-        skip_reason=None,
-        degree=d,
-        lambda1=lam,
-        h_value=h.value,
-        lower_ok=lam / 2.0 <= h_float + tol,
-        lower_slack=h_float - lam / 2.0,
-        **upper,
-    )

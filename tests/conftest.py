@@ -1,8 +1,10 @@
 """Shared graph builders, slow oracles and session fixtures."""
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -10,8 +12,10 @@ import numpy as np
 import pytest
 
 from covertower import (
+    CheegerResult,
     CoverSpec,
     MultiGraph,
+    SpecMismatchError,
     ValidationError,
     build_graph,
     spanning_tree,
@@ -141,6 +145,113 @@ def spectrum_inclusion(
             return False
         i += 1
     return True
+
+
+@dataclass(frozen=True)
+class SandwichReport:
+    """Result of checking lambda1/2 <= h <= sqrt(2 d lambda1) on a regular graph.
+
+    The outcome fields after h_value stay None for a check not performed.
+    """
+
+    performed: bool
+    skip_reason: str | None
+    degree: int | None
+    lambda1: float | None
+    h_value: Fraction
+    lower_ok: bool | None = None
+    upper_ok: bool | None = None
+    lower_slack: float | None = None
+    upper_slack: float | None = None
+
+    @property
+    def holds(self) -> bool:
+        return bool(self.lower_ok) and (self.upper_ok is not False)
+
+
+def cheeger_sandwich(
+    g: MultiGraph,
+    h: CheegerResult,
+    s: SpectralSummary,
+    tol: float = 1e-8,
+) -> SandwichReport:
+    """Check the discrete Cheeger inequalities against an exact Cheeger value.
+
+    Requires the combinatorial spectrum of a connected regular graph.  With a
+    non-exact (upper-bound) h only the lower inequality is checked, since
+    lambda1/2 <= h_true <= h_upper still holds.
+    """
+    if s.kind != COMBINATORIAL:
+        raise ValidationError("cheeger sandwich uses the combinatorial spectrum")
+    degrees = set(g.degrees)
+    if len(degrees) != 1:
+        return SandwichReport(
+            performed=False,
+            skip_reason="graph is not regular",
+            degree=None,
+            lambda1=s.lambda1,
+            h_value=h.value,
+        )
+    d = next(iter(degrees))
+    if s.zero_multiplicity > 1:
+        return SandwichReport(
+            performed=False,
+            skip_reason="graph is disconnected",
+            degree=d,
+            lambda1=s.lambda1,
+            h_value=h.value,
+        )
+    lam = s.lambda1 if s.lambda1 is not None else 0.0
+    h_float = float(h.value)
+    upper = {}
+    if h.certified == "exact":
+        bound = math.sqrt(2.0 * d * lam)
+        upper = {"upper_ok": h_float <= bound + tol, "upper_slack": bound - h_float}
+    return SandwichReport(
+        performed=True,
+        skip_reason=None,
+        degree=d,
+        lambda1=lam,
+        h_value=h.value,
+        lower_ok=lam / 2.0 <= h_float + tol,
+        lower_slack=h_float - lam / 2.0,
+        **upper,
+    )
+
+
+def union_find_validate(spec: CoverSpec, g: MultiGraph) -> None:
+    """CoverSpec.validate_for by union-find over the edge rows, the reference.
+
+    Same checks in the same order: ids, repeats, a tree edge closing a
+    cycle (the first in edge-id order to join two vertices already joined),
+    then maximality.
+    """
+    cotree: set[int] = set()
+    for e in spec.cotree_edges:
+        if not (isinstance(e, int) and not isinstance(e, bool) and 0 <= e < g.num_edges):
+            raise SpecMismatchError(f"cotree edge {e!r} is not an edge id of the graph")
+        if e in cotree:
+            raise SpecMismatchError(f"cotree edge {e} is listed twice")
+        cotree.add(e)
+    parent = list(range(g.num_vertices))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e, (u, v) in enumerate(g.edges):
+        if e in cotree:
+            continue
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise SpecMismatchError(f"tree edge {e} closes a cycle")
+        parent[ru] = rv
+    for e in spec.cotree_edges:
+        u, v = g.edges[e]
+        if find(u) != find(v):
+            raise SpecMismatchError("tree is not maximal (does not span every component)")
 
 
 class LoopCover(NamedTuple):

@@ -11,7 +11,6 @@ from collections import Counter
 from fractions import Fraction
 
 from covertower import (
-    cheeger_sandwich,
     exact_cheeger,
     full_spectrum,
     is_connected,
@@ -23,6 +22,7 @@ from covertower.cli import main as cli_main
 
 from conftest import (
     bouquet,
+    cheeger_sandwich,
     complete,
     cover_of,
     circulant,

@@ -219,6 +219,37 @@ class TestCoverCommand:
             "message": "cover would have 1 * 2^20000 vertices, above the cap 1000000",
         }
 
+    def test_allocation_failure_exit_4(self):
+        # 2^40 sheets pass the raised cap, and the first sheet-sized array
+        # cannot be allocated under a 3 GB address-space limit.  The limit is
+        # set on the child only: without it, overcommit could let the
+        # allocation through and end in the OOM killer.
+        resource = pytest.importorskip("resource")
+        limit = 3_000_000 * 1024
+        result = subprocess.run(
+            [sys.executable, "-m", "covertower.cli", "cover", "bouquet:40",
+             "--vertex-cap", "10000000000000"],
+            capture_output=True,
+            text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (result.returncode, result.stdout) == (4, "")
+        assert "Traceback" not in result.stderr
+        assert result.stderr.count("\n") == 1
+        doc = json.loads(result.stderr)
+        assert doc["error"] == "SizeCapError"
+        assert doc["message"].startswith("Unable to allocate 8.00 TiB")
+
+    def test_memory_error_without_text_exit_4(self, capsys, monkeypatch):
+        # Python's own MemoryError (a list too large to build) has no message
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_mod, "resolve_graph_input", exhausted)
+        code, out, err = run_cli("cover", "cycle:100000000", capsys=capsys)
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {"error": "SizeCapError", "message": "out of memory"}
+
     def test_graph_above_cap_refused_before_traversal(self, capsys, no_traversal):
         code, _, err = run_cli("cover", "cycle:50", "--vertex-cap", "10", capsys=capsys)
         assert code == 4

@@ -21,7 +21,7 @@ from covertower import (
 from covertower.errors import SizeCapError, SpecMismatchError
 from covertower.multigraph import component_count
 
-from conftest import bouquet, cycle, figure8, path, rank_pi1, theta
+from conftest import bouquet, cycle, figure8, path, rank_pi1, theta, union_find_validate
 
 
 def multigraphs(max_vertices: int = 7, max_edges: int = 12):
@@ -142,6 +142,68 @@ class TestSpanningTree:
         assert first == second
         assert first.rank == rank_pi1(g)
         first.validate_for(g)
+
+
+def kruskal_cotree(g: MultiGraph, order: list[int]) -> list[int]:
+    """The edges a maximal forest grown in the given edge order leaves out."""
+    component = list(range(g.num_vertices))
+    cotree = []
+    for e in order:
+        u, v = g.edges[e]
+        if component[u] == component[v]:
+            cotree.append(e)
+        else:
+            old = component[u]
+            component = [component[v] if c == old else c for c in component]
+    return cotree
+
+
+def rejection(check, spec: CoverSpec, g: MultiGraph) -> str | None:
+    try:
+        check(spec, g)
+    except SpecMismatchError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def graphs_with_cotrees(draw):
+    """A multigraph and a cotree: a maximal forest's, or a broken one."""
+    g = draw(multigraphs())
+    ids = list(range(g.num_edges))
+    kind = draw(st.sampled_from(["own", "kruskal", "subset", "repeat", "bool", "out-of-range"]))
+    if kind == "own":
+        return g, list(spanning_tree(g).cotree_edges)
+    cotree = (
+        draw(st.lists(st.sampled_from(ids), unique=True)) if kind == "subset" and ids
+        else kruskal_cotree(g, draw(st.permutations(ids)))
+    )
+    cotree = draw(st.permutations(cotree))
+    if kind == "repeat" and ids:
+        cotree.insert(draw(st.integers(0, len(cotree))), draw(st.sampled_from(ids)))
+    elif kind == "bool":
+        cotree.insert(draw(st.integers(0, len(cotree))), draw(st.booleans()))
+    elif kind == "out-of-range":
+        bad = draw(st.sampled_from([-1, g.num_edges, g.num_edges + 5, 2**70]))
+        cotree.insert(draw(st.integers(0, len(cotree))), bad)
+    return g, cotree
+
+
+class TestValidateForParity:
+    """validate_for gives the verdicts of the union-find reference in conftest."""
+
+    @given(graphs_with_cotrees())
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_and_rejects_as_union_find(self, case):
+        g, cotree = case
+        spec = CoverSpec(tuple(cotree))
+        expected = rejection(union_find_validate, spec, g)
+        got = rejection(CoverSpec.validate_for, spec, g)
+        if expected is not None and "closes a cycle" in expected:
+            # the BFS may name another edge on a cycle than the union-find did
+            assert got is not None and "closes a cycle" in got, (expected, got)
+        else:
+            assert got == expected
 
 
 class TestConnectivityAndMetrics:

@@ -11,7 +11,6 @@ from covertower import (
     SpectrumError,
     ValidationError,
     build_graph,
-    cheeger_sandwich,
     exact_cheeger,
     full_spectrum,
     laplacian,
@@ -32,6 +31,7 @@ from covertower.spectrum import (
 
 from conftest import (
     bouquet,
+    cheeger_sandwich,
     complete,
     cover_of,
     cycle,
