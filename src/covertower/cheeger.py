@@ -44,6 +44,10 @@ METHOD_LEMMA_CUT = "lemma_cut"
 METHOD_SWEEP = "sweep"
 
 DEFAULT_BRUTE_FORCE_CAP = 26
+# The largest graph the search accepts, so that it finishes in minutes: its
+# time doubles per vertex, about 0.05 s at 26 vertices and 0.9 s at 30 on
+# one 2-core host, so about a minute at 36.  (Its uint64 masks allow 62.)
+MAX_BRUTE_FORCE_CAP = 36
 _CHUNK_BITS = 20
 # Sweep entries closer than this, relative to the vector's largest magnitude,
 # are ties: rounding in the eigensolver must not decide the vertex order.
@@ -257,8 +261,8 @@ def exact_cheeger(
         raise SizeCapError(
             f"graph has {n} vertices, above the brute-force cap {max_vertices}"
         )
-    if n > 62:
-        raise SizeCapError("brute force is limited to 62 vertices (uint64 masks)")
+    if n > MAX_BRUTE_FORCE_CAP:
+        raise SizeCapError(f"brute force is limited to {MAX_BRUTE_FORCE_CAP} vertices")
     edge_mults = _edge_multiplicities(g)
     total = (1 << (n - 1)) - 1  # subsets containing vertex 0, minus the full set
     k = min(_CHUNK_BITS, n - 1)

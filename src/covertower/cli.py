@@ -62,10 +62,6 @@ _ERROR_CODES: tuple[tuple[type, int], ...] = (
 )
 
 
-class _TruncatedStrict(Exception):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser for the four subcommands; `main` builds one and keeps it."""
     parser = argparse.ArgumentParser(
@@ -140,10 +136,10 @@ def cmd_tower(args: argparse.Namespace) -> int:
     for fmt in (args.format,) if args.format else ("json", "csv", "svg"):
         _write_text(f"{args.out}.{fmt}", artifacts[fmt]())
     if report.truncated and args.strict:
-        raise _TruncatedStrict(
-            f"tower truncated at level {report.truncated_level} by vertex cap "
-            f"{report.vertex_cap}"
-        )
+        level, cap = report.truncated_level, report.vertex_cap
+        message = f"tower truncated at level {level} by vertex cap {cap}"
+        print(json.dumps({"error": "Truncated", "message": message}), file=sys.stderr)
+        return EXIT_TRUNCATED
     return EXIT_OK
 
 
@@ -262,12 +258,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except _TruncatedStrict as exc:
-        print(
-            json.dumps({"error": "Truncated", "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return EXIT_TRUNCATED
     except (CovertowerError, OSError, MemoryError) as exc:
         name, message = type(exc).__name__, str(exc)
         if isinstance(exc, MemoryError):

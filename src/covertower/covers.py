@@ -1,14 +1,17 @@
-"""Z/2-homology covers of multigraphs and their deck transformations.
+"""Z/2 covers of multigraphs along sets of edges, and their deck transformations.
 
-Given a graph with a maximal tree and r cotree edges, the cover has vertex
-set V x (Z/2)^r and edge set E x (Z/2)^r.  For the edge row (u, v) of e,
-the edge (e, a) joins (u, a) to (v, a) when e is a tree edge, and (u, a) to
-(v, a + e_j) when e is the j-th cotree edge (counting from 0), where e_j
-flips coordinate j only.  Bitvectors are packed into integers with
-coordinate j stored in bit j, so e_j = 1 << j.
+A cover of rank r is named by r distinct edge ids S_0..S_{r-1} (a
+``CoverSpec``).  It has vertex set V x (Z/2)^r and edge set E x (Z/2)^r:
+for the edge row (u, v) of e, the edge (e, a) joins (u, a) to
+(v, a + flip[e]), where flip[S_j] = e_j flips coordinate j only and the
+other edges have flip 0; bit j of an integer holds coordinate j, so
+e_j = 1 << j.  A loop in S lifts to edges between sheets, never to loops.
 
-For a cotree loop at v, the edge (e_j, a) joins (v, a) to (v, a + e_j); the
-flip is nonzero, so loops downstairs never lift to loops upstairs.
+The cover is connected exactly when G - S is.  If G - S has a spanning
+tree, each S_j closes a cycle through itself alone.  If not, every closed
+walk crosses the edges of S leaving a component an even number of times,
+so it keeps the parity of the sheet's bits at those edges.  The homology
+cover takes S = the cotree of a spanning tree; a 2-lift takes S = (e,).
 
 Cover vertex (v, a) gets id v * 2^r + a, and similarly for edges, i.e. ids
 are lexicographic in (base id, bitvector-as-integer).  The cover's edge
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, SizeCapError
+from .errors import SizeCapError
 from .multigraph import CoverLabels, CoverSpec, MultiGraph
 
 DEFAULT_VERTEX_CAP = 10**6
@@ -77,19 +80,14 @@ def z2_cover(
     spec: CoverSpec,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> CoveredGraph:
-    """Construct the homology double-cover tower step for one graph.
+    """The cover of base along the spec's cotree edges; a tower step with ``spanning_tree``.
 
-    Rejects disconnected bases: downstream tower semantics assume connected
-    Cayley-like graphs, and a disconnected base would silently produce a
-    cover of only one piece's worth of structure.  A cover above vertex_cap
-    is refused before anything is allocated.
+    ``spec.validate_for`` refuses a spec whose cover would be disconnected,
+    so every cover built is connected.  A cover above vertex_cap is refused
+    before anything is allocated.
     """
     spec.validate_for(base)
     r = spec.rank
-    # A validated spec's tree edges are a maximal forest, which is one tree
-    # exactly when the base is connected.
-    if base.num_vertices > 0 and base.num_edges - r != base.num_vertices - 1:
-        raise DisconnectedGraphError("cover construction requires a connected base")
     sheets = 1 << r
     predicted_vertices = base.num_vertices * sheets
     if predicted_vertices > vertex_cap:

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import SizeCapError, SpecMismatchError, ValidationError
+from .errors import DisconnectedGraphError, SizeCapError, SpecMismatchError, ValidationError
 
 JSON_SCHEMA_VERSION = 1
 # Edges formatted per block by ``_edge_text``: bounds its byte buffers.
@@ -295,11 +295,11 @@ def _edge_text(ends: np.ndarray, lead: str, mid: str, tail: str) -> list[str]:
 
 @dataclass(frozen=True)
 class CoverSpec:
-    """The cotree of a maximal forest, as edge ids in coordinate order.
+    """The edges that change sheet, as edge ids in coordinate order.
 
-    Cotree edge j is coordinate j of the cover's fibers; the tree edges are
-    the rest.  Each cotree edge is read in its canonical ``ends`` row: over
-    Z/2 its direction does not change the cover, only the ids in its fiber.
+    Edge j is coordinate j of the cover's fibers (see ``covers``).  Each is
+    read in its canonical ``ends`` row: over Z/2 its direction does not
+    change the cover, only the ids in its fiber.
     """
 
     cotree_edges: tuple[int, ...]
@@ -309,25 +309,26 @@ class CoverSpec:
         return len(self.cotree_edges)
 
     def validate_for(self, g: MultiGraph) -> None:
-        """Raise SpecMismatchError unless the other edges are a maximal forest of g."""
-        cotree: set[int] = set()
-        for e in self.cotree_edges:
-            if not (_is_int(e) and 0 <= e < g.num_edges):
-                raise SpecMismatchError(f"cotree edge {e!r} is not an edge id of the graph")
-            if e in cotree:
-                raise SpecMismatchError(f"cotree edge {e} is listed twice")
-            cotree.add(e)
-        # The tree edges are acyclic when their BFS forest keeps every one,
-        # and maximal when no cotree edge joins two of its trees.
-        tree, root = _bfs_forest(g, cotree)
-        if len(tree) < g.num_edges - len(cotree):
-            e = next(e for e in range(g.num_edges) if e not in cotree and e not in tree)
-            raise SpecMismatchError(f"tree edge {e} closes a cycle")
-        ends = g.ends.tolist()
-        for e in self.cotree_edges:
-            u, v = ends[e]
-            if root[u] != root[v]:
-                raise SpecMismatchError("tree is not maximal (does not span every component)")
+        """Raise DisconnectedGraphError unless g without the cotree edges is connected.
+
+        Ids that are not distinct edge ids of g raise SpecMismatchError first
+        (``cotree_ids``).  ``covers`` shows why this is the rule.
+        """
+        # Each vertex's BFS root is the least vertex of its component.
+        if any(_bfs_forest(g, cotree_ids(g, self.cotree_edges))[1]):
+            raise DisconnectedGraphError("the graph without the cotree edges is disconnected")
+
+
+def cotree_ids(g: MultiGraph, cotree: Iterable) -> set[int]:
+    """The cotree edge ids as a set; SpecMismatchError unless each is a distinct edge id of g."""
+    ids: set[int] = set()
+    for e in cotree:
+        if not (_is_int(e) and 0 <= e < g.num_edges):
+            raise SpecMismatchError(f"cotree edge {e!r} is not an edge id of the graph")
+        if e in ids:
+            raise SpecMismatchError(f"cotree edge {e} is listed twice")
+        ids.add(e)
+    return ids
 
 
 def build_graph(

@@ -9,7 +9,7 @@ Eigensystems come from LAPACK through numpy (``eigvalsh``/``eigh``), one
 call per stack of matrices.
 
 Every spectrum takes one path, ``laplacian_spectrum``.  It reads a graph as
-the Z/2-homology cover of a base along a set of cotree edges: the deck group
+the Z/2 cover of a base along a set of cotree edges: the deck group
 (Z/2)^r splits the cover's Laplacian into one signed Laplacian of the base
 per character, so 2^r eigenproblems of the base's size replace one of the
 cover's.  A plain graph is its own rank-0 cover, with no cotree edges and one
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, SpectrumError, ValidationError
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, cotree_ids
 
 COMBINATORIAL = "combinatorial"
 NORMALIZED = "normalized"
@@ -143,9 +143,11 @@ def character_laplacians(
     The cover's Laplacian maps f(v * 2^r + a) = g(v) (-1)^popcount(s & a) to
     the same lift of (block s) g, so its spectrum is the union of the
     blocks' spectra.  Returns a (2^r, n, n) stack; block 0 is laplacian(base).
+    The ids are checked as ``z2_cover`` checks them (``cotree_ids``).
     """
     if kind not in (COMBINATORIAL, NORMALIZED):
         raise ValidationError(f"unknown laplacian kind {kind!r}")
+    cotree_ids(base, cotree)
     n, r = base.num_vertices, len(cotree)
     # sign[s, e] is the weight of edge e in A_s: 1 on a tree edge.
     sign = np.ones((1 << r, base.num_edges), dtype=np.int64)

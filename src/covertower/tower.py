@@ -89,6 +89,8 @@ def iterate_tower(
         raise ValidationError("levels must be nonnegative")
     if vertex_cap <= 0 or cheeger_cap <= 0 or spectrum_cap <= 0:
         raise ValidationError("caps must be positive")
+    if cheeger_cap > cheeger_mod.MAX_BRUTE_FORCE_CAP:
+        raise ValidationError(f"cheeger cap is above {cheeger_mod.MAX_BRUTE_FORCE_CAP} vertices")
     if seed.num_vertices > vertex_cap:
         raise SizeCapError(
             f"seed has {seed.num_vertices} vertices, above the cap {vertex_cap}"

@@ -14,6 +14,7 @@ import pytest
 from covertower import (
     CheegerResult,
     CoverSpec,
+    DisconnectedGraphError,
     MultiGraph,
     SpecMismatchError,
     ValidationError,
@@ -222,9 +223,8 @@ def cheeger_sandwich(
 def union_find_validate(spec: CoverSpec, g: MultiGraph) -> None:
     """CoverSpec.validate_for by union-find over the edge rows, the reference.
 
-    Same checks in the same order: ids, repeats, a tree edge closing a
-    cycle (the first in edge-id order to join two vertices already joined),
-    then maximality.
+    Same checks in the same order: ids and repeats, then whether the edges
+    outside the cotree leave one component.
     """
     cotree: set[int] = set()
     for e in spec.cotree_edges:
@@ -241,17 +241,16 @@ def union_find_validate(spec: CoverSpec, g: MultiGraph) -> None:
             x = parent[x]
         return x
 
+    components = g.num_vertices
     for e, (u, v) in enumerate(g.edges):
         if e in cotree:
             continue
         ru, rv = find(u), find(v)
-        if ru == rv:
-            raise SpecMismatchError(f"tree edge {e} closes a cycle")
-        parent[ru] = rv
-    for e in spec.cotree_edges:
-        u, v = g.edges[e]
-        if find(u) != find(v):
-            raise SpecMismatchError("tree is not maximal (does not span every component)")
+        if ru != rv:
+            parent[ru] = rv
+            components -= 1
+    if components > 1:
+        raise DisconnectedGraphError("the graph without the cotree edges is disconnected")
 
 
 class LoopCover(NamedTuple):

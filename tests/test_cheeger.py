@@ -233,6 +233,11 @@ class TestExactCheeger:
         with pytest.raises(SizeCapError):
             exact_cheeger(cycle(8), max_vertices=6)
 
+    def test_raised_cap_stops_at_the_ceiling(self):
+        assert cheeger.MAX_BRUTE_FORCE_CAP == 36
+        with pytest.raises(SizeCapError, match="brute force is limited to 36 vertices"):
+            exact_cheeger(cycle(37), max_vertices=40)
+
     def test_unique_minimum_is_the_only_tie_candidate(self, monkeypatch):
         candidates = []
         original = cheeger._lex_key

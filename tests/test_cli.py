@@ -131,8 +131,9 @@ class TestTowerCommand:
         [
             (("--levels", "-1"), "levels must be nonnegative"),
             (("--levels", "1", "--vertex-cap", "0"), "caps must be positive"),
+            (("--levels", "1", "--cheeger-cap", "37"), "cheeger cap is above 36 vertices"),
         ],
-        ids=["negative-levels", "zero-vertex-cap"],
+        ids=["negative-levels", "zero-vertex-cap", "cheeger-cap-above-ceiling"],
     )
     def test_invalid_settings_exit_2(self, tmp_path, capsys, option, message):
         code, _, err = run_cli(
@@ -416,6 +417,16 @@ class TestCheegerCommand:
         )
         assert code == 4
         assert json.loads(err)["error"] == "SizeCapError"
+
+    def test_raised_cap_refused_above_the_search_ceiling(self, capsys):
+        # 2^39 subsets: refused at once, not searched
+        code, out, err = run_cli(
+            "cheeger", "cycle:40", "--method", "exact", "--cheeger-cap", "40", capsys=capsys
+        )
+        assert (code, out, err.count("\n")) == (4, "", 1)
+        assert json.loads(err) == {
+            "error": "SizeCapError", "message": "brute force is limited to 36 vertices",
+        }
 
 
 class TestSpectrumCommand:

@@ -7,11 +7,13 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from covertower import (
+    CoverSpec,
     DisconnectedGraphError,
     SizeCapError,
     build_graph,
@@ -25,6 +27,13 @@ from covertower import (
 from covertower import multigraph, tower
 from covertower.cli import main as cli_main
 from covertower.multigraph import CoverLabels
+from covertower.spectrum import (
+    COMBINATORIAL,
+    NORMALIZED,
+    character_laplacians,
+    laplacian,
+    laplacian_spectrum,
+)
 
 from conftest import (
     bouquet,
@@ -280,6 +289,90 @@ class TestCoverProperties:
     def test_triangle_cover_is_hexagon(self):
         cov = cover_of(cycle(3))
         assert find_isomorphism(cov.graph, cycle(6)) is not None
+
+
+def without_edges(g, dropped):
+    """g with the edge ids in dropped removed."""
+    return build_graph(g.num_vertices, [uv for e, uv in enumerate(g.edges) if e not in dropped])
+
+
+def random_edge_set(rng: random.Random, g, most: int) -> tuple[int, ...]:
+    """Up to `most` distinct edge ids of g, in random order."""
+    return tuple(rng.sample(range(g.num_edges), rng.randint(0, min(most, g.num_edges))))
+
+
+def dense_spectrum(g, kind):
+    return np.linalg.eigvalsh(laplacian(g, kind))
+
+
+def accepts(spec, g) -> bool:
+    try:
+        spec.validate_for(g)
+    except DisconnectedGraphError:
+        return False
+    return True
+
+
+class TestIntermediateCovers:
+    """Covers along any edge set S, not only the cotree of a spanning tree."""
+
+    def test_cover_is_connected_exactly_when_the_rest_is(self):
+        # Any multigraph, connected or not, with loops and parallel edges;
+        # the loop oracle builds the cover without validating S.
+        rng = random.Random(7)
+        verdicts = Counter()
+        for _ in range(1000):
+            n = rng.randint(1, 7)
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9))]
+            g = build_graph(n, edges)
+            cotree = random_edge_set(rng, g, 6)
+            oracle = loop_cover(g, CoverSpec(cotree))
+            connected = is_connected(build_graph(oracle.num_vertices, oracle.edges))
+            assert connected == is_connected(without_edges(g, set(cotree))), (g.edges, cotree)
+            assert connected == accepts(CoverSpec(cotree), g)
+            verdicts[connected] += 1
+        assert min(verdicts.values()) > 200, verdicts
+
+    def test_corpus_of_covers_along_edge_sets(self):
+        rng = random.Random(20261019)
+        refused = built = 0
+        for _ in range(600):
+            base = random_connected_multigraph(rng, rng.randint(2, 6), rng.randint(0, 4))
+            spec = CoverSpec(random_edge_set(rng, base, 5))
+            if not is_connected(without_edges(base, set(spec.cotree_edges))):
+                with pytest.raises(DisconnectedGraphError):
+                    z2_cover(base, spec)
+                refused += 1
+                continue
+            cover = z2_cover(base, spec)
+            built += 1
+            assert is_connected(cover.graph)
+            report = verify_regular_cover(cover)
+            assert report.all_ok, report.failures
+            for kind in (COMBINATORIAL, NORMALIZED):
+                w, _ = laplacian_spectrum(base, spec.cotree_edges, kind)
+                assert np.allclose(w, dense_spectrum(cover.graph, kind), rtol=0, atol=1e-9)
+            if spec.rank:
+                assert lemma_cut(cover).value == Fraction(2, base.num_vertices)
+        assert refused > 100 and built > 100, (refused, built)
+
+    def test_two_lift_adds_the_signed_block(self):
+        rng = random.Random(11)
+        lifts = 0
+        for _ in range(40):
+            base = random_connected_multigraph(rng, rng.randint(2, 6), rng.randint(1, 4))
+            for e in range(base.num_edges):
+                if not is_connected(without_edges(base, {e})):
+                    continue
+                cover = z2_cover(base, CoverSpec((e,)))
+                for kind in (COMBINATORIAL, NORMALIZED):
+                    signed = np.linalg.eigvalsh(character_laplacians(base, (e,), kind)[1])
+                    union = np.sort(np.concatenate((dense_spectrum(base, kind), signed)))
+                    assert np.allclose(
+                        dense_spectrum(cover.graph, kind), union, rtol=0, atol=1e-9
+                    )
+                lifts += 1
+        assert lifts > 40, lifts
 
 
 class TestOrientationIndependence:

@@ -18,7 +18,7 @@ from covertower import (
     spanning_tree,
     z2_cover,
 )
-from covertower.errors import SizeCapError, SpecMismatchError
+from covertower.errors import DisconnectedGraphError, SizeCapError, SpecMismatchError
 from covertower.multigraph import component_count
 
 from conftest import bouquet, cycle, figure8, path, rank_pi1, theta, union_find_validate
@@ -89,6 +89,10 @@ class TestDegree:
         assert path(2).degrees[0] == 1
 
 
+# a triangle 0-1-2 with a pendant vertex 3 on the bridge 2-3
+TRIANGLE_AND_PENDANT = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+
+
 class TestSpanningTree:
     def test_figure8_all_cotree(self):
         spec = spanning_tree(figure8())
@@ -108,31 +112,40 @@ class TestSpanningTree:
         g = theta()
         spanning_tree(g).validate_for(g)
 
+    @pytest.mark.parametrize("cotree", [(), (0,), (1,), (2,)])
+    def test_validate_for_accepts_a_connected_remainder(self, cotree):
+        # the rest still spans with any one triangle edge out (two would
+        # cut off the vertex they share)
+        CoverSpec(cotree).validate_for(TRIANGLE_AND_PENDANT)
+
     @pytest.mark.parametrize(
-        "cotree, message",
+        "cotree, error, message",
         [
             # edge 2 listed twice
-            ((2, 2), "listed twice"),
+            ((2, 2), SpecMismatchError, "listed twice"),
             # the graph has edges 0..3 only
-            ((4,), "not an edge id"),
+            ((4,), SpecMismatchError, "not an edge id"),
             # True is not an edge id, though it compares equal to 1
-            ((True,), "not an edge id"),
-            # tree edge 2 closes the cycle 0-1-2
-            ((3,), "closes a cycle"),
-            # the bridge 2-3 moved to the cotree: the forest misses vertex 3
-            ((2, 3), "not maximal"),
+            ((True,), SpecMismatchError, "not an edge id"),
+            # the whole cycle 0-1-2: only the bridge 2-3 is left
+            ((0, 1, 2), DisconnectedGraphError, "disconnected"),
+            # the bridge 2-3: the rest misses vertex 3
+            ((3,), DisconnectedGraphError, "disconnected"),
+            # the cut set around vertex 0
+            ((2, 0), DisconnectedGraphError, "disconnected"),
         ],
-        ids=["repeated", "out-of-range", "bool", "cycle", "non-maximal"],
+        ids=["repeated", "out-of-range", "bool", "cycle", "non-maximal", "cut-set"],
     )
-    def test_validate_for_rejects_bad_specs(self, cotree, message):
-        # a triangle 0-1-2 with a pendant vertex 3 on the bridge 2-3
-        g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        with pytest.raises(SpecMismatchError, match=message):
-            CoverSpec(cotree).validate_for(g)
+    def test_validate_for_rejects_bad_specs(self, cotree, error, message):
+        with pytest.raises(error, match=message):
+            CoverSpec(cotree).validate_for(TRIANGLE_AND_PENDANT)
 
     def test_validate_for_rejects_foreign_graph(self):
-        with pytest.raises(SpecMismatchError):
+        # theta's cotree (1, 2) leaves the triangle only edge 0-1
+        with pytest.raises(DisconnectedGraphError):
             spanning_tree(theta()).validate_for(cycle(3))
+        with pytest.raises(SpecMismatchError, match="cotree edge 3 is not an edge id"):
+            spanning_tree(bouquet(4)).validate_for(cycle(3))
 
     @given(multigraphs())
     @settings(max_examples=60, deadline=None)
@@ -141,7 +154,12 @@ class TestSpanningTree:
         second = spanning_tree(g)
         assert first == second
         assert first.rank == rank_pi1(g)
-        first.validate_for(g)
+        # a maximal forest spans g exactly when g is connected
+        if is_connected(g):
+            first.validate_for(g)
+        else:
+            with pytest.raises(DisconnectedGraphError):
+                first.validate_for(g)
 
 
 def kruskal_cotree(g: MultiGraph, order: list[int]) -> list[int]:
@@ -158,17 +176,17 @@ def kruskal_cotree(g: MultiGraph, order: list[int]) -> list[int]:
     return cotree
 
 
-def rejection(check, spec: CoverSpec, g: MultiGraph) -> str | None:
+def rejection(check, spec: CoverSpec, g: MultiGraph) -> tuple[type, str] | None:
     try:
         check(spec, g)
-    except SpecMismatchError as exc:
-        return str(exc)
+    except (SpecMismatchError, DisconnectedGraphError) as exc:
+        return type(exc), str(exc)
     return None
 
 
 @st.composite
 def graphs_with_cotrees(draw):
-    """A multigraph and a cotree: a maximal forest's, or a broken one."""
+    """A multigraph and a cotree: a maximal forest's, any edge subset, or bad ids."""
     g = draw(multigraphs())
     ids = list(range(g.num_edges))
     kind = draw(st.sampled_from(["own", "kruskal", "subset", "repeat", "bool", "out-of-range"]))
@@ -197,13 +215,9 @@ class TestValidateForParity:
     def test_accepts_and_rejects_as_union_find(self, case):
         g, cotree = case
         spec = CoverSpec(tuple(cotree))
-        expected = rejection(union_find_validate, spec, g)
-        got = rejection(CoverSpec.validate_for, spec, g)
-        if expected is not None and "closes a cycle" in expected:
-            # the BFS may name another edge on a cycle than the union-find did
-            assert got is not None and "closes a cycle" in got, (expected, got)
-        else:
-            assert got == expected
+        assert rejection(CoverSpec.validate_for, spec, g) == rejection(
+            union_find_validate, spec, g
+        )
 
 
 class TestConnectivityAndMetrics:

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from covertower import (
+    CoverSpec,
+    SpecMismatchError,
     SpectrumError,
     ValidationError,
     build_graph,
@@ -15,6 +17,7 @@ from covertower import (
     full_spectrum,
     laplacian,
     laplacian_spectrum,
+    z2_cover,
 )
 from covertower import spectrum as spectrum_mod
 from covertower.spectrum import (
@@ -437,6 +440,32 @@ class TestCharacterBlocks:
         cover = cover_of(theta())
         with pytest.raises(ValidationError):
             character_laplacians(cover.base, cover.spec.cotree_edges, "signless")
+
+    @pytest.mark.parametrize(
+        "cotree, message",
+        [
+            ((99,), "cotree edge 99 is not an edge id"),
+            ((-1,), "cotree edge -1 is not an edge id"),
+            ((True,), "cotree edge True is not an edge id"),
+            ((0, 0), "cotree edge 0 is listed twice"),
+        ],
+        ids=["out-of-range", "negative", "bool", "repeated"],
+    )
+    def test_cotree_ids_checked_as_the_cover_layer_does(self, cotree, message):
+        # theta has edges 0, 1, 2; z2_cover refuses each of these names too
+        with pytest.raises(SpecMismatchError, match=message):
+            character_laplacians(theta(), cotree)
+        with pytest.raises(SpecMismatchError, match=message):
+            laplacian_spectrum(theta(), cotree)
+        with pytest.raises(SpecMismatchError, match=message):
+            z2_cover(theta(), CoverSpec(cotree))
+
+    def test_no_connectivity_needed(self):
+        # the spectrum layer solves any cover, connected or not
+        two_loops = build_graph(2, [(0, 0), (1, 1)])
+        assert laplacian_spectrum(two_loops, ())[0].tolist() == [0.0, 0.0]
+        w, _ = laplacian_spectrum(cycle(3), (0, 1))
+        assert np.count_nonzero(np.abs(w) <= zero_tolerance(w)) == 2
 
 
 RANK0_CORPUS = CORPUS + [

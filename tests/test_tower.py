@@ -314,6 +314,18 @@ class TestValidation:
         with pytest.raises(ValidationError):
             iterate_tower(figure8(), 1, 0)
 
+    def test_cheeger_cap_above_the_search_ceiling_rejected_before_work(self, monkeypatch):
+        import covertower.multigraph as multigraph
+
+        assert iterate_tower(figure8(), 1, cheeger_cap=36).cheeger_cap == 36
+
+        def refuse(g):
+            raise AssertionError("traversed the seed")
+
+        monkeypatch.setattr(multigraph, "component_count", refuse)
+        with pytest.raises(ValidationError, match="cheeger cap is above 36 vertices"):
+            iterate_tower(figure8(), 1, cheeger_cap=37)
+
     def test_seed_above_cap_rejected_before_traversal(self, monkeypatch):
         import covertower.multigraph as multigraph
 
