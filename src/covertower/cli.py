@@ -39,6 +39,7 @@ from .tower import (
     DEFAULT_VERTEX_CAP,
     MAX_TREE_LEVELS,
     iterate_tower,
+    report_json_text,
     report_to_csv_text,
     report_to_json_dict,
 )
@@ -129,7 +130,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
         seed_description=description,
     )
     artifacts = {
-        "json": lambda: json.dumps(report_to_json_dict(report), indent=2) + "\n",
+        "json": lambda: report_json_text(report_to_json_dict(report)),
         "csv": lambda: report_to_csv_text(report),
         "svg": lambda: tower_svg(report),
     }

@@ -9,6 +9,11 @@ Builtins:
 Cycles and bouquets use one edge per (vertex, generator-step) pair, so
 cycle:2 really has two parallel edges; that convention keeps every cover
 level satisfying #E = 2 #V on the bouquet towers.
+
+A parameter must be written as str() writes its value: ASCII digits with no
+sign, space, underscore or leading zero, so cycle:1_0, cycle:+5, cycle:05,
+cycle: 5 and the full-width cycle:５ are refused.  The report records the
+name as given, so each builtin graph has one name.
 """
 from __future__ import annotations
 
@@ -40,7 +45,9 @@ def _positive_int(name: str, prefix: str, minimum: int = 1) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValidationError(f"bad {prefix} parameter {raw!r}") from None
+        value = None
+    if value is None or raw != str(value):
+        raise ValidationError(f"bad {prefix} parameter {raw!r}")
     if value < minimum:
         raise ValidationError(f"{prefix} parameter must be >= {minimum}, got {value}")
     return value

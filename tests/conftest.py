@@ -1,6 +1,9 @@
 """Shared graph builders, slow oracles and session fixtures."""
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 import random
 from collections import Counter
@@ -35,6 +38,7 @@ from covertower.spectrum import (
     summarize_spectrum,
     zero_tolerance,
 )
+from covertower.tower import LEVEL_FIELDS, TowerReport, _csv_value, report_to_json_dict
 
 
 def figure8() -> MultiGraph:
@@ -384,6 +388,21 @@ def dense_level_oracle(cover: CoveredGraph) -> DenseLevel:
         summarize_spectrum(g, NORMALIZED, w_norm).lambda1,
         sweep_cut(g, canonical_basis(v[:, eigenspace].T)).value,
     )
+
+
+def report_json_oracle(report: TowerReport) -> str:
+    """The tower JSON artifact as the standard encoder writes it."""
+    return json.dumps(report_to_json_dict(report), indent=2) + "\n"
+
+
+def report_csv_oracle(report: TowerReport) -> str:
+    """The tower CSV artifact with every field through csv.writer and each count by str()."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(LEVEL_FIELDS)
+    for row in report.levels:
+        writer.writerow([_csv_value(getattr(row, key)) for key in LEVEL_FIELDS])
+    return buffer.getvalue()
 
 
 @pytest.fixture(scope="session")

@@ -176,6 +176,38 @@ class TestTowerCommand:
         assert code == 2
         assert json.loads(err)["error"] == "ValidationError"
 
+    @pytest.mark.parametrize(
+        "seed", ["cycle:1_0", "cycle: 5", "cycle:+5", "cycle:05", "cycle:\uff15", "bouquet:-0",
+                 "bouquet:00", "bouquet:3 "],
+    )
+    def test_non_canonical_builtin_parameter_exit_2(self, tmp_path, capsys, seed):
+        # Only the text str() gives for the value names a builtin graph.
+        code, _, err = run_cli(
+            "tower", "--seed", seed, "--levels", "1", "--out", str(tmp_path / "x"), capsys=capsys,
+        )
+        prefix, raw = seed.split(":")
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "ValidationError", "message": f"bad {prefix} parameter {raw!r}",
+        }
+        assert list(tmp_path.iterdir()) == []
+        assert run_cli("spectrum", seed, capsys=capsys)[0] == 2
+
+    def test_truncated_count_past_the_digit_limit_raises_str_error(self, tmp_path):
+        # bouquet:12's level 2 has 4096 * 2^45057 vertices, 13,568 digits.
+        vertices = 4096 << 45057
+        try:
+            str(vertices)
+        except ValueError as exc:
+            expected = str(exc)
+        else:
+            pytest.skip("no int-to-str digit limit")
+        for fmt in ("json", "csv"):
+            with pytest.raises(ValueError) as exc:
+                main(["tower", "--seed", "bouquet:12", "--levels", "2",
+                      "--format", fmt, "--out", str(tmp_path / "x")])
+            assert str(exc.value) == expected
+
 
 class TestCoverCommand:
     def test_cover_figure8_once(self, tmp_path, capsys):

@@ -6,10 +6,14 @@ import dataclasses
 import io
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertower import (
     DisconnectedGraphError,
@@ -23,10 +27,14 @@ from covertower import (
 import covertower.cheeger as cheeger_mod
 import covertower.spectrum as spectrum_mod
 import covertower.tower as tower_mod
+from covertower.seeds import builtin_seed
 from covertower.tower import (
     LEVEL_FIELDS,
     MAX_TREE_LEVELS,
     TowerLevel,
+    TowerReport,
+    count_texts,
+    report_json_text,
     report_to_csv_text,
     report_to_json_dict,
 )
@@ -38,6 +46,8 @@ from conftest import (
     figure8,
     path,
     random_connected_multigraph,
+    report_csv_oracle,
+    report_json_oracle,
     theta,
 )
 
@@ -410,3 +420,190 @@ class TestSerialization:
         doc = report_to_json_dict(report)
         assert doc["levels"][1]["lemma_bound"] == "2"
         assert doc["levels"][2]["lemma_bound"] == "1/2"
+
+
+CROSSOVER = tower_mod._DECIMAL_MIN_SHIFT
+has_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+
+
+def str_error(*values: int) -> str:
+    """The message of the ValueError str() raises on the first value past the digit limit."""
+    for value in values:
+        try:
+            str(value)
+        except ValueError as exc:
+            return str(exc)
+    raise AssertionError("no value is past the digit limit")
+
+
+def counts_report(vertices, edges, rank, **fields) -> TowerReport:
+    """A one-row report: a truncated row with the given counts and fields."""
+    row = TowerLevel(
+        level=1, constructed=False, vertices=vertices, edges=edges, rank=rank,
+        lemma_bound=Fraction(1, 4), **fields,
+    )
+    return TowerReport("custom", 1, 10**6, 26, 2048, 1, (row,))
+
+
+class TestCountTexts:
+    """count_texts equals str() on each count, whichever path it takes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 2**40),
+        e=st.integers(0, 2**40),
+        shift=st.integers(0, 2 * CROSSOVER),
+        same=st.booleans(),
+        rank_offset=st.sampled_from([0, 0, 0, 1, -1, 2**CROSSOVER]),
+    )
+    def test_matches_str(self, n, e, shift, same, rank_offset):
+        # Odd and even n and e; n = e is a rank-1 row; a nonzero offset
+        # breaks rank = E - V + 1, which must fall back to str().
+        if same:
+            e = n
+        vertices, edges = n << shift, e << shift
+        rank = (e - n << shift) + 1 + rank_offset
+        assert count_texts(vertices, edges, rank) == (str(vertices), str(edges), str(rank))
+
+    @pytest.mark.parametrize(
+        "shift, rank_offset, decimal_path",
+        [(CROSSOVER - 1, 0, False), (CROSSOVER, 0, True), (CROSSOVER, 1, False)],
+        ids=["below-crossover", "at-crossover", "rank-not-E-V+1"],
+    )
+    def test_decimal_path_only_at_the_crossover_with_the_rank_identity(
+        self, monkeypatch, shift, rank_offset, decimal_path
+    ):
+        contexts = []
+        make_context = tower_mod.decimal.Context
+
+        def counting_context(*args, **kwargs):
+            contexts.append(make_context(*args, **kwargs))
+            return contexts[-1]
+
+        monkeypatch.setattr(tower_mod.decimal, "Context", counting_context)
+        vertices, edges = 8 << shift, 17 << shift
+        rank = edges - vertices + 1 + rank_offset
+        assert count_texts(vertices, edges, rank) == (str(vertices), str(edges), str(rank))
+        assert len(contexts) == decimal_path
+
+    def test_no_int_subclass_takes_the_decimal_path(self):
+        big = 1 << CROSSOVER
+        report = counts_report(True, big, big)
+        assert report_json_text(report_to_json_dict(report)) == report_json_oracle(report)
+        assert report_to_csv_text(report) == report_csv_oracle(report)
+
+    @has_digit_limit
+    @pytest.mark.parametrize("past", ["all", "edges-and-rank"])
+    def test_writers_raise_str_error_past_the_digit_limit(self, past):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            # 2^shift has exactly 5000 digits, so 16 * 2^shift has more.
+            shift = next(k for k in range(16_500, 16_700) if len(str(1 << k)) == 5000)
+            sys.set_int_max_str_digits(5000)
+            n = 1 if past == "edges-and-rank" else 16
+            vertices, edges = n << shift, 16 << shift
+            report = counts_report(vertices, edges, edges - vertices + 1)
+            expected = str_error(vertices, edges)
+            for write in (
+                lambda: report_json_text(report_to_json_dict(report)),
+                lambda: report_to_csv_text(report),
+            ):
+                with pytest.raises(ValueError) as exc:
+                    write()
+                assert str(exc.value) == expected
+            ok = counts_report(1 << shift, 1 << shift, 1)
+            assert report_json_text(report_to_json_dict(ok)) == report_json_oracle(ok)
+            assert report_to_csv_text(ok) == report_csv_oracle(ok)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @has_digit_limit
+    def test_lifted_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            vertices, edges = 8 << 200_000, 17 << 200_000
+            rank = edges - vertices + 1
+            assert count_texts(vertices, edges, rank) == (str(vertices), str(edges), str(rank))
+            report = counts_report(vertices, edges, rank)
+            assert report_json_text(report_to_json_dict(report)) == report_json_oracle(report)
+            assert report_to_csv_text(report) == report_csv_oracle(report)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @has_digit_limit
+    def test_a_python_without_the_digit_limit(self, monkeypatch):
+        # Python 3.10.0-3.10.6 have no get_int_max_str_digits and no limit.
+        vertices, edges = 8 << 20_000, 17 << 20_000
+        rank = edges - vertices + 1
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(vertices), str(edges), str(rank)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert count_texts(vertices, edges, rank) == expected
+
+
+GOLDEN_TOWERS = json.loads((Path(__file__).parent / "golden_towers.json").read_text())
+SEED_SHAPES = {"tower-spectral": (2, 6), "tower-build": (8, 10)}
+
+
+class TestReportWriters:
+    """The JSON writer equals json.dumps(indent=2) and the CSV writer csv.writer."""
+
+    def assert_writers_match(self, report):
+        assert report_json_text(report_to_json_dict(report)) == report_json_oracle(report)
+        assert report_to_csv_text(report) == report_csv_oracle(report)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_TOWERS))
+    def test_golden_cases(self, case):
+        seed, levels = case.split()
+        self.assert_writers_match(
+            iterate_tower(builtin_seed(seed), int(levels), seed_description=seed)
+        )
+
+    @pytest.mark.parametrize("shape", sorted(SEED_SHAPES))
+    def test_random_seeds(self, shape):
+        rng = random.Random(f"writers/{shape}")
+        for i in range(100):
+            seed = random_connected_multigraph(rng, *SEED_SHAPES[shape])
+            report = iterate_tower(seed, 2, seed_description=f"{shape}-{i}.json")
+            assert report.truncated
+            self.assert_writers_match(report)
+
+    def test_big_truncated_row(self):
+        report = iterate_tower(bouquet(10), 2, seed_description="bouquet:10")
+        assert len(str(report.levels[-1].vertices)) == 2778
+        self.assert_writers_match(report)
+
+    def test_seed_path_with_escapes(self):
+        name = 'd\u00efr/se\u0301ed "\u00e9\u2028\U0001f600" \\ \t\x01.json'
+        self.assert_writers_match(iterate_tower(theta(), 1, seed_description=name))
+
+    def test_rows_of_every_value_kind(self):
+        rows = (
+            TowerLevel(0, True, 1, 2, 2, None, Fraction(3, 7), "exact", "brute_force", 0.5, -0.0),
+            TowerLevel(1, False, None, True, False, Fraction(-1, 3), None, None, None,
+                       float("nan"), float("inf")),
+            TowerLevel(2, True, 4, 8, 5, Fraction(2), Fraction(0), "upper_bound", "sweep",
+                       1e22, 1.2345678901234567e-300),
+            TowerLevel(True, False, 3 << CROSSOVER, 5 << CROSSOVER, (2 << CROSSOVER) + 1,
+                       Fraction(1, 2), None, None, None, float("-inf"), 1 / 3),
+        )
+        report = TowerReport('q"\\', 3, 10**6, 26, 2048, None, rows)
+        self.assert_writers_match(report)
+        self.assert_writers_match(dataclasses.replace(report, levels=()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(method=st.text(), certified=st.text(st.sampled_from(',"\r\n ab\t')))
+    def test_csv_quoting(self, method, certified):
+        report = counts_report(
+            8 << CROSSOVER, 17 << CROSSOVER, (9 << CROSSOVER) + 1,
+            cheeger_method=method, cheeger_certified=certified,
+        )
+        self.assert_writers_match(report)
