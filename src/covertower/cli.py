@@ -186,8 +186,8 @@ def cmd_cheeger(args: argparse.Namespace) -> int:
     else:
         # Sweep the canonical basis of the whole lambda1 eigenspace, as the
         # tower does, so a repeated eigenvalue gives one answer.
-        _, rows = spectrum_mod.laplacian_spectrum(g, (), vectors=True)
-        result = cheeger_mod.sweep_cut(g, spectrum_mod.canonical_basis(rows))
+        _, basis = spectrum_mod.laplacian_spectrum(g, (), vectors=True)
+        result = cheeger_mod.sweep_cut(g, basis)
     doc = result.to_json_dict()
     doc.update(extra)
     _emit(args.out, json.dumps(doc, indent=2) + "\n")

@@ -100,21 +100,16 @@ class MultiGraph:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        doc: dict = {"schema": JSON_SCHEMA_VERSION, "vertices": self.num_vertices}
-        if self.labels is not None:
-            doc["labels"] = list(self.labels)
-        doc["edges"] = self.ends.tolist()
-        return doc
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, written directly.
+        """The graph document as ``json.dumps(doc, indent=2) + "\\n"`` writes it.
 
-        The standard encoder runs in pure Python when indenting.  Here the
-        labels are joined from their escaped heads and tails (see
-        ``CoverLabels.parts``) and the edges are formatted from byte rows by
-        ``_edge_text``, so no Python object is built per edge; the text is
-        the same, several times faster.
+        doc holds "schema", "vertices", "labels" (only when the graph has
+        labels) and "edges" as a list of [u, v] rows, in that order; it is
+        what ``from_json_dict`` reads.  The standard encoder runs in pure
+        Python when indenting.  Here the labels are joined from their escaped
+        heads and tails (see ``CoverLabels.parts``) and the edges are
+        formatted from byte rows by ``_edge_text``, so no Python object is
+        built per edge; the text is the same, several times faster.
         """
         parts = [f'{{\n  "schema": {JSON_SCHEMA_VERSION},\n  "vertices": {self.num_vertices},\n']
         if self.labels is not None:

@@ -14,6 +14,12 @@ A parameter must be written as str() writes its value: ASCII digits with no
 sign, space, underscore or leading zero, so cycle:1_0, cycle:+5, cycle:05,
 cycle: 5 and the full-width cycle:５ are refused.  The report records the
 name as given, so each builtin graph has one name.
+
+A name that is not a builtin is read as a graph JSON file.  So is a name
+with a builtin prefix whose parameter is refused, when a file of that name
+exists: cycle:3.json is then that file, and otherwise a bad cycle parameter.
+A name the builtins accept is always the builtin, even when a file of that
+name exists.
 """
 from __future__ import annotations
 
@@ -54,10 +60,15 @@ def _positive_int(name: str, prefix: str, minimum: int = 1) -> int:
 
 
 def resolve_graph_input(spec: str) -> tuple[MultiGraph, str]:
-    """Resolve a seed name or JSON file path to (graph, description)."""
-    g = builtin_seed(spec)
-    if g is not None:
-        return g, spec
+    """Resolve a seed name or JSON file path to (graph, description), as the module says."""
+    try:
+        g = builtin_seed(spec)
+    except ValidationError:
+        if not os.path.exists(spec):
+            raise
+    else:
+        if g is not None:
+            return g, spec
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             return MultiGraph.from_json(fh.read()), spec

@@ -13,9 +13,9 @@ the Z/2 cover of a base along a set of cotree edges: the deck group
 (Z/2)^r splits the cover's Laplacian into one signed Laplacian of the base
 per character, so 2^r eigenproblems of the base's size replace one of the
 cover's.  A plain graph is its own rank-0 cover, with no cotree edges and one
-block, its Laplacian; the ``spectrum`` CLI, ``cheeger --method sweep`` and
-the tower's seed take that case, and every tower level >= 1 is the cover of
-the level below.
+block, its Laplacian (``laplacian``, so every Laplacian is assembled there);
+the ``spectrum`` CLI, ``cheeger --method sweep`` and the tower's seed take
+that case, and every tower level >= 1 is the cover of the level below.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ COMBINATORIAL = "combinatorial"
 NORMALIZED = "normalized"
 
 DEFAULT_SPECTRUM_CAP = 2048
+_SIGNIFICANT_DIGITS = 12
 # Eigenspace columns whose residual against the earlier pivot columns is at
 # most this are dependent; the residuals do not depend on the basis.
 _PIVOT_TOLERANCE = 1e-6
@@ -64,9 +65,9 @@ class SpectralSummary:
         }
 
 
-def round_sig(x: float, digits: int = 12) -> float:
-    """Round to the given significant digits (stable float formatting)."""
-    return float(f"{x:.{digits}g}")
+def round_sig(x: float) -> float:
+    """Round to _SIGNIFICANT_DIGITS significant digits (stable float formatting)."""
+    return float(f"{x:.{_SIGNIFICANT_DIGITS}g}")
 
 
 def symmetric_eigensystem(
@@ -93,21 +94,9 @@ def symmetric_eigensystem(
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def adjacency_matrix(g: MultiGraph) -> np.ndarray:
-    """Integer adjacency with multiplicity; a loop adds 2 on the diagonal."""
-    ends = g.ends
-    a = np.zeros((g.num_vertices, g.num_vertices), dtype=np.int64)
-    # Adding at (u, v) and at (v, u) counts a loop twice on the diagonal.
-    np.add.at(a, (ends[:, 0], ends[:, 1]), 1)
-    np.add.at(a, (ends[:, 1], ends[:, 0]), 1)
-    return a
-
-
 def laplacian(g: MultiGraph, kind: str = COMBINATORIAL) -> np.ndarray:
-    """Combinatorial L = D - A, or the symmetric normalized variant."""
-    if kind not in (COMBINATORIAL, NORMALIZED):
-        raise ValidationError(f"unknown laplacian kind {kind!r}")
-    return _laplacian_of(adjacency_matrix(g), np.asarray(g.degrees, dtype=np.int64), kind)
+    """Combinatorial L = D - A, or the symmetric normalized variant: g's rank-0 block."""
+    return character_laplacians(g, (), kind)[0]
 
 
 def _laplacian_of(a: np.ndarray, deg: np.ndarray, kind: str) -> np.ndarray:
@@ -142,7 +131,8 @@ def character_laplacians(
     is the base's, and the normalized block is D^(-1/2) (D - A_s) D^(-1/2).
     The cover's Laplacian maps f(v * 2^r + a) = g(v) (-1)^popcount(s & a) to
     the same lift of (block s) g, so its spectrum is the union of the
-    blocks' spectra.  Returns a (2^r, n, n) stack; block 0 is laplacian(base).
+    blocks' spectra.  Returns a (2^r, n, n) stack; block 0, the trivial
+    character's, is base's own Laplacian.
     The ids are checked as ``z2_cover`` checks them (``cotree_ids``).
     """
     if kind not in (COMBINATORIAL, NORMALIZED):
@@ -170,14 +160,14 @@ def laplacian_spectrum(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The Laplacian spectrum of the cover of base along the cotree edge ids.
 
-    With no cotree edges the cover is base itself.  Returns (w, rows): w is
+    With no cotree edges the cover is base itself.  Returns (w, basis): w is
     the union of the character blocks' spectra, ascending, which is the
-    spectrum of laplacian(cover, kind).  With vectors, rows holds an
-    orthonormal basis of the eigenspace of w[1] (the eigenvalues within
-    zero_tolerance of it), one row per vector, lifted from the block
-    eigenvectors g of character s as g(v) (-1)^popcount(s & a) / sqrt(2^r)
-    at vertex v * 2^r + a; canonical_basis(rows) is the sweep basis.
-    Otherwise rows is None.
+    spectrum of laplacian(cover, kind).  With vectors, basis is the sweep
+    basis: the canonical_basis, one row per vector, of the eigenspace of
+    w[1] (the eigenvalues within zero_tolerance of it).  It is reduced from
+    the orthonormal rows lifted from the block eigenvectors g of character
+    s as g(v) (-1)^popcount(s & a) / sqrt(2^r) at vertex v * 2^r + a.
+    Otherwise basis is None.
 
     A cover above max_vertices is rejected before any matrix exists.  With
     n base vertices the 2^r blocks cost 2^r n^3 <= (2^r n)^3 flops and hold
@@ -200,7 +190,7 @@ def laplacian_spectrum(
     parity = np.bitwise_count(s[:, np.newaxis] & np.arange(sheets)) & 1
     signs = 1.0 - 2.0 * parity
     lifted = block_v[s, :, k][:, :, np.newaxis] * signs[:, np.newaxis, :]
-    return w, lifted.reshape(len(s), -1) / math.sqrt(sheets)
+    return w, canonical_basis(lifted.reshape(len(s), -1) / math.sqrt(sheets))
 
 
 def zero_tolerance(eigenvalues: np.ndarray) -> float:
@@ -221,22 +211,18 @@ def lambda1_of(eigenvalues: np.ndarray) -> float | None:
     return float(nonzero[0]) if len(nonzero) else None
 
 
-def summarize_spectrum(g: MultiGraph, kind: str, eigenvalues: np.ndarray) -> SpectralSummary:
-    tol = zero_tolerance(eigenvalues)
-    return SpectralSummary(
-        kind=kind,
-        eigenvalues=tuple(float(x) for x in eigenvalues),
-        lambda1=lambda1_of(eigenvalues),
-        zero_multiplicity=int(np.sum(np.abs(eigenvalues) <= tol)),
-        max_degree=max(g.degrees, default=0),
-    )
-
-
 def full_spectrum(
     g: MultiGraph, kind: str = COMBINATORIAL, max_vertices: int = DEFAULT_SPECTRUM_CAP
 ) -> SpectralSummary:
+    """The spectrum of laplacian(g, kind), summarized; the ``spectrum`` command's document."""
     w, _ = laplacian_spectrum(g, (), kind, max_vertices=max_vertices)
-    return summarize_spectrum(g, kind, w)
+    return SpectralSummary(
+        kind=kind,
+        eigenvalues=tuple(float(x) for x in w),
+        lambda1=lambda1_of(w),
+        zero_multiplicity=int(np.sum(np.abs(w) <= zero_tolerance(w))),
+        max_degree=max(g.degrees, default=0),
+    )
 
 
 def canonical_basis(span: np.ndarray) -> np.ndarray:

@@ -173,12 +173,10 @@ def _analyze_level(
     sweep_basis = None
     if g.num_vertices <= spectrum_cap:
         need_vectors = g.num_vertices > cheeger_cap
-        w, rows = spectrum_mod.laplacian_spectrum(
+        w, sweep_basis = spectrum_mod.laplacian_spectrum(
             base, cotree, spectrum_mod.COMBINATORIAL, need_vectors, spectrum_cap
         )
         columns["lambda1_combinatorial"] = spectrum_mod.lambda1_of(w)
-        if need_vectors:
-            sweep_basis = spectrum_mod.canonical_basis(rows)
         # A connected level without edges is one bare vertex, which has no
         # normalized Laplacian (and no lambda1 of either kind).
         if g.num_edges:

@@ -20,6 +20,7 @@ from covertower import (
     DisconnectedGraphError,
     MultiGraph,
     SpecMismatchError,
+    SpectrumError,
     ValidationError,
     build_graph,
     spanning_tree,
@@ -28,14 +29,13 @@ from covertower import (
 )
 from covertower.cheeger import Cut, _recount
 from covertower.covers import CoveredGraph
-from covertower.multigraph import component_count
+from covertower.multigraph import JSON_SCHEMA_VERSION, component_count
 from covertower.spectrum import (
     COMBINATORIAL,
     NORMALIZED,
     SpectralSummary,
     canonical_basis,
-    laplacian,
-    summarize_spectrum,
+    lambda1_of,
     zero_tolerance,
 )
 from covertower.tower import LEVEL_FIELDS, TowerReport, _csv_value, report_to_json_dict
@@ -127,6 +127,40 @@ def _side_mask(g: MultiGraph, side_a: Iterable[int]) -> np.ndarray:
     in_a = np.zeros(g.num_vertices, dtype=bool)
     in_a[ids] = True
     return in_a
+
+
+def loop_adjacency(g: MultiGraph) -> np.ndarray:
+    """Edge-by-edge adjacency with multiplicity; a loop adds 2 on the diagonal."""
+    a = np.zeros((g.num_vertices, g.num_vertices), dtype=np.int64)
+    for u, v in g.edges:
+        if u == v:
+            a[u, u] += 2
+        else:
+            a[u, v] += 1
+            a[v, u] += 1
+    return a
+
+
+def dense_laplacian(g: MultiGraph, kind: str = COMBINATORIAL) -> np.ndarray:
+    """The Laplacian of g from loop_adjacency, the dense oracle for every block path.
+
+    D is the adjacency's row sums.  The normalized entries follow the
+    program's entrywise-symmetric formulas, -A_uv / sqrt(deg_u deg_v) off
+    the diagonal and (deg_v - A_vv) / deg_v on it, so laplacian(g, kind)
+    must equal this entry for entry.
+    """
+    a = loop_adjacency(g)
+    deg = a.sum(axis=1)
+    if kind == COMBINATORIAL:
+        return np.diag(deg).astype(float) - a
+    if kind != NORMALIZED:
+        raise ValidationError(f"unknown laplacian kind {kind!r}")
+    if np.any(deg == 0):
+        isolated = int(np.flatnonzero(deg == 0)[0])
+        raise SpectrumError(f"normalized laplacian undefined: vertex {isolated} is isolated")
+    lap = -(a / np.sqrt(np.outer(deg, deg)))  # -0.0 where A_uv = 0, as in the program
+    np.fill_diagonal(lap, (deg - np.diag(a)) / deg)
+    return lap
 
 
 def spectrum_inclusion(
@@ -380,14 +414,23 @@ def dense_level_oracle(cover: CoveredGraph) -> DenseLevel:
     checks.  The sweep basis is the canonical basis of the lambda1 eigenspace.
     """
     g = cover.graph
-    w, v = np.linalg.eigh(laplacian(g, COMBINATORIAL))
-    w_norm = np.linalg.eigvalsh(laplacian(g, NORMALIZED))
+    w, v = np.linalg.eigh(dense_laplacian(g, COMBINATORIAL))
+    w_norm = np.linalg.eigvalsh(dense_laplacian(g, NORMALIZED))
     eigenspace = np.abs(w - w[1]) <= zero_tolerance(w)
     return DenseLevel(
-        summarize_spectrum(g, COMBINATORIAL, w).lambda1,
-        summarize_spectrum(g, NORMALIZED, w_norm).lambda1,
+        lambda1_of(w),
+        lambda1_of(w_norm),
         sweep_cut(g, canonical_basis(v[:, eigenspace].T)).value,
     )
+
+
+def graph_json_oracle(g: MultiGraph) -> str:
+    """The graph JSON document as the standard encoder writes it."""
+    doc: dict = {"schema": JSON_SCHEMA_VERSION, "vertices": g.num_vertices}
+    if g.labels is not None:
+        doc["labels"] = list(g.labels)
+    doc["edges"] = g.ends.tolist()
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def report_json_oracle(report: TowerReport) -> str:

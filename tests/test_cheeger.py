@@ -29,7 +29,7 @@ from covertower import (
 from covertower import cheeger
 from covertower.cheeger import CheegerResult, Cut
 from covertower.cli import main as cli_main
-from covertower.spectrum import canonical_basis, laplacian, symmetric_eigensystem, zero_tolerance
+from covertower.spectrum import canonical_basis, symmetric_eigensystem, zero_tolerance
 from covertower.tower import iterate_tower
 
 from conftest import (
@@ -37,6 +37,7 @@ from conftest import (
     cover_of,
     cut_ratio,
     cycle,
+    dense_laplacian,
     doubled_cycle,
     figure8,
     path,
@@ -438,7 +439,7 @@ class TestLemmaCut:
 
 
 def fiedler_vector(g):
-    """The first row of the lambda1 eigenspace, for sweeps along one vector."""
+    """The first row of the sweep basis, for sweeps along one vector."""
     return laplacian_spectrum(g, (), vectors=True)[1][0]
 
 
@@ -616,11 +617,11 @@ def _recount_counter(monkeypatch):
 
 def _cheeger_methods(gamma1):
     """One call of each method on Gamma1, as zero-argument callables."""
-    _, rows = laplacian_spectrum(gamma1.graph, (), vectors=True)
+    _, basis = laplacian_spectrum(gamma1.graph, (), vectors=True)
     return {
         "exact": lambda: exact_cheeger(gamma1.graph),
         "lemma": lambda: lemma_cut(gamma1),
-        "sweep": lambda: sweep_cut(gamma1.graph, canonical_basis(rows)),
+        "sweep": lambda: sweep_cut(gamma1.graph, basis),
     }
 
 
@@ -779,7 +780,7 @@ class TestCanonicalSweep:
     """The tower's sweep depends on the eigenspace, not on the solver's basis."""
 
     def canonical_sweep(self, g, rotations=5):
-        w, v = symmetric_eigensystem(laplacian(g))
+        w, v = symmetric_eigensystem(dense_laplacian(g))
         result = sweep_cut(g, eigenspace_basis(w, v))
         rng = np.random.default_rng(g.num_vertices + g.num_edges)
         for _ in range(rotations):
@@ -806,7 +807,7 @@ class TestCanonicalSweep:
 
     def test_tower_and_cli_use_the_canonical_sweep(self, capsys):
         g = cycle(5)  # lambda1 has multiplicity 2
-        w, v = symmetric_eigensystem(laplacian(g))
+        w, v = symmetric_eigensystem(dense_laplacian(g))
         sweep = sweep_cut(g, eigenspace_basis(w, v))
         row = iterate_tower(g, 0, cheeger_cap=1).levels[0]
         assert (row.cheeger_value, row.cheeger_method) == (sweep.value, "sweep")

@@ -13,7 +13,7 @@ import covertower.tower as tower_mod
 from covertower import MultiGraph
 from covertower.cli import main
 
-from conftest import cut_ratio
+from conftest import cut_ratio, theta
 
 
 def run_cli(*argv, capsys=None):
@@ -503,6 +503,38 @@ class TestSpectrumCommand:
             "spectrum", "cycle:10", "--spectrum-cap", "4", capsys=capsys
         )
         assert code == 5
+
+
+class TestBuiltinOrFile:
+    """A refused builtin parameter names a file when one exists; an accepted one never does."""
+
+    def test_file_with_a_builtin_prefix_is_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cycle:3.json").write_text(theta().to_json())
+        code, stdout, _ = run_cli("spectrum", "cycle:3.json", capsys=capsys)
+        assert code == 0
+        assert stdout == run_cli("spectrum", "theta", capsys=capsys)[1]
+        assert json.loads(stdout)["eigenvalues"] == [0.0, 6.0]
+        assert run_cli("tower", "--seed", "cycle:3.json", "--levels", "1",
+                       "--format", "json", "--out", "t") == 0
+        doc = json.loads((tmp_path / "t.json").read_text())
+        assert doc["seed"] == "cycle:3.json"
+        assert [row["vertices"] for row in doc["levels"]] == [2, 8]
+
+    def test_refused_parameter_without_a_file_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli("spectrum", "cycle:3.json", capsys=capsys)
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "ValidationError", "message": "bad cycle parameter '3.json'",
+        }
+
+    def test_accepted_builtin_wins_over_a_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cycle:3").write_text(theta().to_json())
+        code, stdout, _ = run_cli("spectrum", "cycle:3", capsys=capsys)
+        assert code == 0
+        assert [round(x, 9) for x in json.loads(stdout)["eigenvalues"]] == [0.0, 3.0, 3.0]
 
 
 def run_fresh(*argv):

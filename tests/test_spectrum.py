@@ -23,11 +23,9 @@ from covertower import spectrum as spectrum_mod
 from covertower.spectrum import (
     COMBINATORIAL,
     NORMALIZED,
-    adjacency_matrix,
     canonical_basis,
     character_laplacians,
     lambda1_of,
-    summarize_spectrum,
     symmetric_eigensystem,
     zero_tolerance,
 )
@@ -38,6 +36,7 @@ from conftest import (
     complete,
     cover_of,
     cycle,
+    dense_laplacian,
     doubled_cycle,
     figure8,
     path,
@@ -68,16 +67,20 @@ CORPUS = [
 ]
 
 
-def loop_adjacency(g):
-    """Edge-by-edge adjacency, the reference for the vectorized one."""
-    a = np.zeros((g.num_vertices, g.num_vertices), dtype=np.int64)
-    for u, v in g.edges:
-        if u == v:
-            a[u, u] += 2
-        else:
-            a[u, v] += 1
-            a[v, u] += 1
-    return a
+def assert_laplacian_is_the_dense_oracle(g, kind):
+    """laplacian(g, kind) equals dense_laplacian bit for bit, or both raise one SpectrumError."""
+    outcomes = []
+    for build in (laplacian, dense_laplacian):
+        try:
+            outcomes.append(build(g, kind))
+        except SpectrumError as exc:
+            outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert isinstance(got, str) and got == want
+    else:
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLaplacian:
@@ -86,11 +89,14 @@ class TestLaplacian:
         CORPUS + [
             build_graph(3, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 1), (1, 2)]),
             build_graph(2, []),
+            build_graph(3, [(0, 0)]),
         ],
         ids=lambda g: f"V{g.num_vertices}E{g.num_edges}",
     )
     def test_adjacency_matches_loop_oracle(self, g):
-        assert np.array_equal(adjacency_matrix(g), loop_adjacency(g))
+        """laplacian, the rank-0 block, against the Laplacian of loop_adjacency."""
+        for kind in (COMBINATORIAL, NORMALIZED):
+            assert_laplacian_is_the_dense_oracle(g, kind)
 
     def test_figure8_loops_cancel(self):
         lap = laplacian(figure8())
@@ -160,7 +166,7 @@ class TestFullSpectrum:
         "g", CORPUS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}"
     )
     def test_eigenvalue_sum_matches_trace(self, g):
-        lap = laplacian(g)
+        lap = dense_laplacian(g)
         trace = int(round(float(np.trace(lap))))
         s = full_spectrum(g)
         assert abs(sum(s.eigenvalues) - trace) <= 1e-9 * max(1, trace)
@@ -200,11 +206,10 @@ class TestFiedler:
 class TestFiedlerBasis:
     def test_reduced_row_echelon_form_of_the_eigenspace(self, gamma2):
         g = gamma2.graph
-        w, rows = laplacian_spectrum(g, (), vectors=True)
-        basis = canonical_basis(rows)
+        w, basis = laplacian_spectrum(g, (), vectors=True)
         assert basis.shape == (8, g.num_vertices)  # lambda1 of Gamma2 is 8-fold
         # each row is an eigenvector for lambda1
-        residual = laplacian(g) @ basis.T - w[1] * basis.T
+        residual = dense_laplacian(g) @ basis.T - w[1] * basis.T
         assert np.max(np.abs(residual)) <= 1e-9 * np.max(np.abs(basis))
         # pivots: the first column where each row is nonzero carries a 1 there
         # and zeros in every other row
@@ -214,15 +219,15 @@ class TestFiedlerBasis:
 
     def test_simple_eigenvalue_gives_the_scaled_fiedler_vector(self):
         g = path(5)
-        _, rows = laplacian_spectrum(g, (), vectors=True)
-        basis = canonical_basis(rows)
+        _, basis = laplacian_spectrum(g, (), vectors=True)
+        _, v = np.linalg.eigh(dense_laplacian(g))
         assert basis.shape == (1, 5)
         assert basis[0, 0] == pytest.approx(1.0)
-        assert np.allclose(basis[0], rows[0] / rows[0, 0])
+        assert np.allclose(basis[0], v[:, 1] / v[0, 1])
 
     def test_single_vertex_has_an_empty_basis(self):
-        _, rows = laplacian_spectrum(figure8(), (), vectors=True)
-        assert canonical_basis(rows).shape == (0, 1)
+        _, basis = laplacian_spectrum(figure8(), (), vectors=True)
+        assert basis.shape == (0, 1)
 
 
 class TestZeroEigenvalues:
@@ -343,7 +348,7 @@ class TestEigensystemResiduals:
         "g", CORPUS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}"
     )
     def test_laplacian_eigenpairs_residual(self, g):
-        lap = laplacian(g)
+        lap = dense_laplacian(g)
         w, v = symmetric_eigensystem(character_laplacians(g, ()))
         w, v = w[0], v[0]
         scale = max(1.0, float(np.max(np.abs(lap))))
@@ -352,8 +357,10 @@ class TestEigensystemResiduals:
     def test_summary_matches_eigensystem(self):
         g = cycle(6)
         w, _ = laplacian_spectrum(g, ())
-        s = summarize_spectrum(g, COMBINATORIAL, w)
+        s = full_spectrum(g)
         assert s.eigenvalues == tuple(float(x) for x in w)
+        assert s.lambda1 == lambda1_of(w) == pytest.approx(1.0)
+        assert s.zero_multiplicity == 1 and s.max_degree == 2
 
 
 _block_rng = random.Random(808)
@@ -376,6 +383,12 @@ def _cover_id(cover):
     return f"V{cover.base.num_vertices}r{cover.rank}"
 
 
+# A tree holds no loop, so these are the covers whose bases have loops.
+COTREE_LOOP_COVERS = [
+    c for c in BLOCK_COVERS if any(len(set(c.base.edges[e])) == 1 for e in c.spec.cotree_edges)
+]
+
+
 class TestCharacterBlocks:
     """The block path against the dense spectrum of the constructed cover."""
 
@@ -385,11 +398,18 @@ class TestCharacterBlocks:
         bases = [c.base for c in BLOCK_COVERS]
         assert any(u == v for g in bases for u, v in g.edges)
         assert any(len(set(g.edges)) < g.num_edges for g in bases)
+        assert len(COTREE_LOOP_COVERS) >= 5
+
+    @pytest.mark.parametrize("cover", COTREE_LOOP_COVERS, ids=_cover_id)
+    def test_laplacian_of_base_and_cover_is_the_dense_oracle(self, cover):
+        for g in (cover.base, cover.graph):
+            for kind in (COMBINATORIAL, NORMALIZED):
+                assert_laplacian_is_the_dense_oracle(g, kind)
 
     @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
     @pytest.mark.parametrize("cover", BLOCK_COVERS, ids=_cover_id)
     def test_union_of_block_spectra_is_the_cover_spectrum(self, cover, kind):
-        dense = np.linalg.eigvalsh(laplacian(cover.graph, kind))
+        dense = np.linalg.eigvalsh(dense_laplacian(cover.graph, kind))
         w, rows = laplacian_spectrum(cover.base, cover.spec.cotree_edges, kind)
         assert rows is None
         assert np.max(np.abs(w - dense)) <= 1e-9
@@ -399,24 +419,24 @@ class TestCharacterBlocks:
     @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
     @pytest.mark.parametrize("cover", BLOCK_COVERS, ids=_cover_id)
     def test_lifted_rows_span_the_lambda1_eigenspace(self, cover, kind):
-        lap = laplacian(cover.graph, kind)
-        w, rows = laplacian_spectrum(cover.base, cover.spec.cotree_edges, kind, vectors=True)
-        for f in rows:
-            assert np.linalg.norm(lap @ f - w[1] * f) <= 1e-9
-        assert np.max(np.abs(rows @ rows.T - np.eye(len(rows)))) <= 1e-9
-        dense = np.linalg.eigvalsh(lap)
-        assert len(rows) == np.count_nonzero(np.abs(dense - dense[1]) <= zero_tolerance(dense))
+        """The sweep basis reduced from the lifted rows is that of a dense solve."""
+        lap = dense_laplacian(cover.graph, kind)
+        w, basis = laplacian_spectrum(cover.base, cover.spec.cotree_edges, kind, vectors=True)
+        for f in basis:
+            assert np.linalg.norm(lap @ f - w[1] * f) <= 1e-9 * max(1.0, np.linalg.norm(f))
+        dense_w, dense_v = np.linalg.eigh(lap)
+        eigenspace = np.abs(dense_w - dense_w[1]) <= zero_tolerance(dense_w)
+        assert len(basis) == np.count_nonzero(eigenspace)
+        assert np.max(np.abs(basis - canonical_basis(dense_v[:, eigenspace].T))) <= 1e-9
 
     @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
     @pytest.mark.parametrize("cover", BLOCK_COVERS, ids=_cover_id)
     def test_trivial_character_is_the_base(self, cover, kind):
         blocks = character_laplacians(cover.base, cover.spec.cotree_edges, kind)
         assert blocks.shape == (cover.sheets, cover.base.num_vertices, cover.base.num_vertices)
-        assert np.array_equal(blocks[0], laplacian(cover.base, kind))
-        w, _ = laplacian_spectrum(cover.base, cover.spec.cotree_edges, kind)
-        assert spectrum_inclusion(
-            full_spectrum(cover.base, kind), summarize_spectrum(cover.graph, kind, w)
-        )
+        assert np.array_equal(blocks[0], dense_laplacian(cover.base, kind))
+        base, whole = full_spectrum(cover.base, kind), full_spectrum(cover.graph, kind)
+        assert spectrum_inclusion(base, whole)
 
     @pytest.mark.parametrize("cover", BLOCK_COVERS[::4], ids=_cover_id)
     def test_stacked_eigensolve_equals_per_matrix_calls(self, cover):
@@ -432,7 +452,8 @@ class TestCharacterBlocks:
     def test_lambda1_of_matches_the_summary(self):
         for cover in BLOCK_COVERS:
             w, _ = laplacian_spectrum(cover.base, cover.spec.cotree_edges)
-            assert lambda1_of(w) == summarize_spectrum(cover.graph, COMBINATORIAL, w).lambda1
+            dense = full_spectrum(cover.graph).lambda1
+            assert lambda1_of(w) == pytest.approx(dense, rel=0, abs=1e-9)
         assert lambda1_of(np.array([0.0, 0.0, 2.0])) == 0.0
         assert lambda1_of(np.array([0.0])) is None
 
@@ -490,20 +511,20 @@ class TestRankZeroPath:
             with pytest.raises(SpectrumError, match="isolated"):
                 laplacian_spectrum(g, (), kind)
             return
-        lap = laplacian(g, kind)
+        lap = dense_laplacian(g, kind)
         w, none = laplacian_spectrum(g, (), kind)
         assert none is None
         assert np.array_equal(w, np.linalg.eigvalsh(lap))
         dense_w, dense_v = np.linalg.eigh(lap)
-        w, rows = laplacian_spectrum(g, (), kind, vectors=True)
+        w, basis = laplacian_spectrum(g, (), kind, vectors=True)
         assert np.array_equal(w, dense_w)
         if g.num_vertices < 2:
-            assert rows.shape == (0, g.num_vertices)
+            assert basis.shape == (0, g.num_vertices)
             return
         eigenspace = np.abs(dense_w - dense_w[1]) <= zero_tolerance(dense_w)
         expected = canonical_basis(dense_v[:, eigenspace].T)
-        assert canonical_basis(rows).shape == expected.shape
-        assert np.max(np.abs(canonical_basis(rows) - expected)) <= 1e-9
+        assert basis.shape == expected.shape
+        assert np.max(np.abs(basis - expected)) <= 1e-9
 
     def test_corpus_shape(self):
         graphs = RANK0_CORPUS
@@ -512,6 +533,6 @@ class TestRankZeroPath:
         assert any(len(set(g.edges)) < g.num_edges for g in graphs)
         repeated = 0
         for g in graphs:
-            w = np.linalg.eigvalsh(laplacian(g))
+            w = np.linalg.eigvalsh(dense_laplacian(g))
             repeated += len(w) > 2 and abs(w[2] - w[1]) <= zero_tolerance(w)
         assert repeated >= 3
