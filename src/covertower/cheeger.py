@@ -7,9 +7,12 @@ two of them, and in float64 otherwise.
 Crossing counts include parallel-edge multiplicity; loops never cross.
 
 The exhaustive search fixes vertex 0 on side A, halving the 2^n subsets.
-It tabulates every crossing count by subset-sum doubling (a quadratic table
-of the edges among the low vertices once per call, a linear table per chunk
-of the subset range), so it costs O(2^(n-1)) whatever the edge count.
+It splits the subset range into chunks of at most 2^16 cuts, whose tables fit
+in a core's L2 cache, and visits them in Gray-code order of their high
+vertices.  Subset-sum doubling builds the first chunk's crossing counts and
+one table per high vertex, and each later chunk is its predecessor plus or
+minus one of those tables and one constant, so the search costs O(2^(n-1))
+whatever the edge count.
 Ties between minimum-ratio cuts are broken by the lexicographically smallest
 A as a sorted id list (so a shorter prefix beats its extensions).
 
@@ -44,11 +47,11 @@ METHOD_LEMMA_CUT = "lemma_cut"
 METHOD_SWEEP = "sweep"
 
 DEFAULT_BRUTE_FORCE_CAP = 26
-# The largest graph the search accepts, so that it finishes in minutes: its
-# time doubles per vertex, about 0.05 s at 26 vertices and 0.9 s at 30 on
-# one 2-core host, so about a minute at 36.  (Its uint64 masks allow 62.)
+# The largest graph the search accepts, so that it finishes within a minute:
+# its time doubles per vertex, about 0.03 s at 26 vertices and 0.5 s at 30
+# on one 2-core host, so about 35 s at 36.  (Its uint64 masks allow 62.)
 MAX_BRUTE_FORCE_CAP = 36
-_CHUNK_BITS = 20
+_CHUNK_BITS = 16
 # Sweep entries closer than this, relative to the vector's largest magnitude,
 # are ties: rounding in the eigensolver must not decide the vertex order.
 SWEEP_TIE_TOLERANCE = 1e-9
@@ -229,17 +232,27 @@ def exact_cheeger(
 
     Subset index x puts vertex j + 1 on side A when bit j of x is set;
     vertex 0 is always on side A.  The low k = min(_CHUNK_BITS, n - 1) bits
-    index within one chunk and the high bits are fixed within it.  With
-    S = {0} plus the chunk's high vertices and L the low vertices in A,
+    index within one chunk of 2^k cuts and the high bits are fixed within
+    it.  With S = {0} plus the chunk's high vertices and L_x the low
+    vertices in A, the chunk's table holds crossing(S + L_x) for every x.
+    The first chunk (S = {0}) is built by doubling over the low vertices w,
 
-        crossing(S + L) = crossing(S) + sum(a_w for w in L) - 2 e(L),
-        a_w = deg'(w) - 2 m(w, S),
+        crossing({0} + L + w) = crossing({0} + L) + a_w - 2 m(w, L),
+        a_w = deg'(w) - 2 m(w, 0),
 
-    where deg' counts non-loop edge ends with multiplicity and e(L) is the
-    edge weight inside L.  The table of -2 e(L) is built once per call and
-    the linear table once per chunk, both by subset-sum doubling
+    where deg' counts non-loop edge ends with multiplicity and m(w, L) is
+    the edge weight between w and L.  The chunks are then visited in binary
+    reflected Gray-code order of their high vertices, so the next chunk
+    moves one high vertex h into S or out of it, and its table is this one
+    plus or minus
+
+        a_h - 2 m(h, L_x) - 2 m(h, S - {0, h}):
+
+    a table of a_h - 2 m(h, L_x) built once per high vertex, and one
+    constant.  Every table is filled by subset-sum doubling
     (t[x + 2^i] = t[x] + ...), so the search costs O(2^(n-1)) table entries
-    whatever the edge count.
+    whatever the edge count, and one chunk's tables (about 0.5 MB at the
+    default 2^16 cuts) stay in a core's L2 cache.
 
     Each chunk ranks its ratios in float32 when W * floor(n/2)^2 < 2^23
     (W the non-loop edge weight), else in float64; float32 is exact there,
@@ -248,9 +261,10 @@ def exact_cheeger(
     within W 2^-24 of its ratio while distinct ratios differ by at least
     1 / floor(n/2)^2.
 
-    The chunks are reduced in order with a deterministic minimum-and-tiebreak
-    reduction, so any partitioning of the range (serial or parallel) yields
-    the identical result.
+    Each chunk's minimum joins the running best by an exact (crossing,
+    side) comparison and then `_lex_key`, neither of which depends on the
+    order of the chunks, so any partitioning of the range and any visiting
+    order yield the identical result.
     """
     n = g.num_vertices
     if n < 2:
@@ -264,68 +278,80 @@ def exact_cheeger(
     if n > MAX_BRUTE_FORCE_CAP:
         raise SizeCapError(f"brute force is limited to {MAX_BRUTE_FORCE_CAP} vertices")
     edge_mults = _edge_multiplicities(g)
-    total = (1 << (n - 1)) - 1  # subsets containing vertex 0, minus the full set
     k = min(_CHUNK_BITS, n - 1)
     chunk = 1 << k
-    # Every table entry is a partial sum of crossing(S), the a_w and the
-    # -2m terms, so it lies within 3 * (non-loop edge weight) of zero.
+    high = n - 1 - k  # the high vertices are k + 1 + j for bit j of a chunk
+    # Every table entry is a partial sum of crossing counts and gains, so it
+    # lies within 3 * (non-loop edge weight) of zero.
     weight = sum(m for _, _, m in edge_mults)
     dtype = np.min_scalar_type(-3 * weight)
-    crossing = np.empty(chunk, dtype=dtype)
-    # inner[x] = -2 e(L_x), by doubling over the low vertices w:
-    # inner[x + 2^(w-1)] = inner[x] + row[x], where row is the subset-sum
-    # table of -2 m(u, w) over the low vertices u < w (built in the crossing
-    # buffer, which is free until the first chunk).
-    to_lower = [[0] * (w - 1) for w in range(k + 1)]
+    # a[v] = deg'(v) - 2 m(0, v) for v >= 1 and a[0] = deg'(0) = crossing({0});
+    # to_low[v] lists -2 m(u, v) over the low vertices u < v, and to_high[j]
+    # the pairs (i, -2 m) joining high vertex k + 1 + j to high bit i.
+    a = [0] * n
+    to_low = [[0] * min(v - 1, k) for v in range(n)]
+    to_high = [[] for _ in range(high)]
     for u, v, mult in edge_mults:
-        if u >= 1 and v <= k:
-            to_lower[v][u - 1] -= 2 * mult
-    inner = np.zeros(chunk, dtype=dtype)
-    for w in range(2, k + 1):
+        a[u] += mult
+        a[v] += mult if u else -mult
+        if 1 <= u <= k:
+            to_low[v][u - 1] -= 2 * mult
+        elif u > k:
+            to_high[u - k - 1].append((v - k - 1, -2 * mult))
+            to_high[v - k - 1].append((u - k - 1, -2 * mult))
+    # table[x] = crossing({0} + L_x), by doubling over the low vertices w:
+    # adding w to {0} + L changes the count by the gain a_w - 2 m(w, L).
+    table = np.empty(chunk, dtype=dtype)
+    table[0] = a[0]
+    for w in range(1, k + 1):
         half = 1 << (w - 1)
-        row = _subset_sums(crossing[:half], 0, to_lower[w])
-        np.add(inner[:half], row, out=inner[half : 2 * half])
+        gain = _subset_sums(table[half : 2 * half], a[w], to_low[w])
+        np.add(gain, table[:half], out=gain)
+    # steps[j][x] = a_h - 2 m(h, L_x) for high vertex h = k + 1 + j.
+    steps = [
+        _subset_sums(np.empty(chunk, dtype=dtype), a[k + 1 + j], to_low[k + 1 + j])
+        for j in range(high)
+    ]
     low_count = _subset_sums(np.empty(chunk, dtype=np.uint8), 0, [1] * k)  # |L_x|
     side = np.empty(chunk, dtype=np.uint8)
     # The float ratios rank the cuts exactly (see the docstring's bound).
     single = weight * (n // 2) ** 2 < 1 << 23
     ratio = np.empty(chunk, dtype=np.float32 if single else np.float64)
     best_crossing = best_side = best_key = -1
-    for start in range(0, total, chunk):
-        count = min(chunk, total - start)
-        s_mask = (start << 1) | 1  # S: vertex 0 and the chunk's high vertices
-        c0 = 0
-        linear = [0] * k  # linear[w - 1] = a_w
-        for u, v, mult in edge_mults:
-            u_in, v_in = s_mask >> u & 1, s_mask >> v & 1
-            if u_in != v_in:
-                c0 += mult
-            if 1 <= u <= k:
-                linear[u - 1] += -mult if v_in else mult
-            if 1 <= v <= k:
-                linear[v - 1] += -mult if u_in else mult
-        _subset_sums(crossing, c0, linear)
-        cross = crossing[:count]
-        np.add(cross, inner[:count], out=cross)
+    last = (1 << high) - 1  # the chunk holding every high vertex
+    c = 0  # the chunk's high vertices, bit j for vertex k + 1 + j
+    for gray in range(1 << high):
+        if gray:
+            # Gray order: this chunk moves the high vertex h of gray's lowest
+            # set bit into S (or out of it), which adds (or subtracts)
+            # a_h - 2 m(h, L_x) - 2 m(h, S - {0, h}) to every count.
+            bit = (gray & -gray).bit_length() - 1
+            c ^= 1 << bit
+            update = np.add if c >> bit & 1 else np.subtract
+            update(table, steps[bit], out=table)
+            update(table, sum(m for i, m in to_high[bit] if c >> i & 1), out=table)
+        start = c << k
+        count = chunk - (c == last)  # A is never the whole vertex set
+        cross = table[:count]
         smaller = side[:count]
-        np.add(low_count[:count], s_mask.bit_count(), out=smaller)  # |A|
+        np.add(low_count[:count], 1 + c.bit_count(), out=smaller)  # |A|
         other = ratio.view(np.uint8)[:count]  # scratch until the ratios land
         np.subtract(n, smaller, out=other)
         np.minimum(smaller, other, out=smaller)
         chunk_ratio = np.divide(cross, smaller, out=ratio[:count], dtype=ratio.dtype)
         i_min = int(np.argmin(chunk_ratio))
-        c, s = int(cross[i_min]), int(smaller[i_min])
-        if best_crossing >= 0 and c * best_side > best_crossing * s:
+        c_min, s_min = int(cross[i_min]), int(smaller[i_min])
+        if best_crossing >= 0 and c_min * best_side > best_crossing * s_min:
             continue
         # Tie resolution: the least _lex_key among the chunk's minima, which
-        # is comparable with the best key of the earlier chunks.
+        # is comparable with the best key of the other chunks.
         ties = np.flatnonzero(chunk_ratio == chunk_ratio[i_min])
         keys = _lex_key(((ties + start) << 1) | 1, n)
         j = int(np.argmin(keys))
         if (
             best_crossing < 0
-            or c * best_side < best_crossing * s
-            or (c * best_side == best_crossing * s and keys[j] < best_key)
+            or c_min * best_side < best_crossing * s_min
+            or (c_min * best_side == best_crossing * s_min and keys[j] < best_key)
         ):
             # Claim the winner's own table entry: an equal ratio can come
             # from another (crossing, side) pair, as 8/2 ties with 4/1.

@@ -292,15 +292,36 @@ CHUNK_CORPUS = [
     random_seed(_chunk_rng, n, _chunk_rng.randint(n // 2, 2 * n))
     for n in (6, 7, 8, 9, 10, 11, 12, 12)
 ]
+# 18 to 20 vertices span 2, 4 or 8 chunks at the default width.
+_wide_rng = random.Random(21)
+WIDE_CORPUS = [
+    random_seed(_wide_rng, n, _wide_rng.randint(n, 2 * n)) for n in (18, 19, 20, 20)
+]
+
+
+def two_clusters():
+    """K10 on {0..6, 17, 18, 19} and K10 on {7..16}, one bridge between them.
+
+    The bridge split (1 crossing over 10) is the unique minimum, since any
+    other cut splits a K10 (at least 9 crossing over at most 10).  At the
+    default width its side A holds every high vertex (17, 18, 19), so the
+    winner sits in the partial, all-high chunk, which the Gray walk visits
+    sixth of eight.
+    """
+    left = [0, 1, 2, 3, 4, 5, 6, 17, 18, 19]
+    right = list(range(7, 17))
+    edges = [p for part in (left, right) for p in itertools.combinations(part, 2)]
+    return build_graph(20, edges + [(6, 7), (19, 19), (1, 2)])
 
 
 class TestChunkedSearch:
     """Narrow chunks exercise the cross-chunk terms (high vertices fixed per
-    chunk) that the default chunk width only reaches above 21 vertices."""
+    chunk) that the default chunk width only reaches above 17 vertices."""
 
     def test_corpus_has_loops_and_parallel_edges(self):
-        assert any(u == v for g in CHUNK_CORPUS for u, v in g.edges)
-        assert any(max(Counter(g.edges).values()) > 1 for g in CHUNK_CORPUS)
+        for corpus in (CHUNK_CORPUS, WIDE_CORPUS):
+            assert any(u == v for g in corpus for u, v in g.edges)
+            assert any(max(Counter(g.edges).values()) > 1 for g in corpus)
 
     @pytest.mark.parametrize(
         "g", CHUNK_CORPUS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}"
@@ -315,6 +336,22 @@ class TestChunkedSearch:
                 default.value,
                 default.witness.side_a,
             ), f"chunk bits {bits}"
+
+    @pytest.mark.parametrize(
+        "g", WIDE_CORPUS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}"
+    )
+    def test_default_width_across_chunks(self, g):
+        assert g.num_vertices - 1 > cheeger._CHUNK_BITS
+        result = exact_cheeger(g)
+        assert (result.value, result.witness.side_a) == mask_cheeger(g)
+
+    def test_winner_in_the_all_high_chunk(self):
+        g = two_clusters()
+        result = exact_cheeger(g)
+        assert (result.value, result.witness.side_a) == mask_cheeger(g)
+        assert result.value == Fraction(1, 10)
+        assert result.witness.side_a == (0, 1, 2, 3, 4, 5, 6, 17, 18, 19)
+        assert set(range(cheeger._CHUNK_BITS + 1, 20)) <= set(result.witness.side_a)
 
 
 class TestMaskOracle:
@@ -378,8 +415,10 @@ class TestRatioPrecision:
 
 
 def test_search_memory_peak_on_c26():
-    """The 26-vertex search stays under 11 MB of traced peak: its float32
-    ratio buffer and the int8 tables peak at 9.45 MB (13.64 MB in float64)."""
+    """The 26-vertex search stays under 1.5 MB of traced peak: one chunk of
+    2^16 cuts (int8 counts, a float32 ratio buffer) and the nine high
+    vertices' int8 step tables peak at 1.12 MB, and the slack covers the
+    tie arrays."""
     tracemalloc.start()
     try:
         result = exact_cheeger(cycle(26))
@@ -387,7 +426,7 @@ def test_search_memory_peak_on_c26():
     finally:
         tracemalloc.stop()
     assert result.value == Fraction(2, 13)
-    assert peak < 11 * 10**6
+    assert peak < 1.5 * 10**6
 
 
 class TestLemmaCut:
