@@ -10,9 +10,9 @@ The exhaustive search fixes vertex 0 on side A, halving the 2^n subsets.
 It splits the subset range into chunks of at most 2^16 cuts, whose tables fit
 in a core's L2 cache, and visits them in Gray-code order of their high
 vertices.  Subset-sum doubling builds the first chunk's crossing counts and
-one table per high vertex, and each later chunk is its predecessor plus or
-minus one of those tables and one constant, so the search costs O(2^(n-1))
-whatever the edge count.
+one table per high vertex with a low neighbour, and each later chunk is its
+predecessor plus or minus at most one of those tables and one constant, so
+the search costs O(2^(n-1)) whatever the edge count.
 Ties between minimum-ratio cuts are broken by the lexicographically smallest
 A as a sorted id list (so a shorter prefix beats its extensions).
 
@@ -248,11 +248,18 @@ def exact_cheeger(
 
         a_h - 2 m(h, L_x) - 2 m(h, S - {0, h}):
 
-    a table of a_h - 2 m(h, L_x) built once per high vertex, and one
+    a table of -2 m(h, L_x), built once per high vertex with a low
+    neighbour (it is zero for the others), applied first, and then one
     constant.  Every table is filled by subset-sum doubling
     (t[x + 2^i] = t[x] + ...), so the search costs O(2^(n-1)) table entries
     whatever the edge count, and one chunk's tables (about 0.5 MB at the
     default 2^16 cuts) stay in a core's L2 cache.
+
+    Every table entry, and every partial sum on the way from one chunk's
+    counts to the next, lies within 3W of zero (W the non-loop edge
+    weight): a count is in [0, W], a step entry in [-2W, 0], and the
+    constant, deg'(h) - 2 m(h, S - {h}), in [-W, W].  So the tables use the
+    smallest integer type that holds -3W.
 
     Each chunk ranks its ratios in float32 when W * floor(n/2)^2 < 2^23
     (W the non-loop edge weight), else in float64; float32 is exact there,
@@ -281,8 +288,8 @@ def exact_cheeger(
     k = min(_CHUNK_BITS, n - 1)
     chunk = 1 << k
     high = n - 1 - k  # the high vertices are k + 1 + j for bit j of a chunk
-    # Every table entry is a partial sum of crossing counts and gains, so it
-    # lies within 3 * (non-loop edge weight) of zero.
+    # Every table entry lies within 3 * (non-loop edge weight) of zero (see
+    # the docstring).
     weight = sum(m for _, _, m in edge_mults)
     dtype = np.min_scalar_type(-3 * weight)
     # a[v] = deg'(v) - 2 m(0, v) for v >= 1 and a[0] = deg'(0) = crossing({0});
@@ -307,10 +314,11 @@ def exact_cheeger(
         half = 1 << (w - 1)
         gain = _subset_sums(table[half : 2 * half], a[w], to_low[w])
         np.add(gain, table[:half], out=gain)
-    # steps[j][x] = a_h - 2 m(h, L_x) for high vertex h = k + 1 + j.
+    # steps[j][x] = -2 m(h, L_x) for high vertex h = k + 1 + j, or None when
+    # h has no low neighbour and the table would be all zeros.
     steps = [
-        _subset_sums(np.empty(chunk, dtype=dtype), a[k + 1 + j], to_low[k + 1 + j])
-        for j in range(high)
+        _subset_sums(np.empty(chunk, dtype=dtype), 0, to_low[h]) if any(to_low[h]) else None
+        for h in range(k + 1, n)
     ]
     low_count = _subset_sums(np.empty(chunk, dtype=np.uint8), 0, [1] * k)  # |L_x|
     side = np.empty(chunk, dtype=np.uint8)
@@ -328,8 +336,10 @@ def exact_cheeger(
             bit = (gray & -gray).bit_length() - 1
             c ^= 1 << bit
             update = np.add if c >> bit & 1 else np.subtract
-            update(table, steps[bit], out=table)
-            update(table, sum(m for i, m in to_high[bit] if c >> i & 1), out=table)
+            if steps[bit] is not None:
+                update(table, steps[bit], out=table)
+            shift = a[k + 1 + bit] + sum(m for i, m in to_high[bit] if c >> i & 1)
+            update(table, shift, out=table)
         start = c << k
         count = chunk - (c == last)  # A is never the whole vertex set
         cross = table[:count]

@@ -537,6 +537,31 @@ class TestBuiltinOrFile:
         assert [round(x, 9) for x in json.loads(stdout)["eigenvalues"]] == [0.0, 3.0, 3.0]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cheeger", "two-triangles.json", "--method", "sweep"),
+         "sweep cut requires a connected graph"),
+        (("cheeger", "two-triangles.json", "--method", "exact"),
+         "cheeger constant of a disconnected graph degenerates to 0; refusing the trivial answer"),
+        (("tower", "--seed", "two-triangles.json", "--levels", "1"),
+         "tower seed must be a nonempty connected graph"),
+    ],
+    ids=["sweep", "exact", "tower"],
+)
+def test_disconnected_input_exit_2(tmp_path, capsys, monkeypatch, argv, message):
+    """Two disjoint triangles: the sweep, the exhaustive search and the
+    tower's seed check each refuse them with one JSON line and no artifact."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two-triangles.json").write_text(
+        '{"vertices": 6, "edges": [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]}\n'
+    )
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": "DisconnectedGraphError", "message": message}) + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["two-triangles.json"]
+
+
 def run_fresh(*argv):
     """The same command line in a new interpreter."""
     return subprocess.run(
@@ -573,10 +598,15 @@ class TestRepeatedMainCalls:
         assert exc.value.code == 2
         assert "invalid int value" in capsys.readouterr().err
 
-        code, out, err = run_cli("cheeger", "theta", capsys=capsys)
-        fresh = run_fresh("cheeger", "theta")
-        assert (code, out, err) == (0, fresh.stdout, "")
-        assert fresh.returncode == 0
+        for argv in (
+            ("cheeger", "theta"),
+            ("cover", "theta", "--iterate", "2"),
+            ("spectrum", "theta", "--kind", "normalized"),
+        ):
+            code, out, err = run_cli(*argv, capsys=capsys)
+            fresh = run_fresh(*argv)
+            assert (code, out, err) == (0, fresh.stdout, ""), argv
+            assert fresh.returncode == 0, argv
 
     def test_parser_built_once_per_process(self, monkeypatch):
         build_parser = cli_mod.build_parser

@@ -1,9 +1,10 @@
 """Golden outputs: CLI results pinned to the values of an earlier release.
 
 Float-free outputs (cover exports and Cheeger results) are pinned by the
-SHA-256 of their stdout bytes, with the exit code and the stderr line.  Tower
-reports are compared field by field from `golden_towers.json`: the lambda1
-columns within 1e-9 relative, every other field exactly.
+SHA-256 of their stdout bytes, with the exit code and the stderr line, and
+one truncated tower report by the SHA-256 of its JSON and CSV artifacts.
+Other tower reports are compared field by field from `golden_towers.json`:
+the lambda1 columns within 1e-9 relative, every other field exactly.
 """
 from __future__ import annotations
 
@@ -40,6 +41,9 @@ DIGESTS = {
     "cheeger cycle:26 --method exact": (
         0, "cb9101ce0fa20e7d7550d95d98516e057abf8efbf03a774dd7ee6cd52aa74ad6", ""
     ),
+    "cheeger cycle:30 --method exact --cheeger-cap 30": (
+        0, "114681e1d60d4b6f1b79e5024d8189e739669de3d3d2d773d22184001141f78d", ""
+    ),
     "cheeger figure8 --method lemma": (
         0, "794110e25059aee42e9aede75cadd48b406b4f1438b79ffd65e9296f7c16b0a5", ""
     ),
@@ -69,6 +73,13 @@ DIGESTS = {
     ),
 }
 
+# SHA-256 of the artifacts of `tower --seed bouquet:10 --levels 2`, whose
+# truncated row has 2,778-digit counts
+BOUQUET10_L2_DIGESTS = {
+    "json": "72e6d4ddfe89ad9fb5c6ef4fd5e0663494b78f56815be8f238386ce20f2da5bd",
+    "csv": "bedae883e6df6ada47249e9695bb41b3711b1ef815006f9a8e7a01749ad3240b",
+}
+
 TOWERS = json.loads((Path(__file__).parent / "golden_towers.json").read_text())
 LAMBDA1 = ("lambda1_combinatorial", "lambda1_normalized")
 
@@ -79,6 +90,14 @@ def test_float_free_output_digest(command, capsys):
     captured = capsys.readouterr()
     digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
     assert (code, digest, captured.err) == DIGESTS[command]
+
+
+def test_truncated_tower_artifact_digests(tmp_path):
+    prefix = tmp_path / "t"
+    assert main(["tower", "--seed", "bouquet:10", "--levels", "2", "--out", str(prefix)]) == 0
+    for ext, expected in BOUQUET10_L2_DIGESTS.items():
+        digest = hashlib.sha256(prefix.with_suffix(f".{ext}").read_bytes()).hexdigest()
+        assert digest == expected, ext
 
 
 @pytest.mark.parametrize("case", sorted(TOWERS))
