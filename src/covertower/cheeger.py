@@ -102,12 +102,15 @@ class Cut:
 
 @dataclass(frozen=True)
 class CheegerResult:
-    """A Cheeger value together with the cut witnessing it."""
+    """A Cheeger value together with the cut witnessing it; `value` is the cut's ratio."""
 
-    value: Fraction
     witness: Cut
     certified: str  # EXACT or UPPER_BOUND
     method: str  # METHOD_BRUTE_FORCE, METHOD_LEMMA_CUT, or METHOD_SWEEP
+
+    @property
+    def value(self) -> Fraction:
+        return self.witness.ratio
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,11 +154,11 @@ def verify_witness(g: MultiGraph, result: CheegerResult) -> None:
         raise ValidationError("witness mask must be read-only")
     crossing, smaller = _recount(g, in_a)
     ratio = Fraction(crossing, smaller)
-    if (crossing, ratio, ratio) != (claim.crossing_edges, claim.ratio, result.value):
+    if (crossing, ratio) != (claim.crossing_edges, claim.ratio):
         raise ValidationError(
             f"witness does not re-verify: recomputed {crossing} crossing "
             f"edges and ratio {ratio}, claimed {claim.crossing_edges} "
-            f"and {result.value}"
+            f"and {claim.ratio}"
         )
 
 
@@ -173,8 +176,7 @@ def _verified(
     and makes it read-only.
     """
     in_a.flags.writeable = False
-    ratio = Fraction(crossing, smaller)
-    result = CheegerResult(ratio, Cut(in_a, crossing, ratio), certified, method)
+    result = CheegerResult(Cut(in_a, crossing, Fraction(crossing, smaller)), certified, method)
     verify_witness(g, result)
     return result
 

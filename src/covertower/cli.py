@@ -258,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     """
     args = _parser().parse_args(argv)
     try:
+        # Every command refuses a non-positive cap the same way, before any work.
+        if any(value <= 0 for name, value in vars(args).items() if name.endswith("_cap")):
+            raise ValidationError("caps must be positive")
         return _HANDLERS[args.command](args)
     except (CovertowerError, OSError, MemoryError) as exc:
         name, message = type(exc).__name__, str(exc)

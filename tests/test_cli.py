@@ -562,6 +562,33 @@ def test_disconnected_input_exit_2(tmp_path, capsys, monkeypatch, argv, message)
     assert [p.name for p in tmp_path.iterdir()] == ["two-triangles.json"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tower", "--seed", "figure8", "--levels", "1", "--spectrum-cap", "0", "--out", "x"),
+        ("cover", "figure8", "--vertex-cap", "0"),
+        ("cheeger", "theta", "--cheeger-cap", "0"),
+        ("cheeger", "theta", "--method", "lemma", "--cheeger-cap", "-1"),
+        ("spectrum", "theta", "--spectrum-cap", "0"),
+    ],
+    ids=["tower", "cover", "cheeger-exact", "cheeger-lemma", "spectrum"],
+)
+def test_non_positive_cap_exit_2(tmp_path, capsys, monkeypatch, argv):
+    """Every command refuses a cap <= 0 with tower's message, before it
+    reads its input or writes anything."""
+
+    def refuse(name):
+        raise AssertionError(f"read the input {name!r}")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_mod, "resolve_graph_input", refuse)
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out) == (2, "")
+    line = json.dumps({"error": "ValidationError", "message": "caps must be positive"})
+    assert err == line + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def run_fresh(*argv):
     """The same command line in a new interpreter."""
     return subprocess.run(

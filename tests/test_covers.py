@@ -174,13 +174,26 @@ class TestDeckAction:
         assert len(perms) == 4
 
 
+THETA_COVER_EDGES = [
+    (0, 4), (1, 5), (2, 6), (3, 7), (0, 5), (1, 4), (2, 7), (3, 6), (0, 6), (1, 7), (2, 4), (3, 5),
+]
+
+
+@pytest.fixture
+def theta_cover():
+    """theta's rank-2 cover, whose edge list the corruption tests edit."""
+    cov = cover_of(theta())
+    assert list(cov.graph.edges) == THETA_COVER_EDGES
+    return cov
+
+
 class TestVerifyRegularCover:
     def test_gamma1_all_checks_pass(self, gamma1):
         report = verify_regular_cover(gamma1)
         assert report.all_ok
         assert report.failures == ()
-        assert report.orbit_count == 1
-        assert report.deck_order == 4
+        # one orbit of the 4-element deck group over figure8's one vertex
+        assert (gamma1.base.num_vertices, gamma1.sheets, gamma1.graph.num_vertices) == (1, 4, 4)
 
     def test_single_loop_cover_passes(self):
         cov = cover_of(bouquet(1))
@@ -188,36 +201,48 @@ class TestVerifyRegularCover:
         assert report.all_ok
         assert cov.graph.degrees == (2, 2)
 
-    def test_corrupted_fiber_fails_quotient_check(self):
-        cov = cover_of(theta())
-        edges = list(cov.graph.edges)
-        assert edges[0] == (0, 4)
+    def test_wrong_vertex_count_is_reported_alone(self, theta_cover):
+        nine = dataclasses.replace(theta_cover, graph=build_graph(9, THETA_COVER_EDGES))
+        report = verify_regular_cover(nine)
+        assert report.failures == ("vertex fibers are not a bijection onto V(base) x (Z/2)^r",)
+        assert not report.all_ok
+
+    def test_corrupted_fiber_fails_quotient_check(self, theta_cover):
+        edges = list(THETA_COVER_EDGES)
         # move the endpoint over base vertex 1 to vertex 2, over base vertex 0:
         # the edge now projects to a loop the base does not have
         edges[0] = (0, 2)
-        corrupted = with_edges(cov, edges)
-        report = verify_regular_cover(corrupted)
-        assert not report.quotient_ok
+        report = verify_regular_cover(with_edges(theta_cover, edges))
+        assert report.failures == (
+            "deck element 1 does not preserve incidence at edge 0",
+            "cover edge 0 projects to (0, 0), not to base edge 0",
+            "star of cover vertex 2 does not project bijectively onto the star of base vertex 0",
+        )
         assert not report.all_ok
-        assert report.failures
 
-    def test_nonbijective_fiber_reported(self):
-        cov = cover_of(theta())
-        corrupted = with_edges(cov, cov.graph.edges[:-1])
-        report = verify_regular_cover(corrupted)
-        assert not report.quotient_ok
-        assert any("bijection" in msg for msg in report.failures)
+    def test_nonbijective_fiber_reported(self, theta_cover):
+        report = verify_regular_cover(with_edges(theta_cover, THETA_COVER_EDGES[:-1]))
+        assert report.failures == ("edge fibers are not a bijection onto E(base) x (Z/2)^r",)
 
-    def test_first_failing_deck_element_is_reported(self):
-        cov = cover_of(theta())
-        edges = list(cov.graph.edges)
+    def test_first_failing_deck_element_is_reported(self, theta_cover):
+        edges = list(THETA_COVER_EDGES)
         # Edges 0 and 1 are the sheets 0 and 1 of base edge 0: swapping them
-        # commutes with deck element 1 but not with deck element 2.
+        # commutes with deck element 1 but not with deck element 2, and keeps
+        # every projection and star.
         edges[0], edges[1] = edges[1], edges[0]
-        report = verify_regular_cover(with_edges(cov, edges))
+        report = verify_regular_cover(with_edges(theta_cover, edges))
         assert report.failures == ("deck element 2 does not preserve incidence at edge 0",)
-        assert not report.automorphism_ok
-        assert report.quotient_ok and report.star_bijection_ok
+
+    def test_star_failure_with_the_quotient_intact(self, theta_cover):
+        edges = list(THETA_COVER_EDGES)
+        # (0, 5) still projects to base edge (0, 1), but vertex 0 now has
+        # two lifts of base edge 0 in its star and vertex 1 none.
+        edges[1] = (0, 5)
+        report = verify_regular_cover(with_edges(theta_cover, edges))
+        assert report.failures == (
+            "deck element 1 does not preserve incidence at edge 0",
+            "star of cover vertex 0 does not project bijectively onto the star of base vertex 0",
+        )
 
     @pytest.mark.parametrize("seed", range(16))
     def test_failures_match_the_loop_oracle(self, seed):
@@ -279,7 +304,7 @@ class TestCoverProperties:
         assert gamma2.rank == 5
         report = verify_regular_cover(gamma2)
         assert report.all_ok, report.failures
-        assert report.orbit_count == 4
+        assert gamma2.base.num_vertices == 4  # one deck orbit per base vertex
 
     @pytest.mark.parametrize("base", CORPUS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}")
     def test_tower_rank_column_matches_traversal(self, base):
