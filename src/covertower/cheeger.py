@@ -14,7 +14,9 @@ one table per high vertex with a low neighbour, and each later chunk is its
 predecessor plus or minus at most one of those tables and one constant, so
 the search costs O(2^(n-1)) whatever the edge count.
 Ties between minimum-ratio cuts are broken by the lexicographically smallest
-A as a sorted id list (so a shorter prefix beats its extensions).
+A as a sorted id list (so a shorter prefix beats its extensions).  The search
+numbers its subsets with vertex v at bit n-1-v, the weight that order gives
+v, so a subset's number ranks it in the tie order without a bit reversal.
 
 Every method states its claim (witness side, crossing count and smaller-side
 size) from its own arithmetic and passes it once through `verify_witness`,
@@ -181,37 +183,25 @@ def _verified(
     return result
 
 
-def _bit_reverse(masks: np.ndarray, width: int) -> np.ndarray:
-    """Reverse the low `width` bits of each uint64 (vectorized)."""
-    v = masks.astype(np.uint64)
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    v = ((v >> np.uint64(1)) & m1) | ((v & m1) << np.uint64(1))
-    v = ((v >> np.uint64(2)) & m2) | ((v & m2) << np.uint64(2))
-    v = ((v >> np.uint64(4)) & m4) | ((v & m4) << np.uint64(4))
-    v = v.byteswap()
-    return v >> np.uint64(64 - width)
-
-
 def _lex_key(masks: np.ndarray, n: int) -> np.ndarray:
-    """The rank of each set A (bit v of its mask marks id v) in the tie order.
+    """The rank of each set A in the tie order, from its mask R (bit n-1-v marks id v).
 
     The order is that of sorted id lists with a prefix before its
     extensions; 1 is the rank of {0}.  The sets up to A are its prefixes
     (popcount of them, A included) and, for each id b < max(A) missing from
-    A, the 2^(n-1-b) sets that agree with A below b and then take b.  With R
-    the bit reverse (id v weighs 2^(n-1-v)), those blocks sum to
-    2^n - R - (R & -R), since R & -R is the weight of max(A).
+    A, the 2^(n-1-b) sets that agree with A below b and then take b.  As id
+    v weighs 2^(n-1-v) in R, those blocks sum to 2^n - R - (R & -R), since
+    R & -R is the weight of max(A).
     """
-    r = _bit_reverse(masks, n).astype(np.int64)
-    return (1 << n) - r - (r & -r) + np.bitwise_count(masks)
+    return (1 << n) - masks - (masks & -masks) + np.bitwise_count(masks)
 
 
 def _edge_multiplicities(g: MultiGraph) -> list[tuple[int, int, int]]:
-    """(u, v, multiplicity) of each distinct non-loop pair, ascending."""
+    """(u, v, multiplicity) of each distinct non-loop pair, ascending, in the
+    search's labels: vertex v >= 1 becomes n - v (see `exact_cheeger`)."""
     n = g.num_vertices
     ends = g.ends[g.ends[:, 0] != g.ends[:, 1]]
+    ends = np.sort(np.where(ends > 0, n - ends, 0), axis=1)
     keys, counts = np.unique(ends[:, 0] * n + ends[:, 1], return_counts=True)
     return [(*divmod(k, n), m) for k, m in zip(keys.tolist(), counts.tolist())]
 
@@ -232,11 +222,15 @@ def exact_cheeger(
 ) -> CheegerResult:
     """Exhaustive minimum over all 2^(n-1) - 1 bipartitions.
 
-    Subset index x puts vertex j + 1 on side A when bit j of x is set;
-    vertex 0 is always on side A.  The low k = min(_CHUNK_BITS, n - 1) bits
-    index within one chunk of 2^k cuts and the high bits are fixed within
-    it.  With S = {0} plus the chunk's high vertices and L_x the low
-    vertices in A, the chunk's table holds crossing(S + L_x) for every x.
+    Subset index x puts vertex n - 1 - j on side A when bit j of x is set,
+    and vertex 0 is always on side A as the implicit top bit 2^(n-1), so
+    R = x | 2^(n-1) weighs vertex v by 2^(n-1-v), the weight `_lex_key`
+    ranks.  `_edge_multiplicities` relabels each vertex v >= 1 as n - v, so
+    below, vertex w stands for bit w - 1 of x.  The low
+    k = min(_CHUNK_BITS, n - 1) bits index within one chunk of 2^k cuts and
+    the high bits are fixed within it.  With S = {0} plus the chunk's high
+    vertices and L_x the low vertices in A, the chunk's table holds
+    crossing(S + L_x) for every x.
     The first chunk (S = {0}) is built by doubling over the low vertices w,
 
         crossing({0} + L + w) = crossing({0} + L) + a_w - 2 m(w, L),
@@ -330,6 +324,7 @@ def exact_cheeger(
     best_crossing = best_side = best_key = -1
     last = (1 << high) - 1  # the chunk holding every high vertex
     c = 0  # the chunk's high vertices, bit j for vertex k + 1 + j
+    top = 1 << (n - 1)  # vertex 0, always on side A
     for gray in range(1 << high):
         if gray:
             # Gray order: this chunk moves the high vertex h of gray's lowest
@@ -342,7 +337,7 @@ def exact_cheeger(
                 update(table, steps[bit], out=table)
             shift = a[k + 1 + bit] + sum(m for i, m in to_high[bit] if c >> i & 1)
             update(table, shift, out=table)
-        start = c << k
+        start = top | c << k  # the chunk's first R
         count = chunk - (c == last)  # A is never the whole vertex set
         cross = table[:count]
         smaller = side[:count]
@@ -358,7 +353,7 @@ def exact_cheeger(
         # Tie resolution: the least _lex_key among the chunk's minima, which
         # is comparable with the best key of the other chunks.
         ties = np.flatnonzero(chunk_ratio == chunk_ratio[i_min])
-        keys = _lex_key(((ties + start) << 1) | 1, n)
+        keys = _lex_key(ties + start, n)
         j = int(np.argmin(keys))
         if (
             best_crossing < 0
@@ -368,7 +363,7 @@ def exact_cheeger(
             # Claim the winner's own table entry: an equal ratio can come
             # from another (crossing, side) pair, as 8/2 ties with 4/1.
             i = int(ties[j])
-            best_key, best_mask = int(keys[j]), ((start + i) << 1) | 1
+            best_key, best_mask = int(keys[j]), start + i
             best_crossing, best_side = int(cross[i]), int(smaller[i])
     # The counts are exact integers, so a zero minimum means a side with no
     # edge leaving it: the graph is disconnected.
@@ -377,7 +372,7 @@ def exact_cheeger(
             "cheeger constant of a disconnected graph degenerates to 0; "
             "refusing the trivial answer"
         )
-    in_a = (best_mask >> np.arange(n)) & 1 == 1
+    in_a = (best_mask >> np.arange(n - 1, -1, -1)) & 1 == 1  # vertex v is bit n-1-v
     return _verified(g, in_a, best_crossing, best_side, EXACT, METHOD_BRUTE_FORCE)
 
 

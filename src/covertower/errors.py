@@ -34,4 +34,4 @@ class SpectrumError(CovertowerError, ValueError):
 
 
 class ConvergenceError(CovertowerError, RuntimeError):
-    """The iterative eigensolver failed to converge (should not happen)."""
+    """LAPACK's symmetric eigensolver failed to converge (should not happen)."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 
+from .cheeger import EXACT
 from .tower import TowerReport
 
 WIDTH = 640
@@ -32,7 +33,7 @@ def _series_points(report: TowerReport) -> list[list[tuple[int, float]]]:
             lemma.append((row.level, float(row.lemma_bound)))
         if row.cheeger_value is not None and row.cheeger_value > 0:
             best.append((row.level, float(row.cheeger_value)))
-            if row.cheeger_certified == "exact":
+            if row.cheeger_certified == EXACT:
                 exact.append((row.level, float(row.cheeger_value)))
         if row.lambda1_combinatorial is not None and row.lambda1_combinatorial > 0:
             lam.append((row.level, row.lambda1_combinatorial))

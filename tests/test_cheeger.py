@@ -270,8 +270,9 @@ class TestExactCheeger:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_lex_key_orders_like_sorted_id_lists(self, n):
-        masks = np.arange(1 << (n - 1), dtype=np.int64) * 2 + 1  # every A holding vertex 0
-        lists = [tuple(v for v in range(n) if mask >> v & 1) for mask in masks.tolist()]
+        # Every A holding vertex 0, with vertex v at bit n - 1 - v.
+        masks = np.arange(1 << (n - 1), dtype=np.int64) | 1 << (n - 1)
+        lists = [tuple(v for v in range(n) if mask >> (n - 1 - v) & 1) for mask in masks.tolist()]
         keys = cheeger._lex_key(masks, n)
         assert [lists[i] for i in np.argsort(keys)] == sorted(lists)
         assert sorted(keys.tolist()) == list(range(1, (1 << (n - 1)) + 1))
@@ -304,7 +305,7 @@ def two_clusters():
 
     The bridge split (1 crossing over 10) is the unique minimum, since any
     other cut splits a K10 (at least 9 crossing over at most 10).  At the
-    default width its side A holds every high vertex (17, 18, 19), so the
+    default width its side A holds every high vertex (1, 2, 3), so the
     winner sits in the partial, all-high chunk, which the Gray walk visits
     sixth of eight.
     """
@@ -351,7 +352,7 @@ class TestChunkedSearch:
         assert (result.value, result.witness.side_a) == mask_cheeger(g)
         assert result.value == Fraction(1, 10)
         assert result.witness.side_a == (0, 1, 2, 3, 4, 5, 6, 17, 18, 19)
-        assert set(range(cheeger._CHUNK_BITS + 1, 20)) <= set(result.witness.side_a)
+        assert set(range(1, 20 - cheeger._CHUNK_BITS)) <= set(result.witness.side_a)
 
 
 class TestMaskOracle:

@@ -397,6 +397,18 @@ class TestCheegerCommand:
         assert doc["cover_vertices"] == 4
         assert doc["cover_rank"] == 2
 
+    @pytest.mark.parametrize("seed", ["bouquet:0", "path3.json"])
+    def test_lemma_on_a_rank_0_input_exit_2(self, tmp_path, capsys, monkeypatch, seed):
+        # A tree (here one vertex, or a 3-vertex path) lifts to the trivial cover.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "path3.json").write_text('{"vertices": 3, "edges": [[0, 1], [1, 2]]}\n')
+        code, out, err = run_cli("cheeger", seed, "--method", "lemma", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == json.dumps({
+            "error": "ValidationError",
+            "message": "trivial cover (rank 0) has no coordinate cut",
+        }) + "\n"
+
     def test_sweep_method(self, capsys):
         code, stdout, _ = run_cli("cheeger", "cycle:6", "--method", "sweep", capsys=capsys)
         assert code == 0

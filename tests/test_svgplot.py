@@ -1,10 +1,12 @@
 """SVG decay-plot emission."""
 from __future__ import annotations
 
+import re
+
 from covertower import iterate_tower
 from covertower.svgplot import tower_svg
 
-from conftest import figure8
+from conftest import cycle, figure8
 
 
 def test_figure8_plot_has_all_series_and_axes():
@@ -34,3 +36,10 @@ def test_seed_label_escaped():
     report = iterate_tower(figure8(), 0, 10**6, seed_description="a<b&c")
     svg = tower_svg(report)
     assert "a&lt;b&amp;c" in svg
+
+
+def test_single_value_axis_spans_one_decade():
+    # Only h = 1 is plotted (spectrum_cap=1 skips lambda1), so log_min ==
+    # log_max and the axis is widened to the decade above.
+    svg = tower_svg(iterate_tower(cycle(4), 0, spectrum_cap=1))
+    assert re.findall(r">(1e-?\d+)</text>", svg) == ["1e0", "1e1"]
