@@ -1,17 +1,19 @@
 """Cheeger constants: exact brute force, certified cuts, and sweep bounds.
 
 All ratios are exact rationals (crossing count over smaller-side size).
-The exhaustive search ranks them in float32 when W * floor(n/2)^2 < 2^23
-(W the non-loop edge weight), where rounding can neither merge nor reorder
-two of them, and in float64 otherwise.
+The exhaustive search ranks them without division: times
+lcm(1, ..., floor(n/2)), every ratio is an integer.
 Crossing counts include parallel-edge multiplicity; loops never cross.
 
 The exhaustive search fixes vertex 0 on side A, halving the 2^n subsets.
-It splits the subset range into chunks of at most 2^16 cuts, whose tables fit
-in a core's L2 cache, and visits them in Gray-code order of their high
-vertices.  Subset-sum doubling builds the first chunk's crossing counts and
-one table per high vertex with a low neighbour, and each later chunk is its
-predecessor plus or minus at most one of those tables and one constant, so
+It splits the subset range into chunks of at most 2^16 cuts and visits them
+in Gray-code order of their high vertices.  A chunk is a table with a row
+per subset of its row vertices and a column per subset of its (at most 12)
+column vertices, the columns ordered by popcount, so one reduction gives
+the least crossing count of every block of equal-size cuts, and the chunk's
+least ratio is the least of those minima, each scaled to an integer.
+Subset-sum doubling builds the first chunk, and each later one adds at most
+one column vector to the table and one row vector to a per-row offset, so
 the search costs O(2^(n-1)) whatever the edge count.
 Ties between minimum-ratio cuts are broken by the lexicographically smallest
 A as a sorted id list (so a shorter prefix beats its extensions).  The search
@@ -25,8 +27,9 @@ confirm raises ValidationError.  Callers need no second check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -50,10 +53,12 @@ METHOD_SWEEP = "sweep"
 
 DEFAULT_BRUTE_FORCE_CAP = 26
 # The largest graph the search accepts, so that it finishes within a minute:
-# its time doubles per vertex, about 0.03 s at 26 vertices and 0.5 s at 30
-# on one 2-core host, so about 35 s at 36.  (Its uint64 masks allow 62.)
+# its time doubles per vertex, about 0.02 s at 26 vertices and 0.25 s at 30
+# (3n edges, one 2-core host), so about 16 s at 36.  (Int64 masks allow 62.)
 MAX_BRUTE_FORCE_CAP = 36
 _CHUNK_BITS = 16
+_COLUMN_BITS = 12
+_NOT_A_CUT = (1 << 63) - 1  # the int64 maximum, above every scaled ratio
 # Sweep entries closer than this, relative to the vector's largest magnitude,
 # are ties: rounding in the eigensolver must not decide the vertex order.
 SWEEP_TIE_TOLERANCE = 1e-9
@@ -196,25 +201,40 @@ def _lex_key(masks: np.ndarray, n: int) -> np.ndarray:
     return (1 << n) - masks - (masks & -masks) + np.bitwise_count(masks)
 
 
-def _edge_multiplicities(g: MultiGraph) -> list[tuple[int, int, int]]:
-    """(u, v, multiplicity) of each distinct non-loop pair, ascending, in the
-    search's labels: vertex v >= 1 becomes n - v (see `exact_cheeger`)."""
+def _adjacency(g: MultiGraph) -> np.ndarray:
+    """The multiplicity matrix of the non-loop pairs, in the search's labels:
+    vertex v >= 1 becomes n - v (see `exact_cheeger`)."""
     n = g.num_vertices
-    ends = g.ends[g.ends[:, 0] != g.ends[:, 1]]
-    ends = np.sort(np.where(ends > 0, n - ends, 0), axis=1)
-    keys, counts = np.unique(ends[:, 0] * n + ends[:, 1], return_counts=True)
-    return [(*divmod(k, n), m) for k, m in zip(keys.tolist(), counts.tolist())]
+    ends = (n - g.ends) % n
+    adj = np.bincount(ends @ [n, 1], minlength=n * n).reshape(n, n)
+    adj += adj.T
+    np.fill_diagonal(adj, 0)  # loops never cross
+    return adj
 
 
-def _subset_sums(table: np.ndarray, base: int, weights: Sequence[int]) -> np.ndarray:
-    """Fill table[x] = base + sum of weights[i] over the set bits i of x.
+@cache
+def _table_layout(n: int, kr: int, kc: int) -> tuple[np.ndarray, np.ndarray, int, list]:
+    """The column order and ratio scales of `exact_cheeger`'s 2^kr x 2^kc
+    chunk tables over n vertices, read-only since every call shares them.
 
-    Doubling: table[x + 2^i] = table[x] + weights[i], one numpy add per bit.
+    Column j holds the column subset perm[j], by popcount and then value,
+    so block (r, p), row r's columns of popcount p, runs from col_bounds[p]
+    to col_bounds[p + 1], and its cuts have |A| = 1 + q + popcount(r) + p
+    in a chunk with q high vertices.  block_scale[q][r, p] is
+    unit / min(|A|, n - |A|) (0 for |A| = n, no cut), with
+    unit = lcm(1, ..., floor(n/2)), so it scales a count to unit times its
+    ratio, an integer.
     """
-    table[0] = base
-    for i, w in enumerate(weights):
-        np.add(table[: 1 << i], w, out=table[1 << i : 2 << i])
-    return table
+    col_pop = np.bitwise_count(np.arange(1 << kc))
+    perm = np.argsort(col_pop, kind="stable")
+    col_bounds = np.searchsorted(col_pop[perm], np.arange(kc + 2))
+    unit = math.lcm(*range(1, n // 2 + 1))
+    scale = np.array([unit // min(s, n - s) for s in range(1, n)] + [0])
+    low = np.bitwise_count(np.arange(1 << kr))[:, None] + np.arange(kc + 1)
+    block_scale = [scale[low + q] for q in range(n - kr - kc)]
+    for array in (perm, col_bounds, *block_scale):
+        array.flags.writeable = False
+    return perm, col_bounds, unit, block_scale
 
 
 def exact_cheeger(
@@ -225,49 +245,44 @@ def exact_cheeger(
     Subset index x puts vertex n - 1 - j on side A when bit j of x is set,
     and vertex 0 is always on side A as the implicit top bit 2^(n-1), so
     R = x | 2^(n-1) weighs vertex v by 2^(n-1-v), the weight `_lex_key`
-    ranks.  `_edge_multiplicities` relabels each vertex v >= 1 as n - v, so
-    below, vertex w stands for bit w - 1 of x.  The low
+    ranks.  `_adjacency` relabels each vertex v >= 1 as n - v, so below,
+    vertex w stands for bit w - 1 of x.  The low
     k = min(_CHUNK_BITS, n - 1) bits index within one chunk of 2^k cuts and
-    the high bits are fixed within it.  With S = {0} plus the chunk's high
-    vertices and L_x the low vertices in A, the chunk's table holds
-    crossing(S + L_x) for every x.
-    The first chunk (S = {0}) is built by doubling over the low vertices w,
+    the high bits (the high vertices S) are fixed within it.  A chunk is a
+    table whose 2^kc columns, kc = min(_COLUMN_BITS, k), are the subsets Lc
+    of the first kc low vertices in the order of `_table_layout`, and whose
+    rows are the subsets Lr of the other kr = k - kc.  A cut's count splits
+    into a table entry and a row offset off[r]:
 
-        crossing({0} + L + w) = crossing({0} + L) + a_w - 2 m(w, L),
-        a_w = deg'(w) - 2 m(w, 0),
+        crossing({0} + S + Lr + Lc) = [crossing({0} + Lr + Lc) - 2 m(S, Lc)]
+            + [sum over h in S of a_h - 2 m(S, Lr) - 2 m(S)],
+        a_v = deg'(v) - 2 m(v, 0),
 
-    where deg' counts non-loop edge ends with multiplicity and m(w, L) is
-    the edge weight between w and L.  The chunks are then visited in binary
-    reflected Gray-code order of their high vertices, so the next chunk
-    moves one high vertex h into S or out of it, and its table is this one
-    plus or minus
+    where deg' counts non-loop edge ends with multiplicity, m(X, Y) is the
+    edge weight between X and Y and m(S) that inside S.  Subset-sum
+    doubling builds cols[v] = -2 m(v, Lc) (plus a_v for a column vertex v,
+    which makes its entries over the Lc below v its gains) and
+    rows[v] = a_v - 2 m(v, Lr) for all vertices at once.  Doubling over the
+    column vertices' gains gives crossing({0} + Lc), the first chunk's first
+    row, and row vertex w adds rows[w] and cols[w] to double the rows.  The
+    chunks are visited in binary reflected Gray-code order, so each moves
+    one high vertex h into S or out of it: the table gains or loses cols[h]
+    (unless h has no column neighbour), and off gains or loses
+    rows[h] - 2 m(h, S - {h}).  So the search costs O(2^(n-1)) table entries
+    whatever the edge count, and a chunk's table stays in a core's L2 cache.
+    Every table entry lies in [-2W, W] and every other value and partial sum
+    within 2W of zero (W the non-loop edge weight), inside the smallest
+    integer type that holds -3W, which the tables use.
 
-        a_h - 2 m(h, L_x) - 2 m(h, S - {0, h}):
-
-    a table of -2 m(h, L_x), built once per high vertex with a low
-    neighbour (it is zero for the others), applied first, and then one
-    constant.  Every table is filled by subset-sum doubling
-    (t[x + 2^i] = t[x] + ...), so the search costs O(2^(n-1)) table entries
-    whatever the edge count, and one chunk's tables (about 0.5 MB at the
-    default 2^16 cuts) stay in a core's L2 cache.
-
-    Every table entry, and every partial sum on the way from one chunk's
-    counts to the next, lies within 3W of zero (W the non-loop edge
-    weight): a count is in [0, W], a step entry in [-2W, 0], and the
-    constant, deg'(h) - 2 m(h, S - {h}), in [-W, W].  So the tables use the
-    smallest integer type that holds -3W.
-
-    Each chunk ranks its ratios in float32 when W * floor(n/2)^2 < 2^23
-    (W the non-loop edge weight), else in float64; float32 is exact there,
-    since counts up to W and sides up to floor(n/2) convert exactly, equal
-    rationals give equal correctly rounded quotients, and each quotient is
-    within W 2^-24 of its ratio while distinct ratios differ by at least
-    1 / floor(n/2)^2.
-
-    Each chunk's minimum joins the running best by an exact (crossing,
-    side) comparison and then `_lex_key`, neither of which depends on the
-    order of the chunks, so any partitioning of the range and any visiting
-    order yield the identical result.
+    One `np.minimum.reduceat` gives each block's least entry, and plus
+    off[r] its least count.  A block's cuts share |A|, so times its
+    `block_scale` that is unit times its least ratio, an exact integer
+    (below 2^63 while W < 7.5 * 10^11), and the least of these 2^kr (kc + 1)
+    integers is the chunk's least ratio.  Only the blocks that reach it are
+    scanned for tied cuts, which `_lex_key` ranks.  The chunk's best joins
+    the running one by that integer and then `_lex_key`, neither of which
+    depends on the order of the chunks, so any partitioning of the range
+    and any visiting order yield the identical result.
     """
     n = g.num_vertices
     if n < 2:
@@ -280,100 +295,85 @@ def exact_cheeger(
         )
     if n > MAX_BRUTE_FORCE_CAP:
         raise SizeCapError(f"brute force is limited to {MAX_BRUTE_FORCE_CAP} vertices")
-    edge_mults = _edge_multiplicities(g)
+    adj = _adjacency(g)
     k = min(_CHUNK_BITS, n - 1)
-    chunk = 1 << k
+    kc = min(_COLUMN_BITS, k)
+    kr = k - kc
     high = n - 1 - k  # the high vertices are k + 1 + j for bit j of a chunk
-    # Every table entry lies within 3 * (non-loop edge weight) of zero (see
-    # the docstring).
-    weight = sum(m for _, _, m in edge_mults)
-    dtype = np.min_scalar_type(-3 * weight)
-    # a[v] = deg'(v) - 2 m(0, v) for v >= 1 and a[0] = deg'(0) = crossing({0});
-    # to_low[v] lists -2 m(u, v) over the low vertices u < v, and to_high[j]
-    # the pairs (i, -2 m) joining high vertex k + 1 + j to high bit i.
-    a = [0] * n
-    to_low = [[0] * min(v - 1, k) for v in range(n)]
-    to_high = [[] for _ in range(high)]
-    for u, v, mult in edge_mults:
-        a[u] += mult
-        a[v] += mult if u else -mult
-        if 1 <= u <= k:
-            to_low[v][u - 1] -= 2 * mult
-        elif u > k:
-            to_high[u - k - 1].append((v - k - 1, -2 * mult))
-            to_high[v - k - 1].append((u - k - 1, -2 * mult))
-    # table[x] = crossing({0} + L_x), by doubling over the low vertices w:
-    # adding w to {0} + L changes the count by the gain a_w - 2 m(w, L).
-    table = np.empty(chunk, dtype=dtype)
-    table[0] = a[0]
-    for w in range(1, k + 1):
-        half = 1 << (w - 1)
-        gain = _subset_sums(table[half : 2 * half], a[w], to_low[w])
-        np.add(gain, table[:half], out=gain)
-    # steps[j][x] = -2 m(h, L_x) for high vertex h = k + 1 + j, or None when
-    # h has no low neighbour and the table would be all zeros.
-    steps = [
-        _subset_sums(np.empty(chunk, dtype=dtype), 0, to_low[h]) if any(to_low[h]) else None
-        for h in range(k + 1, n)
-    ]
-    low_count = _subset_sums(np.empty(chunk, dtype=np.uint8), 0, [1] * k)  # |L_x|
-    side = np.empty(chunk, dtype=np.uint8)
-    # The float ratios rank the cuts exactly (see the docstring's bound).
-    single = weight * (n // 2) ** 2 < 1 << 23
-    ratio = np.empty(chunk, dtype=np.float32 if single else np.float64)
-    best_crossing = best_side = best_key = -1
-    last = (1 << high) - 1  # the chunk holding every high vertex
+    perm, col_bounds, unit, block_scale = _table_layout(n, kr, kc)
+    # The smallest integer type that holds -3 * (non-loop edge weight).
+    dtype = np.min_scalar_type(-3 * (int(adj.sum()) // 2))
+    a = adj.sum(axis=1) - 2 * adj[:, 0]  # a[0] = deg'(0) = crossing({0})
+    pair = (-2 * adj).astype(dtype)
+    # Column vertex w needs only its entries below 2^(w-1), so bit i skips
+    # the rows up to vertex i + 1.
+    cols = np.empty((n, 1 << kc), dtype=dtype)
+    cols[:, 0] = a
+    cols[kc + 1 :, 0] = 0
+    for i in range(kc):
+        np.add(cols[i + 2 :, : 1 << i], pair[i + 2 :, i + 1, None], out=cols[i + 2 :, 1 << i : 2 << i])
+    rows = np.empty((n, 1 << kr), dtype=dtype)
+    rows[:, 0] = a
+    for i in range(kr):
+        np.add(rows[:, : 1 << i], pair[:, kc + 1 + i, None], out=rows[:, 1 << i : 2 << i])
+    steps = np.take(cols[kc + 1 :], perm, axis=1)  # cols[v] in column order, v > kc
+    first = np.empty(1 << kc, dtype=dtype)
+    first[0] = a[0]
+    for i in range(kc):
+        np.add(first[: 1 << i], cols[i + 1, : 1 << i], out=first[1 << i : 2 << i])
+    table = np.empty((1 << kr, 1 << kc), dtype=dtype)
+    table[0] = first[perm]
+    for i in range(kr):
+        gained = table[1 << i : 2 << i]  # the rows holding vertex kc + 1 + i
+        np.add(table[: 1 << i], steps[i], out=gained)
+        np.add(gained, rows[kc + 1 + i, : 1 << i, None], out=gained)
+    off = np.zeros(1 << kr, dtype=np.int64)
+    # to_high[j] lists the pairs (i, -2 m) joining high vertex k + 1 + j to
+    # high bit i; moves_table[j] says whether it has a column neighbour.
+    high_rows = adj[k + 1 :].tolist()
+    to_high = [[(i, -2 * m) for i, m in enumerate(row[k + 1 :]) if m] for row in high_rows]
+    moves_table = [any(row[1 : kc + 1]) for row in high_rows]
+    best = best_key = math.inf
     c = 0  # the chunk's high vertices, bit j for vertex k + 1 + j
-    top = 1 << (n - 1)  # vertex 0, always on side A
+    starts, block_min = col_bounds[:-1], None
     for gray in range(1 << high):
         if gray:
-            # Gray order: this chunk moves the high vertex h of gray's lowest
-            # set bit into S (or out of it), which adds (or subtracts)
-            # a_h - 2 m(h, L_x) - 2 m(h, S - {0, h}) to every count.
             bit = (gray & -gray).bit_length() - 1
             c ^= 1 << bit
             update = np.add if c >> bit & 1 else np.subtract
-            if steps[bit] is not None:
-                update(table, steps[bit], out=table)
-            shift = a[k + 1 + bit] + sum(m for i, m in to_high[bit] if c >> i & 1)
-            update(table, shift, out=table)
-        start = top | c << k  # the chunk's first R
-        count = chunk - (c == last)  # A is never the whole vertex set
-        cross = table[:count]
-        smaller = side[:count]
-        np.add(low_count[:count], 1 + c.bit_count(), out=smaller)  # |A|
-        other = ratio.view(np.uint8)[:count]  # scratch until the ratios land
-        np.subtract(n, smaller, out=other)
-        np.minimum(smaller, other, out=smaller)
-        chunk_ratio = np.divide(cross, smaller, out=ratio[:count], dtype=ratio.dtype)
-        i_min = int(np.argmin(chunk_ratio))
-        c_min, s_min = int(cross[i_min]), int(smaller[i_min])
-        if best_crossing >= 0 and c_min * best_side > best_crossing * s_min:
+            if moves_table[bit]:
+                update(table, steps[kr + bit], out=table)
+                block_min = None
+            shift = sum(m for i, m in to_high[bit] if c >> i & 1)
+            update(off, rows[k + 1 + bit] + shift, out=off)
+        if block_min is None:
+            block_min = np.minimum.reduceat(table, starts, axis=1)
+        scaled = (block_min + off[:, None]) * block_scale[c.bit_count()]
+        if c == (1 << high) - 1:
+            scaled[-1, -1] = _NOT_A_CUT  # A is never the whole vertex set
+        least = int(scaled.min())
+        if least > best:
             continue
-        # Tie resolution: the least _lex_key among the chunk's minima, which
-        # is comparable with the best key of the other chunks.
-        ties = np.flatnonzero(chunk_ratio == chunk_ratio[i_min])
-        keys = _lex_key(ties + start, n)
-        j = int(np.argmin(keys))
-        if (
-            best_crossing < 0
-            or c_min * best_side < best_crossing * s_min
-            or (c_min * best_side == best_crossing * s_min and keys[j] < best_key)
-        ):
-            # Claim the winner's own table entry: an equal ratio can come
-            # from another (crossing, side) pair, as 8/2 ties with 4/1.
-            i = int(ties[j])
-            best_key, best_mask = int(keys[j]), start + i
-            best_crossing, best_side = int(cross[i]), int(smaller[i])
+        found = []  # the tied cuts' masks R: their blocks' least entries
+        for r, p in zip(*np.nonzero(scaled == least)):
+            lo, hi = col_bounds[p], col_bounds[p + 1]
+            hit = table[r, lo:hi] == block_min[r, p]
+            found.append(perm[lo:hi][hit] + (1 << (n - 1) | c << k | r << kc))
+        masks = np.concatenate(found)
+        keys = _lex_key(masks, n)
+        i = int(np.argmin(keys))
+        if least < best or keys[i] < best_key:
+            best, best_key, best_mask = least, int(keys[i]), int(masks[i])
     # The counts are exact integers, so a zero minimum means a side with no
     # edge leaving it: the graph is disconnected.
-    if best_crossing == 0:
+    if best == 0:
         raise DisconnectedGraphError(
             "cheeger constant of a disconnected graph degenerates to 0; "
             "refusing the trivial answer"
         )
-    in_a = (best_mask >> np.arange(n - 1, -1, -1)) & 1 == 1  # vertex v is bit n-1-v
-    return _verified(g, in_a, best_crossing, best_side, EXACT, METHOD_BRUTE_FORCE)
+    smaller = min(best_mask.bit_count(), n - best_mask.bit_count())
+    in_a = np.array([best_mask >> (n - 1 - v) & 1 for v in range(n)], dtype=bool)
+    return _verified(g, in_a, best * smaller // unit, smaller, EXACT, METHOD_BRUTE_FORCE)
 
 
 def lemma_cut(cover: CoveredGraph) -> CheegerResult:

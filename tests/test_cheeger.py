@@ -122,6 +122,10 @@ def complete_bipartite(a, b):
     return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
+# Column widths 1 and 2 give tables of several rows and column blocks even
+# on small graphs; the default width keeps one row up to 13 vertices.
+COLUMN_WIDTHS = (1, 2, cheeger._COLUMN_BITS)
+
 SMALL_CONNECTED = [
     theta(),
     cycle(3),
@@ -211,24 +215,28 @@ class TestExactCheeger:
         ],
         ids=["edgeless", "loop-and-pair", "triangle-and-edge"],
     )
-    @pytest.mark.parametrize("bits", [1, cheeger._CHUNK_BITS])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 5, cheeger._CHUNK_BITS])
     def test_zero_minimum_means_disconnected(self, g, bits, monkeypatch):
         monkeypatch.setattr(cheeger, "_CHUNK_BITS", bits)
-        with pytest.raises(
-            DisconnectedGraphError, match="disconnected graph degenerates to 0"
-        ):
-            exact_cheeger(g)
+        for columns in COLUMN_WIDTHS:
+            monkeypatch.setattr(cheeger, "_COLUMN_BITS", columns)
+            with pytest.raises(
+                DisconnectedGraphError, match="disconnected graph degenerates to 0"
+            ):
+                exact_cheeger(g)
 
-    @pytest.mark.parametrize("bits", [1, 2, cheeger._CHUNK_BITS])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 5, cheeger._CHUNK_BITS])
     def test_tie_with_a_different_crossing_count(self, bits, monkeypatch):
         # {0, 2} (2 crossing over 2) is the first minimum in subset order, but
         # {0, 1, 2} (1 over 1) wins the tie; the claim must be the winner's.
         g = build_graph(4, [(0, 1), (0, 2), (0, 2), (0, 3)])
         assert [cut_ratio(g, a).crossing_edges for a in ([0, 2], [0, 1, 2])] == [2, 1]
         monkeypatch.setattr(cheeger, "_CHUNK_BITS", bits)
-        result = exact_cheeger(g)
-        assert (result.value, result.witness.side_a) == naive_cheeger(g) == (1, (0, 1, 2))
-        assert (result.witness.crossing_edges, result.witness.ratio) == (1, 1)
+        for columns in COLUMN_WIDTHS:
+            monkeypatch.setattr(cheeger, "_COLUMN_BITS", columns)
+            result = exact_cheeger(g)
+            assert (result.value, result.witness.side_a) == naive_cheeger(g) == (1, (0, 1, 2))
+            assert (result.witness.crossing_edges, result.witness.ratio) == (1, 1)
 
     def test_rejects_above_cap(self):
         with pytest.raises(SizeCapError):
@@ -330,13 +338,41 @@ class TestChunkedSearch:
     def test_any_chunk_width_gives_the_same_cut(self, g, monkeypatch):
         default = exact_cheeger(g)
         assert (default.value, default.witness.side_a) == naive_cheeger(g)
-        for bits in (1, 2, 3):
+        for bits, columns in itertools.product((1, 2, 3, 5), COLUMN_WIDTHS):
             monkeypatch.setattr(cheeger, "_CHUNK_BITS", bits)
+            monkeypatch.setattr(cheeger, "_COLUMN_BITS", columns)
             narrow = exact_cheeger(g)
-            assert (narrow.value, narrow.witness.side_a) == (
+            assert (narrow.value, narrow.witness.side_a, narrow.witness.crossing_edges) == (
                 default.value,
                 default.witness.side_a,
-            ), f"chunk bits {bits}"
+                default.witness.crossing_edges,
+            ), f"chunk bits {bits}, column bits {columns}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 12),
+        bits=st.integers(1, 6),
+        columns=st.integers(1, 4),
+    )
+    def test_drawn_widths_match_the_mask_oracle(self, data, n, bits, columns):
+        """Loops, parallel and heavy pairs, and disconnected graphs (no
+        spanning tree is forced) at drawn chunk and column widths."""
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = data.draw(st.lists(pair, max_size=3 * n))
+        heavy = data.draw(st.lists(st.tuples(pair, st.integers(1, 300)), max_size=2))
+        g = build_graph(n, edges + [e for e, m in heavy for _ in range(m)])
+        value, side_a = mask_cheeger(g)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cheeger, "_CHUNK_BITS", bits)
+            patch.setattr(cheeger, "_COLUMN_BITS", columns)
+            if value == 0:
+                with pytest.raises(DisconnectedGraphError):
+                    exact_cheeger(g)
+                return
+            result = exact_cheeger(g)
+        assert (result.value, result.witness.side_a) == (value, side_a)
+        assert result.witness.crossing_edges == cut_ratio(g, side_a).crossing_edges
 
     @pytest.mark.parametrize(
         "g", WIDE_CORPUS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}"
@@ -367,9 +403,8 @@ class TestMaskOracle:
 
     @pytest.mark.parametrize("seed", range(16))
     def test_random_multigraphs(self, seed):
-        """From seed 10 on, heavy parallel pairs put the non-loop edge weight
-        W on both sides of the float32 bound W * floor(n/2)^2 < 2^23: below
-        it for even seeds, above it for the odd seeds drawn here."""
+        """From seed 10 on, heavy parallel pairs raise the non-loop edge
+        weight W to 73,016-296,527, so the tables use int32."""
         rng = random.Random(1000 + seed)
         n = rng.randint(14, 18)
         g = random_seed(rng, n, rng.randint(n, 3 * n))
@@ -387,48 +422,61 @@ class TestMaskOracle:
         assert result.value == Fraction(2, m)
 
 
-class TestRatioPrecision:
-    """At n = 12 (floor(n/2)^2 = 36) the search ranks its ratios in float32
-    up to W = 233,016, since 233,016 * 36 < 2^23 <= 233,017 * 36."""
+class TestTableDtype:
+    """At n = 12 the tables take the smallest integer type holding -3W (W
+    the non-loop edge weight): int8 up to W = 42, int16 up to 10,922 and
+    int32 above, so each pair of weights sits on both sides of a switch."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize(
-        "weight, precision", [(233_016, np.float32), (233_017, np.float64)]
+        "weight, dtype",
+        [(42, np.int8), (43, np.int16), (10_922, np.int16), (10_923, np.int32)],
     )
-    def test_weight_at_the_bound(self, weight, precision, seed, monkeypatch):
+    def test_weight_at_the_dtype_bound(self, weight, dtype, seed):
         rng = random.Random(seed)
-        # K12 repeated to about half the weight keeps every ratio large.
-        pairs = list(itertools.combinations(range(12), 2))
-        base = pairs * (weight // 2 // len(pairs))
+        tree = [(v, rng.randrange(v)) for v in range(1, 12)]
+        base = tree + [tuple(rng.sample(range(12), 2)) for _ in range(12)]
         g = with_heavy_pairs(rng, 12, base, weight - len(base))
         assert sum(u != v for u, v in g.edges) == weight
-        divide, precisions = np.divide, []
-
-        def spy(*args, **kwargs):
-            precisions.append(kwargs.get("dtype"))
-            return divide(*args, **kwargs)
-
-        monkeypatch.setattr(np, "divide", spy)
+        assert np.min_scalar_type(-3 * weight) == dtype
         result = exact_cheeger(g)
-        monkeypatch.undo()
-        assert precisions == [precision]
         assert (result.value, result.witness.side_a) == mask_cheeger(g) == naive_cheeger(g)
 
 
-def test_search_memory_peak_on_c26():
-    """The 26-vertex search stays under 0.8 MB of traced peak: one chunk of
-    2^16 cuts (int8 counts, a float32 ratio buffer) and the one int8 step
-    table, that of vertex 17 (the only high vertex with a low neighbour),
-    peak at 0.60 MB with the tie arrays, and the slack covers numpy's own
-    allocations changing between versions."""
+def _search_peak(g):
+    """The traced allocation peak of one search, after a first call has
+    built the shared column layout of its size."""
+    exact_cheeger(g)
     tracemalloc.start()
     try:
-        result = exact_cheeger(cycle(26))
+        result = exact_cheeger(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_search_memory_peak_on_c26():
+    """The 26-vertex search peaks at 0.25 MB of traced memory: int8 column
+    tables for all 26 vertices (106 KB) and, in column order, for the 13
+    row and high vertices (53 KB), one chunk of 2^16 cuts as a 16 x 4096
+    table (64 KB) and its first row.  The 0.1 MB slack covers numpy's own
+    allocations changing between versions."""
+    result, peak = _search_peak(cycle(26))
     assert result.value == Fraction(2, 13)
-    assert peak < 0.8 * 10**6
+    assert peak < 0.35 * 10**6
+
+
+def test_search_memory_peak_on_20_vertices_60_edges():
+    """The same tables in int16 (56 of the 60 edges are not loops, and -168
+    needs int16) for a 20-vertex graph with 60 edges, the benchmark's shape,
+    peak at 0.39 MB: 160 KB of column tables, 56 KB of them in column order
+    and a 128 KB chunk table.  The slack is 0.11 MB."""
+    g = random_seed(random.Random(60), 20, 41)
+    assert (g.num_edges, sum(u != v for u, v in g.edges)) == (60, 56)
+    result, peak = _search_peak(g)
+    assert (result.value, result.witness.side_a) == mask_cheeger(g)
+    assert peak < 0.5 * 10**6
 
 
 class TestLemmaCut:
