@@ -3,10 +3,12 @@
 Vertices are dense integers 0..n-1 with optional string labels; a cover's
 labels are a ``CoverLabels``, derived from the ids on read.  The edges
 are one (E, 2) int64 array, ``ends``, each row canonical (u, v) with u <= v;
-the edge id is the row index.  ``edges`` (a tuple of pairs), ``degrees`` and
-``incidence`` are derived from it on first use, so code that handles large
-covers reads ``ends`` and never builds per-edge Python objects.  Instances
-are immutable (the array is read-only) and safe to share.
+the edge id is the row index.  ``edges`` (a tuple of pairs) and ``degrees``
+are derived from it on first use, so code that handles large covers reads
+``ends`` and never builds per-edge Python objects.  ``spanning_tree`` is the
+only walk of the graph vertex by vertex; every other connectivity question
+is answered by ``component_count`` in numpy.  Instances are immutable (the
+array is read-only) and safe to share.
 """
 from __future__ import annotations
 
@@ -84,19 +86,6 @@ class MultiGraph:
     def degrees(self) -> tuple[int, ...]:
         """Edge-endpoint incidences per vertex; a loop contributes 2."""
         return tuple(np.bincount(self.ends.ravel(), minlength=self.num_vertices).tolist())
-
-    @cached_property
-    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per vertex: (edge id, other endpoint) pairs, ascending edge id.
-
-        Loops appear once; use ``degrees`` for loop-doubled counts.
-        """
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
-        for e, (u, v) in enumerate(self.ends.tolist()):
-            inc[u].append((e, v))
-            if u != v:
-                inc[v].append((e, u))
-        return tuple(tuple(entries) for entries in inc)
 
     # -- serialization ------------------------------------------------------
 
@@ -307,10 +296,12 @@ class CoverSpec:
         """Raise DisconnectedGraphError unless g without the cotree edges is connected.
 
         Ids that are not distinct edge ids of g raise SpecMismatchError first
-        (``cotree_ids``).  ``covers`` shows why this is the rule.
+        (``cotree_ids``); then ``component_count`` counts the components of
+        the rest.  ``covers`` shows why this is the rule.
         """
-        # Each vertex's BFS root is the least vertex of its component.
-        if any(_bfs_forest(g, cotree_ids(g, self.cotree_edges))[1]):
+        keep = np.ones(g.num_edges, dtype=bool)
+        keep[list(cotree_ids(g, self.cotree_edges))] = False
+        if component_count(MultiGraph(g.num_vertices, g.ends[keep])) > 1:
             raise DisconnectedGraphError("the graph without the cotree edges is disconnected")
 
 
@@ -364,32 +355,36 @@ def _is_int(value) -> bool:
 
 
 def spanning_tree(g: MultiGraph) -> CoverSpec:
-    """Deterministic maximal forest via BFS (``_bfs_forest``); cotree ids ascending."""
-    tree, _ = _bfs_forest(g, set())
-    return CoverSpec(tuple(e for e in range(g.num_edges) if e not in tree))
+    """Deterministic maximal forest by BFS; cotree ids ascending.
 
-
-def _bfs_forest(g: MultiGraph, skip: set[int]) -> tuple[set[int], list[int]]:
-    """(tree edge ids, BFS root of each vertex) of g without the edges in skip.
-
-    BFS starts at the lowest vertex id of each component and explores edges
-    in ascending edge-id order.
+    BFS starts at the lowest vertex id of each component, takes vertices
+    first in, first out, and explores each one's edges in ascending id.
+    Endpoint 2e + j of ``ends.ravel()`` is end j of edge e, so one stable
+    argsort lists every vertex's edges in that order; a loop is listed twice
+    and never joins the tree.
     """
-    incidence = g.incidence
-    root = [-1] * g.num_vertices
-    tree: set[int] = set()
-    for r in range(g.num_vertices):
-        if root[r] >= 0:
+    n, flat = g.num_vertices, g.ends.ravel()
+    order = np.argsort(flat, kind="stable")
+    start = np.searchsorted(flat, np.arange(n + 1), sorter=order).tolist()
+    other = flat[order ^ 1].tolist()
+    seen = [False] * n
+    taken = []  # the tree's edges, as positions in order
+    for root in range(n):
+        if seen[root]:
             continue
-        root[r] = r
-        queue = deque([r])
+        seen[root] = True
+        queue = deque([root])
         while queue:
-            for eid, other in incidence[queue.popleft()]:
-                if root[other] < 0 and eid not in skip:
-                    root[other] = r
-                    tree.add(eid)
-                    queue.append(other)
-    return tree, root
+            v = queue.popleft()
+            for i in range(start[v], start[v + 1]):
+                w = other[i]
+                if not seen[w]:
+                    seen[w] = True
+                    taken.append(i)
+                    queue.append(w)
+    cotree = np.ones(g.num_edges, dtype=bool)
+    cotree[order[taken] >> 1] = False
+    return CoverSpec(tuple(np.flatnonzero(cotree).tolist()))
 
 
 def component_count(g: MultiGraph) -> int:

@@ -6,7 +6,7 @@ import io
 import json
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -289,6 +289,34 @@ def union_find_validate(spec: CoverSpec, g: MultiGraph) -> None:
             components -= 1
     if components > 1:
         raise DisconnectedGraphError("the graph without the cotree edges is disconnected")
+
+
+def bfs_cotree(g: MultiGraph) -> tuple[int, ...]:
+    """spanning_tree's cotree by a walk over per-vertex lists, the reference.
+
+    Each vertex lists (edge id, other end) in ascending edge id, a loop
+    once.  BFS starts at the lowest unvisited vertex and takes vertices
+    first in, first out; the cotree is every edge it does not take.
+    """
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
+    for e, (u, v) in enumerate(g.ends.tolist()):
+        incident[u].append((e, v))
+        if u != v:
+            incident[v].append((e, u))
+    seen = [False] * g.num_vertices
+    tree: set[int] = set()
+    for root in range(g.num_vertices):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            for e, w in incident[queue.popleft()]:
+                if not seen[w]:
+                    seen[w] = True
+                    tree.add(e)
+                    queue.append(w)
+    return tuple(e for e in range(g.num_edges) if e not in tree)
 
 
 class LoopCover(NamedTuple):

@@ -26,6 +26,10 @@ DIGESTS = {
     "cover figure8 --iterate 2 --format dot": (
         0, "11d21078063f940daf671bb0930bcdb324b348dc85e9b234b53eac51262aec75", ""
     ),
+    # 12,288 vertices: the spanning trees' BFS order fixes every id
+    "cover cycle:3 --iterate 12": (
+        0, "3fbf4a64b11300dfb178f09ed6be62859871db65211d7bcae48dcb5242d930a5", ""
+    ),
     "cheeger figure8 --method exact": (
         4,
         EMPTY,

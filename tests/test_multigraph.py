@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from covertower.errors import DisconnectedGraphError, SizeCapError, SpecMismatch
 from covertower.multigraph import component_count
 
 from conftest import (
+    bfs_cotree,
     bouquet,
     cycle,
     figure8,
@@ -169,6 +171,64 @@ class TestSpanningTree:
         else:
             with pytest.raises(DisconnectedGraphError):
                 first.validate_for(g)
+
+
+@st.composite
+def split_multigraphs(draw):
+    """0-30 vertices, sparse enough to leave isolated vertices and several
+    components, with loops and parallel copies in shuffled edge order."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    if n == 0:
+        return build_graph(0, [])
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=n + 5))
+    edges += [(v, v) for v in draw(st.lists(vertex, max_size=4))]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=6))
+    return build_graph(n, draw(st.permutations(edges)))
+
+
+class TestSpanningTreeParity:
+    """spanning_tree leaves out the edges that conftest's list walk leaves out."""
+
+    @given(split_multigraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_list_walk(self, g):
+        assert spanning_tree(g).cotree_edges == bfs_cotree(g)
+
+    @pytest.mark.parametrize(
+        "seed, levels",
+        [(figure8(), 2), (theta(), 2), (bouquet(3), 1), (cycle(3), 12)],
+        ids=["figure8-L2", "theta-L2", "bouquet3-L1", "cycle3-L12"],
+    )
+    def test_matches_the_list_walk_up_a_tower(self, seed, levels):
+        # each level is covered along the reference's own tree
+        g = seed
+        for _ in range(levels):
+            cotree = bfs_cotree(g)
+            assert spanning_tree(g).cotree_edges == cotree
+            g = z2_cover(g, CoverSpec(cotree)).graph
+        assert spanning_tree(g).cotree_edges == bfs_cotree(g)
+
+
+def test_tree_memory_peak_on_cycle3_level14():
+    """At 49,152 vertices and as many edges, the tree and its check peak
+    at 9.4 MiB of traced memory, nearly all of it the walk's lists: each
+    endpoint's other end (98,304 entries), each vertex's first endpoint
+    and seen flag, and the positions taken.  The 13 MiB bound leaves
+    3.6 MiB of slack; per-vertex tuples of (edge id, other end) in place
+    of those lists peak at 17.8 MiB."""
+    g = cycle(3)
+    for _ in range(14):
+        g = z2_cover(g, spanning_tree(g)).graph
+    assert g.num_vertices == g.num_edges == 49_152
+    tracemalloc.start()
+    try:
+        spanning_tree(g).validate_for(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * 2**20
 
 
 def kruskal_cotree(g: MultiGraph, order: list[int]) -> list[int]:

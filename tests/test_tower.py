@@ -278,33 +278,28 @@ class TestTraversalBudget:
 
         monkeypatch.setattr(multigraph, "component_count", counting)
         iterate_tower(figure8(), 2, 10**6)
-        # the seed check and the level-2 sweep; the level-1 exhaustive search
+        # the seed check, validate_for at levels 0 and 1 (G minus its
+        # cotree) and the level-2 sweep; the level-1 exhaustive search
         # reads disconnection off its zero minimum
-        assert calls == [1, 128]
+        assert calls == [1, 1, 4, 128]
 
     def test_only_covered_graphs_are_traversed(self, monkeypatch):
         import covertower.multigraph as multigraph
 
-        trees, incidences = [], []
+        trees = []
         original_tree = multigraph.spanning_tree
-        original_incidence = multigraph.MultiGraph.incidence.func
 
         def counting_tree(g):
             trees.append(g.num_vertices)
             return original_tree(g)
 
-        def counting_incidence(g):
-            incidences.append(g.num_vertices)
-            return original_incidence(g)
-
         monkeypatch.setattr(multigraph, "spanning_tree", counting_tree)
         monkeypatch.setattr(tower_mod, "spanning_tree", counting_tree)
-        monkeypatch.setattr(multigraph.MultiGraph, "incidence", property(counting_incidence))
         iterate_tower(figure8(), 2, 10**6)
-        # the connectivity checks (seed and level-2 sweep) count components
-        # in numpy: only the graphs that get covered are walked
+        # spanning_tree is the only walk vertex by vertex, and every
+        # connectivity check counts components in numpy: only the graphs
+        # that get covered are walked
         assert trees == [1, 4]
-        assert 128 not in incidences
 
 
 class TestValidation:
