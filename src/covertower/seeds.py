@@ -8,7 +8,8 @@ Builtins:
 
 Cycles and bouquets use one edge per (vertex, generator-step) pair, so
 cycle:2 really has two parallel edges; that convention keeps every cover
-level satisfying #E = 2 #V on the bouquet towers.
+level satisfying #E = 2 #V on the bouquet towers.  The edge rows are built
+as one numpy array, so a name too large to build fails at that allocation.
 
 A parameter must be written as str() writes its value: ASCII digits with no
 sign, space, underscore or leading zero, so cycle:1_0, cycle:+5, cycle:05,
@@ -25,24 +26,27 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from .errors import ValidationError
-from .multigraph import MultiGraph, build_graph
+from .multigraph import MultiGraph
 
 
 def builtin_seed(name: str) -> MultiGraph | None:
     """The named builtin graph, or None when the name is not a builtin."""
     if name == "figure8":
-        return build_graph(1, [(0, 0), (0, 0)])
+        return builtin_seed("bouquet:2")
     if name == "theta":
-        return build_graph(2, [(0, 1), (0, 1), (0, 1)])
+        return MultiGraph(2, [(0, 1)] * 3)
     if name.startswith("cycle:"):
         n = _positive_int(name, "cycle")
-        if n == 1:
-            return build_graph(1, [(0, 0)])
-        return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        # 1, 2, ..., 2n halved: row i is (i, i + 1), then the last row closes the cycle.
+        ends = np.arange(1, 2 * n + 1).reshape(n, 2) // 2
+        ends[-1] = 0, n - 1
+        return MultiGraph(n, ends)
     if name.startswith("bouquet:"):
         r = _positive_int(name, "bouquet", minimum=0)
-        return build_graph(1, [(0, 0)] * r)
+        return MultiGraph(1, np.zeros((r, 2), dtype=np.int64))
     return None
 
 

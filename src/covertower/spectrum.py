@@ -111,6 +111,8 @@ def _laplacian_of(a: np.ndarray, deg: np.ndarray, kind: str) -> np.ndarray:
     # Entrywise-symmetric construction: off-diagonal -A_uv / sqrt(deg_u deg_v),
     # diagonal (deg_v - A_vv) / deg_v.
     denom = np.sqrt(np.outer(deg, deg).astype(float))
+    # The negation puts -0.0 in the off-diagonal zeros, and LAPACK reads that
+    # sign: +0.0 moves eigenvalues' low bits, and can move a printed digit.
     lap = -(a.astype(float))
     lap /= denom  # in place: numpy reuses a temporary only if both operands share a shape
     diagonal = np.arange(len(deg))

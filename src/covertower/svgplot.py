@@ -18,30 +18,39 @@ MARGIN_RIGHT = 20
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 45
 
-SERIES_STYLE = (
-    ("lemma bound", "#1f77b4"),
-    ("best h upper bound", "#d62728"),
-    ("exact h", "#2ca02c"),
-    ("lambda1 (combinatorial)", "#9467bd"),
+# One row per series, in legend order: its name, its colour and a level
+# row's value (None when the row has none).  A new series is one row.
+SERIES = (
+    ("lemma bound", "#1f77b4", lambda row: row.lemma_bound),
+    ("best h upper bound", "#d62728", lambda row: row.cheeger_value),
+    (
+        "exact h",
+        "#2ca02c",
+        lambda row: row.cheeger_value if row.cheeger_certified == EXACT else None,
+    ),
+    ("lambda1 (combinatorial)", "#9467bd", lambda row: row.lambda1_combinatorial),
 )
 
 
 def _series_points(report: TowerReport) -> list[list[tuple[int, float]]]:
-    lemma, best, exact, lam = [], [], [], []
-    for row in report.levels:
-        if row.lemma_bound is not None and row.lemma_bound > 0:
-            lemma.append((row.level, float(row.lemma_bound)))
-        if row.cheeger_value is not None and row.cheeger_value > 0:
-            best.append((row.level, float(row.cheeger_value)))
-            if row.cheeger_certified == EXACT:
-                exact.append((row.level, float(row.cheeger_value)))
-        if row.lambda1_combinatorial is not None and row.lambda1_combinatorial > 0:
-            lam.append((row.level, row.lambda1_combinatorial))
-    return [lemma, best, exact, lam]
+    """Each series' (level, value) points, one per row whose value is positive."""
+    return [
+        [(r.level, v) for r in report.levels if (v := float(value(r) or 0)) > 0]
+        for _, _, value in SERIES
+    ]
 
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
+
+
+def _text(x, y, size, body, anchor: str | None = None) -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}"{anchor} font-family="monospace" font-size="{size}">{body}</text>'
+
+
+def _line(x1, y1, x2, y2, stroke: str) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="1"/>'
 
 
 def tower_svg(report: TowerReport) -> str:
@@ -54,6 +63,7 @@ def tower_svg(report: TowerReport) -> str:
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    right, bottom = WIDTH - MARGIN_RIGHT, HEIGHT - MARGIN_BOTTOM
 
     def x_pos(level: int) -> float:
         return MARGIN_LEFT + plot_w * (level - x_min) / (x_max - x_min)
@@ -62,8 +72,7 @@ def tower_svg(report: TowerReport) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{MARGIN_LEFT}" y="22" font-family="monospace" font-size="14">'
-        f"expansion decay: seed {_escape(report.seed_description)}</text>",
+        _text(MARGIN_LEFT, 22, 14, f"expansion decay: seed {_escape(report.seed_description)}"),
     ]
 
     if values:
@@ -78,23 +87,11 @@ def tower_svg(report: TowerReport) -> str:
 
         for decade in range(log_min, log_max + 1):
             y = y_pos(10.0**decade)
-            lines.append(
-                f'<line x1="{MARGIN_LEFT}" y1="{_fmt(y)}" x2="{WIDTH - MARGIN_RIGHT}" '
-                f'y2="{_fmt(y)}" stroke="#dddddd" stroke-width="1"/>'
-            )
-            lines.append(
-                f'<text x="{MARGIN_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-                f'font-family="monospace" font-size="11">1e{decade}</text>'
-            )
+            lines.append(_line(MARGIN_LEFT, _fmt(y), right, _fmt(y), "#dddddd"))
+            lines.append(_text(MARGIN_LEFT - 8, _fmt(y + 4), 11, f"1e{decade}", "end"))
         for level in range(x_min, x_max + 1):
-            x = x_pos(level)
-            lines.append(
-                f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN_BOTTOM + 18}" text-anchor="middle" '
-                f'font-family="monospace" font-size="11">{level}</text>'
-            )
-        for (name, color), pts in zip(SERIES_STYLE, series):
-            if not pts:
-                continue
+            lines.append(_text(_fmt(x_pos(level)), bottom + 18, 11, level, "middle"))
+        for (_, color, _), pts in zip(SERIES, series):
             coords = " ".join(f"{_fmt(x_pos(l))},{_fmt(y_pos(v))}" for l, v in pts)
             if len(pts) > 1:
                 lines.append(
@@ -107,41 +104,22 @@ def tower_svg(report: TowerReport) -> str:
                     f'fill="{color}"/>'
                 )
     else:
-        lines.append(
-            f'<text x="{WIDTH // 2}" y="{HEIGHT // 2}" text-anchor="middle" '
-            f'font-family="monospace" font-size="13">no plottable values</text>'
-        )
+        lines.append(_text(WIDTH // 2, HEIGHT // 2, 13, "no plottable values", "middle"))
 
-    legend_y = MARGIN_TOP + 4
-    for name, color in SERIES_STYLE:
+    for i, (name, color, _) in enumerate(SERIES):
+        legend_y = MARGIN_TOP + 4 + 16 * i
         lines.append(
             f'<rect x="{WIDTH - 230}" y="{legend_y - 9}" width="10" height="10" '
             f'fill="{color}"/>'
         )
-        lines.append(
-            f'<text x="{WIDTH - 215}" y="{legend_y}" font-family="monospace" '
-            f'font-size="11">{_escape(name)}</text>'
-        )
-        legend_y += 16
+        lines.append(_text(WIDTH - 215, legend_y, 11, _escape(name)))
 
-    lines.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
-        f'y2="{HEIGHT - MARGIN_BOTTOM}" stroke="black" stroke-width="1"/>'
-    )
-    lines.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{HEIGHT - MARGIN_BOTTOM}" '
-        f'x2="{WIDTH - MARGIN_RIGHT}" y2="{HEIGHT - MARGIN_BOTTOM}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
-    lines.append(
-        f'<text x="{(MARGIN_LEFT + WIDTH - MARGIN_RIGHT) // 2}" y="{HEIGHT - 8}" '
-        f'text-anchor="middle" font-family="monospace" font-size="12">level</text>'
-    )
+    lines.append(_line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, bottom, "black"))
+    lines.append(_line(MARGIN_LEFT, bottom, right, bottom, "black"))
+    lines.append(_text((MARGIN_LEFT + right) // 2, HEIGHT - 8, 12, "level", "middle"))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
 def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -471,6 +472,27 @@ class TestCheegerCommand:
         assert json.loads(err) == {
             "error": "SizeCapError", "message": "brute force is limited to 36 vertices",
         }
+
+    def test_builtin_too_large_to_build_exit_4(self):
+        # bouquet:200000000 is one 3.2 GB edge array, refused at once under a
+        # 3 GB address-space limit set on the child only, before any Python
+        # object is made per edge.
+        resource = pytest.importorskip("resource")
+        limit = 3_000_000 * 1024
+        result = subprocess.run(
+            [sys.executable, "-m", "covertower.cli", "cheeger", "bouquet:200000000"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            timeout=30,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (result.returncode, result.stdout) == (4, "")
+        assert "Traceback" not in result.stderr
+        assert result.stderr.count("\n") == 1
+        doc = json.loads(result.stderr)
+        assert doc["error"] == "SizeCapError"
+        assert doc["message"].startswith("Unable to allocate 2.98 GiB")
 
 
 class TestSpectrumCommand:

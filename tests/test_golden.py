@@ -1,8 +1,9 @@
 """Golden outputs: CLI results pinned to the values of an earlier release.
 
 Float-free outputs (cover exports and Cheeger results) are pinned by the
-SHA-256 of their stdout bytes, with the exit code and the stderr line, and
-one truncated tower report by the SHA-256 of its JSON and CSV artifacts.
+SHA-256 of their stdout bytes, with the exit code and the stderr line, one
+truncated tower report by the SHA-256 of its JSON, CSV and SVG artifacts,
+and three float-free decay plots by the SHA-256 of their SVG.
 Other tower reports are compared field by field from `golden_towers.json`:
 the lambda1 columns within 1e-9 relative, every other field exactly.
 """
@@ -14,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from covertower import iterate_tower
 from covertower.cli import main
+from covertower.seeds import builtin_seed
+from covertower.svgplot import tower_svg
 
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -78,10 +82,25 @@ DIGESTS = {
 }
 
 # SHA-256 of the artifacts of `tower --seed bouquet:10 --levels 2`, whose
-# truncated row has 2,778-digit counts
+# truncated row has 2,778-digit counts; its plotted lambda1 values are
+# exactly 4 and 0.2
 BOUQUET10_L2_DIGESTS = {
     "json": "72e6d4ddfe89ad9fb5c6ef4fd5e0663494b78f56815be8f238386ce20f2da5bd",
     "csv": "bedae883e6df6ada47249e9695bb41b3711b1ef815006f9a8e7a01749ad3240b",
+    "svg": "6de2fcea60ca45935d34b4f35254bfa3ae2a2b2cff3fbe9deb61af051743d85e",
+}
+
+# "seed levels": (iterate_tower keywords, SHA-256 of tower_svg of the report).
+# No plotted value is a rounded float: figure8 L0 plots nothing, bouquet:0
+# has no edges at any level, and cycle:4 at spectrum_cap=1 plots only h = 1
+# under an escaped seed label.
+PLOT_DIGESTS = {
+    "figure8 0": ({}, "24efcdc48719fa8db7ac7e574e4f4dccf92809479035bdbf55c707f6c01c9207"),
+    "bouquet:0 3": ({}, "f4444a220c3d2cba3e5c87f453ac64260c7b4ed710496ca5eb9b059bceb0e4db"),
+    "cycle:4 0": (
+        {"spectrum_cap": 1, "seed_description": 'a<b&c "q"'},
+        "a4e4188831f250200415fe7041c6d7cbbb7170d6c651471af2092914a29967c4",
+    ),
 }
 
 TOWERS = json.loads((Path(__file__).parent / "golden_towers.json").read_text())
@@ -102,6 +121,14 @@ def test_truncated_tower_artifact_digests(tmp_path):
     for ext, expected in BOUQUET10_L2_DIGESTS.items():
         digest = hashlib.sha256(prefix.with_suffix(f".{ext}").read_bytes()).hexdigest()
         assert digest == expected, ext
+
+
+@pytest.mark.parametrize("case", sorted(PLOT_DIGESTS))
+def test_float_free_plot_digest(case):
+    seed, levels = case.split()
+    keywords, expected = PLOT_DIGESTS[case]
+    report = iterate_tower(builtin_seed(seed), int(levels), **{"seed_description": seed, **keywords})
+    assert hashlib.sha256(tower_svg(report).encode("utf-8")).hexdigest() == expected
 
 
 @pytest.mark.parametrize("case", sorted(TOWERS))
