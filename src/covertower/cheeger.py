@@ -6,7 +6,7 @@ lcm(1, ..., floor(n/2)), every ratio is an integer.
 Crossing counts include parallel-edge multiplicity; loops never cross.
 
 The exhaustive search fixes vertex 0 on side A, halving the 2^n subsets.
-It splits the subset range into chunks of at most 2^16 cuts and visits them
+It splits the subset range into chunks of at most 2^17 cuts and visits them
 in Gray-code order of their high vertices.  A chunk is a table with a row
 per subset of its row vertices and a column per subset of its (at most 12)
 column vertices, the columns ordered by popcount, so one reduction gives
@@ -53,10 +53,10 @@ METHOD_SWEEP = "sweep"
 
 DEFAULT_BRUTE_FORCE_CAP = 26
 # The largest graph the search accepts, so that it finishes within a minute:
-# its time doubles per vertex, about 0.02 s at 26 vertices and 0.25 s at 30
-# (3n edges, one 2-core host), so about 16 s at 36.  (Int64 masks allow 62.)
+# its time doubles per vertex, about 0.008 s at 26 vertices, 0.12 s at 30 and
+# 8 s at 36 (3n edges, one 2-core host).  (Int64 masks allow 62.)
 MAX_BRUTE_FORCE_CAP = 36
-_CHUNK_BITS = 16
+_CHUNK_BITS = 17
 _COLUMN_BITS = 12
 _NOT_A_CUT = (1 << 63) - 1  # the int64 maximum, above every scaled ratio
 # Sweep entries closer than this, relative to the vector's largest magnitude,
@@ -270,9 +270,21 @@ def exact_cheeger(
     (unless h has no column neighbour), and off gains or loses
     rows[h] - 2 m(h, S - {h}).  So the search costs O(2^(n-1)) table entries
     whatever the edge count, and a chunk's table stays in a core's L2 cache.
-    Every table entry lies in [-2W, W] and every other value and partial sum
-    within 2W of zero (W the non-loop edge weight), inside the smallest
-    integer type that holds -3W, which the tables use.
+
+    The tables use the smallest integer type that holds -2W, W the non-loop
+    edge weight, and every value computed in that type lies in [-2W, W].
+    Each non-loop edge at v adds 1 to deg'(v) <= W, so m(v, X) <= deg'(v)
+    for any X without v.  `pair` and the `cols` rows of the row and high
+    vertices, -2 m(v, Lc), lie in [-2W, 0], and so do `steps`, those rows in
+    column order.  A column vertex's gains, a `rows` entry and a_v are each
+    deg'(v) - 2 m(v, X) for some X, in [-W, W].  A table entry (`first` is
+    the first chunk's first row), and each sum while the rows double, is
+    crossing(X) - 2 m(S', Lc) with X = {0} + Lr + Lc and S' outside X; the
+    edges between S' and Lc cross X, so it lies in [-W, W].  The offset
+    step rows[h] + shift is deg'(h) - 2 m(h, {0} + Lr + S - {h}), in
+    [-W, W] too, and shift = -2 m(h, S - {h}) lies in [-2W, 0], so as a
+    Python int it always fits the table type, as numpy requires.  off and
+    the scaled minima are int64.
 
     One `np.minimum.reduceat` gives each block's least entry, and plus
     off[r] its least count.  A block's cuts share |A|, so times its
@@ -301,8 +313,9 @@ def exact_cheeger(
     kr = k - kc
     high = n - 1 - k  # the high vertices are k + 1 + j for bit j of a chunk
     perm, col_bounds, unit, block_scale = _table_layout(n, kr, kc)
-    # The smallest integer type that holds -3 * (non-loop edge weight).
-    dtype = np.min_scalar_type(-3 * (int(adj.sum()) // 2))
+    # The smallest integer type that holds -2 * (non-loop edge weight), the
+    # least value computed in it (see above).
+    dtype = np.min_scalar_type(-2 * (int(adj.sum()) // 2))
     a = adj.sum(axis=1) - 2 * adj[:, 0]  # a[0] = deg'(0) = crossing({0})
     pair = (-2 * adj).astype(dtype)
     # Column vertex w needs only its entries below 2^(w-1), so bit i skips
@@ -321,6 +334,7 @@ def exact_cheeger(
     first[0] = a[0]
     for i in range(kc):
         np.add(first[: 1 << i], cols[i + 1, : 1 << i], out=first[1 << i : 2 << i])
+    del cols  # steps and first hold all the walk reads; free it before the chunk
     table = np.empty((1 << kr, 1 << kc), dtype=dtype)
     table[0] = first[perm]
     for i in range(kr):

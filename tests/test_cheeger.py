@@ -112,6 +112,28 @@ def with_heavy_pairs(rng, n, edges, extra):
     return build_graph(n, list(edges) + [p for p, m in zip(heavy, mults) for _ in range(m)])
 
 
+class _TableDtypes:
+    """numpy as `cheeger` sees it, recording the dtype of each `np.empty`:
+    the search's tables are the only arrays it allocates that way."""
+
+    def __init__(self):
+        self.dtypes = set()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype):
+        self.dtypes.add(np.dtype(dtype))
+        return np.empty(shape, dtype)
+
+
+def record_table_dtypes(monkeypatch):
+    """Record the dtypes of the tables that each later search allocates."""
+    spy = _TableDtypes()
+    monkeypatch.setattr(cheeger, "np", spy)
+    return spy
+
+
 def cube(d):
     return build_graph(
         1 << d, [(v, v | 1 << b) for v in range(1 << d) for b in range(d) if not v >> b & 1]
@@ -180,13 +202,26 @@ class TestExactCheeger:
         assert result.witness.side_a == expected_a
 
     def test_heavy_multiplicities_widen_the_counts(self):
-        # 3 * 14,001 non-loop edges do not fit int16, so the tables use int32.
+        # 14,001 non-loop edges: -28,002 fits int16 but not int8, so the
+        # tables use int16.
         g = build_graph(
             4, [(0, 1)] * 5000 + [(1, 2)] * 6000 + [(2, 3)] * 3000 + [(0, 3)] + [(2, 2)] * 9
         )
         result = exact_cheeger(g)
         assert (result.value, result.witness.side_a) == naive_cheeger(g) == mask_cheeger(g)
         assert result.value == Fraction(6001, 2)
+
+    def test_heavier_multiplicities_take_int32_counts(self, monkeypatch):
+        # 21,001 non-loop edges: -42,002 does not fit int16, so the tables
+        # use int32.
+        g = build_graph(
+            4, [(0, 1)] * 8000 + [(1, 2)] * 8000 + [(2, 3)] * 5000 + [(0, 3)] + [(2, 2)] * 9
+        )
+        spy = record_table_dtypes(monkeypatch)
+        result = exact_cheeger(g)
+        assert spy.dtypes == {np.dtype(np.int32)}
+        assert (result.value, result.witness.side_a) == naive_cheeger(g) == mask_cheeger(g)
+        assert result.value == Fraction(8001, 2)
 
     def test_relabeling_invariance(self):
         g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
@@ -301,11 +336,13 @@ CHUNK_CORPUS = [
     random_seed(_chunk_rng, n, _chunk_rng.randint(n // 2, 2 * n))
     for n in (6, 7, 8, 9, 10, 11, 12, 12)
 ]
-# 18 to 20 vertices span 2, 4 or 8 chunks at the default width.
+# 19 to 21 vertices span 2, 4 or 8 chunks at the default width.  The first
+# draw, 18 vertices, fits one chunk and is dropped; it is still drawn so
+# that the later draws stay fixed.
 _wide_rng = random.Random(21)
 WIDE_CORPUS = [
-    random_seed(_wide_rng, n, _wide_rng.randint(n, 2 * n)) for n in (18, 19, 20, 20)
-]
+    random_seed(_wide_rng, n, _wide_rng.randint(n, 2 * n)) for n in (18, 19, 20, 20, 21)
+][1:]
 
 
 def two_clusters():
@@ -313,9 +350,9 @@ def two_clusters():
 
     The bridge split (1 crossing over 10) is the unique minimum, since any
     other cut splits a K10 (at least 9 crossing over at most 10).  At the
-    default width its side A holds every high vertex (1, 2, 3), so the
+    default width its side A holds every high vertex (1 and 2), so the
     winner sits in the partial, all-high chunk, which the Gray walk visits
-    sixth of eight.
+    third of four.
     """
     left = [0, 1, 2, 3, 4, 5, 6, 17, 18, 19]
     right = list(range(7, 17))
@@ -325,7 +362,7 @@ def two_clusters():
 
 class TestChunkedSearch:
     """Narrow chunks exercise the cross-chunk terms (high vertices fixed per
-    chunk) that the default chunk width only reaches above 17 vertices."""
+    chunk) that the default chunk width only reaches above 18 vertices."""
 
     def test_corpus_has_loops_and_parallel_edges(self):
         for corpus in (CHUNK_CORPUS, WIDE_CORPUS):
@@ -423,24 +460,71 @@ class TestMaskOracle:
 
 
 class TestTableDtype:
-    """At n = 12 the tables take the smallest integer type holding -3W (W
-    the non-loop edge weight): int8 up to W = 42, int16 up to 10,922 and
-    int32 above, so each pair of weights sits on both sides of a switch."""
+    """At n = 12 the tables take the smallest integer type holding -2W (W
+    the non-loop edge weight): int8 up to W = 64, int16 up to 16,384 and
+    int32 above.  64/65 and 16,384/16,385 sit on both sides of a switch,
+    and 43 and 10,923, where a -3W rule would widen, check that the rule is
+    no looser."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize(
         "weight, dtype",
-        [(42, np.int8), (43, np.int16), (10_922, np.int16), (10_923, np.int32)],
+        [
+            (42, np.int8),
+            (43, np.int8),
+            (64, np.int8),
+            (65, np.int16),
+            (10_922, np.int16),
+            (10_923, np.int16),
+            (16_384, np.int16),
+            (16_385, np.int32),
+        ],
     )
-    def test_weight_at_the_dtype_bound(self, weight, dtype, seed):
+    def test_weight_at_the_dtype_bound(self, weight, dtype, seed, monkeypatch):
         rng = random.Random(seed)
         tree = [(v, rng.randrange(v)) for v in range(1, 12)]
         base = tree + [tuple(rng.sample(range(12), 2)) for _ in range(12)]
-        g = with_heavy_pairs(rng, 12, base, weight - len(base))
+        # One tree pair carries the rest of the weight, so `pair` reaches
+        # within 44 of -2W on a connected graph.
+        g = build_graph(12, base + [rng.choice(tree)] * (weight - len(base)))
+        # All the weight on one pair of vertices, high below 10 chunk bits:
+        # `pair` and the offset shift reach -2W itself.
+        lone = build_graph(12, [(1, 2)] * weight + [(3, 3)])
         assert sum(u != v for u, v in g.edges) == weight
-        assert np.min_scalar_type(-3 * weight) == dtype
-        result = exact_cheeger(g)
-        assert (result.value, result.witness.side_a) == mask_cheeger(g) == naive_cheeger(g)
+        expected = mask_cheeger(g)
+        assert expected == naive_cheeger(g)
+        spy = record_table_dtypes(monkeypatch)
+        for bits in (1, 5, cheeger._CHUNK_BITS):
+            monkeypatch.setattr(cheeger, "_CHUNK_BITS", bits)
+            result = exact_cheeger(g)
+            assert (result.value, result.witness.side_a) == expected, f"chunk bits {bits}"
+            with pytest.raises(DisconnectedGraphError):
+                exact_cheeger(lone)
+        assert spy.dtypes == {np.dtype(dtype)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 12), weight=st.integers(60, 70))
+    def test_drawn_weights_around_the_int8_switch(self, data, n, weight):
+        """Two heavy pairs, loops and disconnected graphs at the default
+        widths, with W on both sides of 64."""
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1]
+        )
+        pairs = data.draw(st.lists(pair, min_size=2, max_size=3 * n))
+        split = data.draw(st.integers(0, weight - len(pairs)))
+        heavy = [pairs[0]] * split + [pairs[1]] * (weight - len(pairs) - split)
+        loops = [(v, v) for v in data.draw(st.lists(st.integers(0, n - 1), max_size=3))]
+        g = build_graph(n, pairs + heavy + loops)
+        value, side_a = mask_cheeger(g)
+        with pytest.MonkeyPatch.context() as patch:
+            spy = record_table_dtypes(patch)
+            if value == 0:
+                with pytest.raises(DisconnectedGraphError):
+                    exact_cheeger(g)
+            else:
+                result = exact_cheeger(g)
+                assert (result.value, result.witness.side_a) == (value, side_a)
+        assert spy.dtypes == {np.dtype(np.int8 if weight <= 64 else np.int16)}
 
 
 def _search_peak(g):
@@ -457,26 +541,28 @@ def _search_peak(g):
 
 
 def test_search_memory_peak_on_c26():
-    """The 26-vertex search peaks at 0.25 MB of traced memory: int8 column
-    tables for all 26 vertices (106 KB) and, in column order, for the 13
-    row and high vertices (53 KB), one chunk of 2^16 cuts as a 16 x 4096
-    table (64 KB) and its first row.  The 0.1 MB slack covers numpy's own
-    allocations changing between versions."""
+    """The 26-vertex search peaks at 0.22 MB of traced memory.  Its int8
+    column tables for all 26 vertices (106 KB) are freed once the 13 row
+    and high vertices' ones are in column order (53 KB) and the first row
+    (4 KB) is built, so the peak is those two, one chunk of 2^17 cuts as a
+    32 x 4096 table (131 KB) and numpy's temporaries.  The 0.13 MB slack
+    covers numpy's own allocations changing between versions."""
     result, peak = _search_peak(cycle(26))
     assert result.value == Fraction(2, 13)
     assert peak < 0.35 * 10**6
 
 
 def test_search_memory_peak_on_20_vertices_60_edges():
-    """The same tables in int16 (56 of the 60 edges are not loops, and -168
-    needs int16) for a 20-vertex graph with 60 edges, the benchmark's shape,
-    peak at 0.39 MB: 160 KB of column tables, 56 KB of them in column order
-    and a 128 KB chunk table.  The slack is 0.11 MB."""
+    """The same tables in int8 (56 of the 60 edges are not loops, and -112
+    fits int8) for a 20-vertex graph with 60 edges, the benchmark's shape,
+    peak at 0.19 MB: a 131 KB chunk table, 29 KB of column tables in column
+    order and the 4 KB first row, the 82 KB of column tables they came from
+    freed before the chunk.  The slack is 0.11 MB."""
     g = random_seed(random.Random(60), 20, 41)
     assert (g.num_edges, sum(u != v for u, v in g.edges)) == (60, 56)
     result, peak = _search_peak(g)
     assert (result.value, result.witness.side_a) == mask_cheeger(g)
-    assert peak < 0.5 * 10**6
+    assert peak < 0.3 * 10**6
 
 
 class TestLemmaCut:
