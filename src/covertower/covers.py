@@ -17,7 +17,9 @@ Cover vertex (v, a) gets id v * 2^r + a, and similarly for edges, i.e. ids
 are lexicographic in (base id, bitvector-as-integer).  The cover's edge
 array is one broadcast of the base's edge rows against the 2^r bitvectors
 and its labels are read from the ids, so building a level runs no Python
-per cover vertex or edge.  verify_regular_cover reads the same arrays.
+per cover vertex or edge.  verify_regular_cover reads the same arrays, each
+fiber once: every edge (e, a) must be edge (e, 0) XOR a, and edge (e, 0)
+must project to e.
 """
 from __future__ import annotations
 
@@ -102,12 +104,30 @@ def z2_cover(
 
 
 def verify_regular_cover(cover: CoveredGraph) -> RegularCoverReport:
-    """Check the four regular-cover conditions, reporting failures in the record.
+    """Check that the cover is regular, reporting failures in the record.
 
     The checks read the constructed edge list against the id numbering
     (fiber = divmod(id, 2^r)), so an edge list that breaks the numbering is
-    detected rather than assumed away.  XOR by a nonzero bitvector moves
-    every id, so once the ids cover V(base) x (Z/2)^r the action is free.
+    detected rather than assumed away.  Once the counts hold, cover edge
+    (e, a) is row ``lifts[e, a]``, and two comparisons remain:
+
+    - orbit: every row ``lifts[e, a]`` is the sorted ``lifts[e, 0] ^ a``;
+    - projection: ``lifts[e, 0] >> r`` is the row of base edge e.
+
+    Nothing of the regular-cover conditions is lost:
+
+    - Under the orbit rule, XOR by b sends the ends of edge (e, a) to those
+      of edge (e, a ^ b), so every deck element b is an automorphism;
+      conversely, b acting at edge (e, 0) is the orbit rule for a = b.  The
+      automorphisms among the b form a subgroup, so the rule holds exactly
+      when every generator 2^j is an automorphism.
+    - XOR on the low r bits is free (a nonzero b moves every id) and
+      transitive on each fiber (x ^ y sends (v, x) to (v, y)).
+    - XOR keeps the bits above r, so orbit plus the sheet-0 projection
+      gives every edge's projection.
+    - Vertex (v, x) meets exactly one lift of each non-loop base edge at v,
+      the one whose sheet-0 end over v XOR a is (v, x), and two edge ends
+      over each loop at v, so its star maps bijectively onto v's star.
     """
     base = cover.base
     g = cover.graph
@@ -123,45 +143,17 @@ def verify_regular_cover(cover: CoveredGraph) -> RegularCoverReport:
         return RegularCoverReport(tuple(failures))
 
     r = cover.rank
-    lo, hi = g.ends[:, 0], g.ends[:, 1]
-    eids = np.arange(g.num_edges)
-
-    # (i) every deck element is a graph automorphism.  The elements that
-    # pass form a subgroup, so checking the generators 2^j suffices, and the
-    # first failing element in range order is always one of them.
-    for b in (1 << j for j in range(r)):
-        x, y, image = lo ^ b, hi ^ b, eids ^ b
-        bad = (lo[image] != np.minimum(x, y)) | (hi[image] != np.maximum(x, y))
-        if bad.any():
-            failures.append(
-                f"deck element {b} does not preserve incidence at edge {int(bad.argmax())}"
-            )
-            break
-
-    # (iii) the projected quotient graph is the base
-    base_lo, base_hi = base.ends[eids >> r].T
-    bad = (lo >> r != base_lo) | (hi >> r != base_hi)
+    lifts = g.ends.reshape(base.num_edges, sheets, 2)
+    sheet = np.arange(sheets)
+    x, y = lifts[:, :1, 0] ^ sheet, lifts[:, :1, 1] ^ sheet
+    bad = (lifts[:, :, 0] != np.minimum(x, y)) | (lifts[:, :, 1] != np.maximum(x, y))
     if bad.any():
-        eid = int(bad.argmax())
-        failures.append(
-            f"cover edge {eid} projects to {(int(lo[eid]) >> r, int(hi[eid]) >> r)}, "
-            f"not to base edge {eid >> r}"
-        )
+        e, a = divmod(int(bad.argmax()), sheets)
+        failures.append(f"deck element {a} does not preserve incidence at edge {e * sheets}")
 
-    # (iv) projection restricted to each vertex star is a bijection: the
-    # sorted (cover vertex, base edge) incidences of the cover must equal
-    # those of the base's stars lifted to every sheet.  The first
-    # disagreement in that order belongs to the lowest failing vertex.
-    width = max(base.num_edges, 1)
-    got = np.sort(g.ends.ravel() * width + np.repeat(eids >> r, 2))
-    base_keys = base.ends.ravel() * sheets * width + np.repeat(np.arange(base.num_edges), 2)
-    want = np.sort((base_keys[:, None] + np.arange(sheets) * width).ravel())
-    bad = got != want
+    bad = (lifts[:, 0] >> r != base.ends).any(axis=1)
     if bad.any():
-        i = int(bad.argmax())
-        vid = int(min(got[i], want[i]) // width)
-        failures.append(
-            f"star of cover vertex {vid} does not project bijectively "
-            f"onto the star of base vertex {vid >> r}"
-        )
+        e = int(bad.argmax())
+        lo, hi = (int(end) >> r for end in lifts[e, 0])
+        failures.append(f"cover edge {e * sheets} projects to {(lo, hi)}, not to base edge {e}")
     return RegularCoverReport(tuple(failures))

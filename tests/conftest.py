@@ -380,11 +380,14 @@ def loop_cut_ratio(num_vertices: int, edges, side_a) -> tuple[int, Fraction]:
 
 
 def loop_regular_cover_failures(cover: CoveredGraph) -> list[str]:
-    """verify_regular_cover's failure messages, checked one id at a time.
+    """The regular-cover conditions from their definitions, one id at a time.
 
-    Every deck element b is tried, not just the generators, and edges and
-    stars are compared pair by pair, as verify_regular_cover did before it
-    was vectorized.
+    Every deck element b is tried on every edge, every edge's projection is
+    compared with its base edge, and every vertex star is counted.  The
+    messages are verify_regular_cover's, and a wrong count is reported alone
+    in the same words; otherwise verify_regular_cover reads only each fiber
+    against its sheet-0 lift, so it fails exactly when this does, but it may
+    name a different first failure and leaves out the star message.
     """
     base, g, sheets = cover.base, cover.graph, cover.sheets
     edges = g.edges
