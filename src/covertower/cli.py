@@ -23,7 +23,7 @@ import sys
 
 from . import cheeger as cheeger_mod
 from . import spectrum as spectrum_mod
-from .covers import CoveredGraph, z2_cover
+from .covers import CoveredGraph, verify_regular_cover, z2_cover
 from .errors import (
     ConvergenceError,
     CovertowerError,
@@ -161,7 +161,15 @@ def cmd_cover(args: argparse.Namespace) -> int:
         labels = CoverLabels(g.labels, (0,) * args.iterate, g.num_vertices)
         g = MultiGraph(g.num_vertices, _homology_cover(g, args.vertex_cap).graph.ends, labels)
     else:
-        for _ in range(args.iterate):
+        for step in range(args.iterate):
+            # A level built here is connected, so its cover's size is known before it
+            # is walked; the input may be disconnected, so its step walks first.
+            rank = g.num_edges - g.num_vertices + 1
+            if step and g.num_vertices * (1 << rank) > args.vertex_cap:
+                raise SizeCapError(
+                    f"cover would have {g.num_vertices} * 2^{rank} vertices, "
+                    f"above the cap {args.vertex_cap}"
+                )
             g = _homology_cover(g, args.vertex_cap).graph
     text = g.to_json() if args.format == "json" else g.to_dot()
     _emit(args.out, text)
@@ -202,9 +210,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _homology_cover(g: MultiGraph, vertex_cap: int) -> CoveredGraph:
-    """The homology cover of g; a g already above the cap is refused untraversed."""
+    """The homology cover of g, verified regular; a g above the cap is refused untraversed."""
     _check_vertex_cap(g, vertex_cap)
-    return z2_cover(g, spanning_tree(g), vertex_cap=vertex_cap)
+    cover = z2_cover(g, spanning_tree(g), vertex_cap=vertex_cap)
+    failures = verify_regular_cover(cover).failures
+    if failures:
+        raise ValidationError(f"the cover is not regular: {failures[0]}")
+    return cover
 
 
 def _check_vertex_cap(g: MultiGraph, vertex_cap: int) -> None:

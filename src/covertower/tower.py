@@ -4,10 +4,11 @@ Level 0 is the seed graph; level n+1 is the homology double cover of level n
 over a freshly computed spanning tree.  Counts multiply by 2^rank per level,
 so the loop stops at the first level whose predicted size exceeds the vertex
 cap and records that level with predicted (exact big-integer) counts instead
-of constructing it.  Every level is analysed as a cover: level n+1 is the
-cover of level n along its cotree edges, and the seed is its own rank-0
-cover, so all Laplacian spectra come from character blocks
-(spectrum.laplacian_spectrum).  A rank-0 level is its own cover, so a tree
+of constructing it.  Every level is the CoveredGraph it is analysed as:
+level n+1 is the cover z2_cover returns over level n, and the seed is its
+own rank-0 cover, so all Laplacian spectra come from character blocks
+(spectrum.laplacian_spectrum) and every level above the seed has its fiber
+cut (cheeger.lemma_cut).  A rank-0 level is its own cover, so a tree
 seed is analysed once and its row repeated; such a tower is limited to
 MAX_TREE_LEVELS levels.  Each level is one TowerLevel row, whose fields are
 the report's columns in order; a field the analysis cannot fill stays None.
@@ -29,9 +30,9 @@ from json.encoder import encode_basestring_ascii
 
 from . import cheeger as cheeger_mod
 from . import spectrum as spectrum_mod
-from .covers import DEFAULT_VERTEX_CAP, z2_cover
+from .covers import DEFAULT_VERTEX_CAP, CoveredGraph, z2_cover
 from .errors import DisconnectedGraphError, SizeCapError, ValidationError
-from .multigraph import MultiGraph, is_connected, spanning_tree
+from .multigraph import CoverSpec, MultiGraph, is_connected, spanning_tree
 
 # A rank-0 tower never grows, so no vertex cap ends it; this bounds its rows.
 MAX_TREE_LEVELS = 10_000
@@ -108,20 +109,21 @@ def iterate_tower(
             f"a rank-0 seed is its own cover; levels must be at most {MAX_TREE_LEVELS}"
         )
 
-    rows = [_analyze_level(0, seed, seed, (), None, cheeger_cap, spectrum_cap)]
+    cover = CoveredGraph(seed, seed, CoverSpec(()))
+    rows = [_analyze_level(0, cover, cheeger_cap, spectrum_cap)]
     truncated_level: int | None = None
-    current = seed
 
     # The seed is connected and the homology cover of a connected graph is
     # connected, so every level has rank #E - #V + 1.
     for level in range(1, levels + 1):
-        rank = current.num_edges - current.num_vertices + 1
+        g = cover.graph
+        rank = g.num_edges - g.num_vertices + 1
         if rank == 0:
             rows.append(dataclasses.replace(rows[-1], level=level))
             continue
-        predicted_vertices = current.num_vertices * (1 << rank)
+        predicted_vertices = g.num_vertices * (1 << rank)
         if predicted_vertices > vertex_cap:
-            predicted_edges = current.num_edges * (1 << rank)
+            predicted_edges = g.num_edges * (1 << rank)
             rows.append(
                 TowerLevel(
                     level=level,
@@ -129,18 +131,13 @@ def iterate_tower(
                     vertices=predicted_vertices,
                     edges=predicted_edges,
                     rank=predicted_edges - predicted_vertices + 1,
-                    lemma_bound=Fraction(2, current.num_vertices),
+                    lemma_bound=Fraction(2, g.num_vertices),
                 )
             )
             truncated_level = level
             break
-        cover = z2_cover(current, spanning_tree(current), vertex_cap=vertex_cap)
-        lemma = cheeger_mod.lemma_cut(cover).value
-        cotree = cover.spec.cotree_edges
-        rows.append(
-            _analyze_level(level, cover.graph, current, cotree, lemma, cheeger_cap, spectrum_cap)
-        )
-        current = cover.graph
+        cover = z2_cover(g, spanning_tree(g), vertex_cap=vertex_cap)
+        rows.append(_analyze_level(level, cover, cheeger_cap, spectrum_cap))
 
     return TowerReport(
         seed_description=seed_description,
@@ -154,20 +151,17 @@ def iterate_tower(
 
 
 def _analyze_level(
-    level: int,
-    g: MultiGraph,
-    base: MultiGraph,
-    cotree: tuple[int, ...],
-    lemma_bound: Fraction | None,
-    cheeger_cap: int,
-    spectrum_cap: int,
+    level: int, cover: CoveredGraph, cheeger_cap: int, spectrum_cap: int
 ) -> TowerLevel:
-    """Analyze one constructed level; g is connected, as every level is.
+    """Analyze one constructed level, the cover's graph; it is connected, as every level is.
 
-    g is the cover of base along the cotree edge ids: the seed is base
-    itself with no cotree edges, and each level above is the cover of the
-    level below.
+    The seed is its own rank-0 cover, and each level above is the cover of
+    the level below along its cotree edges, so the spectra come from the
+    base's character blocks.  A rank-0 cover has no fiber cut, so only a
+    level above the seed gets the lemma bound.
     """
+    g, base, cotree = cover.graph, cover.base, cover.spec.cotree_edges
+    lemma_bound = cheeger_mod.lemma_cut(cover).value if cover.rank else None
     columns: dict = {}
     sweep_basis = None
     if g.num_vertices <= spectrum_cap:

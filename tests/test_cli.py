@@ -1,6 +1,7 @@
 """CLI behavior: artifacts, formats, exit codes, determinism."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -35,6 +36,31 @@ def no_traversal(monkeypatch):
     for module in (multigraph_mod, tower_mod, cli_mod):
         monkeypatch.setattr(module, "spanning_tree", refuse)
     monkeypatch.setattr(multigraph_mod, "component_count", refuse)
+
+
+@pytest.fixture
+def irregular_cover(monkeypatch):
+    """irregular_cover(k): the k-th cover the CLI builds (from 1) has edge 0's head moved.
+
+    The head is moved onto the tail, so the edge becomes a loop.
+    """
+
+    def install(k):
+        real, built = cli_mod.z2_cover, []
+
+        def moving(*args, **kwargs):
+            cover = real(*args, **kwargs)
+            built.append(cover)
+            if len(built) != k:
+                return cover
+            ends = cover.graph.ends.copy()
+            ends[0, 1] = ends[0, 0]
+            graph = MultiGraph(cover.graph.num_vertices, ends, cover.graph.labels)
+            return dataclasses.replace(cover, graph=graph)
+
+        monkeypatch.setattr(cli_mod, "z2_cover", moving)
+
+    return install
 
 
 class TestTowerCommand:
@@ -243,6 +269,33 @@ class TestCoverCommand:
         assert code == 4
         assert json.loads(err)["error"] == "SizeCapError"
 
+    def test_oversized_later_step_refused_before_its_walk(self, capsys, monkeypatch):
+        # Level 1 is connected, so its 4 * 2^5-vertex cover is sized unwalked.
+        walks = []
+        real = cli_mod.spanning_tree
+
+        def recording(g):
+            walks.append(g.num_vertices)
+            return real(g)
+
+        monkeypatch.setattr(cli_mod, "spanning_tree", recording)
+        code, out, err = run_cli(
+            "cover", "figure8", "--iterate", "3", "--vertex-cap", "100", capsys=capsys
+        )
+        assert (code, out) == (4, "")
+        assert err == json.dumps({
+            "error": "SizeCapError",
+            "message": "cover would have 4 * 2^5 vertices, above the cap 100",
+        }) + "\n"
+        assert walks == [1]
+
+    def test_later_step_at_the_cap_is_built(self, capsys):
+        code, out, _ = run_cli(
+            "cover", "figure8", "--iterate", "2", "--vertex-cap", "128", capsys=capsys
+        )
+        assert code == 0
+        assert MultiGraph.from_json(out).num_vertices == 128
+
     def test_cover_count_past_the_int_to_str_digit_limit_exit_4(self, capsys):
         # 2^20000 has more than 4300 decimal digits; the message words it as a power
         code, out, err = run_cli("cover", "bouquet:20000", capsys=capsys)
@@ -366,6 +419,52 @@ class TestCoverCommand:
         code, stdout, _ = run_cli("cover", str(out), "--iterate", "1", capsys=capsys)
         assert code == 0
         assert MultiGraph.from_json(stdout).num_vertices == 12
+
+
+class TestCoverVerification:
+    """Every cover the CLI builds is checked regular before anything is written."""
+
+    DECK = "deck element 1 does not preserve incidence at edge 0"
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_irregular_step_exit_2_without_artifact(
+        self, tmp_path, capsys, irregular_cover, steps
+    ):
+        irregular_cover(steps)
+        out = tmp_path / "g.json"
+        code, stdout, err = run_cli(
+            "cover", "figure8", "--iterate", str(steps), "--out", str(out), capsys=capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert err == json.dumps({
+            "error": "ValidationError", "message": f"the cover is not regular: {self.DECK}",
+        }) + "\n"
+        assert not out.exists()
+
+    def test_rank_0_input_is_checked(self, tmp_path, capsys, irregular_cover):
+        irregular_cover(1)
+        path = tmp_path / "path3.json"
+        path.write_text('{"vertices": 3, "edges": [[0, 1], [1, 2]]}\n')
+        out = tmp_path / "g.dot"
+        code, _, err = run_cli(
+            "cover", str(path), "--iterate", "3", "--format", "dot", "--out", str(out),
+            capsys=capsys,
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "ValidationError",
+            "message": "the cover is not regular: "
+            "cover edge 0 projects to (0, 0), not to base edge 0",
+        }
+        assert not out.exists()
+
+    def test_lemma_on_an_irregular_cover_exit_2(self, capsys, irregular_cover):
+        irregular_cover(1)
+        code, out, err = run_cli("cheeger", "figure8", "--method", "lemma", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ValidationError", "message": f"the cover is not regular: {self.DECK}",
+        }
 
 
 class TestCheegerCommand:
