@@ -86,18 +86,6 @@ class Cut:
     def side_b(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(~self.in_a).tolist())
 
-    def __eq__(self, other):
-        if not isinstance(other, Cut):
-            return NotImplemented
-        return (
-            self.crossing_edges == other.crossing_edges
-            and self.ratio == other.ratio
-            and np.array_equal(self.in_a, other.in_a)
-        )
-
-    def __hash__(self):
-        return hash((self.in_a.tobytes(), self.crossing_edges, self.ratio))
-
     def to_json_dict(self) -> dict:
         return {
             "side_a": list(self.side_a),
@@ -409,11 +397,12 @@ def lemma_cut(cover: CoveredGraph) -> CheegerResult:
     )
 
 
-def sweep_cut(g: MultiGraph, vectors: Sequence[float] | np.ndarray) -> CheegerResult:
-    """Best prefix cut over the vertex orders given by one vector or a basis.
+def sweep_cut(g: MultiGraph, vectors: Sequence[Sequence[float]] | np.ndarray) -> CheegerResult:
+    """Best prefix cut over the vertex orders given by a basis.
 
-    `vectors` is one vector or a 2-D array with one vector per row; each row
-    orders the vertices by value, and values within SWEEP_TIE_TOLERANCE times
+    `vectors` is a 2-D array with one vector per row, so one vector is a
+    one-row basis; any other shape raises ValidationError.  Each row orders
+    the vertices by value, and values within SWEEP_TIE_TOLERANCE times
     the row's largest magnitude form one tie class, ordered by vertex id.
     Ties between equal-ratio cuts keep the shortest prefix, then the earliest
     row.  All rows are sorted and counted in one batched pass.  The result
@@ -422,8 +411,6 @@ def sweep_cut(g: MultiGraph, vectors: Sequence[float] | np.ndarray) -> CheegerRe
     """
     n = g.num_vertices
     rows = np.asarray(vectors, dtype=float)
-    if rows.ndim == 1:
-        rows = rows[np.newaxis, :]
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ValidationError(
             f"sweep vectors have shape {rows.shape}, graph has {n} vertices"

@@ -120,14 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_tower(args: argparse.Namespace) -> int:
-    seed, description = resolve_graph_input(args.seed)
     report = iterate_tower(
-        seed,
+        resolve_graph_input(args.seed),
         args.levels,
         args.vertex_cap,
         cheeger_cap=args.cheeger_cap,
         spectrum_cap=args.spectrum_cap,
-        seed_description=description,
+        seed_description=args.seed,
     )
     artifacts = {
         "json": lambda: report_json_text(report_to_json_dict(report)),
@@ -147,7 +146,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
 def cmd_cover(args: argparse.Namespace) -> int:
     if args.iterate < 0:
         raise ValidationError("--iterate must be nonnegative")
-    g, _ = resolve_graph_input(args.input)
+    g = resolve_graph_input(args.input)
     # The export formats ids from a table as long as the graph, so even an
     # input that is not covered (--iterate 0) is held to the cap.
     _check_vertex_cap(g, args.vertex_cap)
@@ -161,15 +160,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         labels = CoverLabels(g.labels, (0,) * args.iterate, g.num_vertices)
         g = MultiGraph(g.num_vertices, _homology_cover(g, args.vertex_cap).graph.ends, labels)
     else:
-        for step in range(args.iterate):
-            # A level built here is connected, so its cover's size is known before it
-            # is walked; the input may be disconnected, so its step walks first.
-            rank = g.num_edges - g.num_vertices + 1
-            if step and g.num_vertices * (1 << rank) > args.vertex_cap:
-                raise SizeCapError(
-                    f"cover would have {g.num_vertices} * 2^{rank} vertices, "
-                    f"above the cap {args.vertex_cap}"
-                )
+        for _ in range(args.iterate):
             g = _homology_cover(g, args.vertex_cap).graph
     text = g.to_json() if args.format == "json" else g.to_dot()
     _emit(args.out, text)
@@ -177,7 +168,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_cheeger(args: argparse.Namespace) -> int:
-    g, _ = resolve_graph_input(args.input)
+    g = resolve_graph_input(args.input)
     extra: dict = {"input_vertices": g.num_vertices}
     if args.method == "exact":
         result = cheeger_mod.exact_cheeger(g, max_vertices=args.cheeger_cap)
@@ -203,15 +194,24 @@ def cmd_cheeger(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    g, _ = resolve_graph_input(args.input)
+    g = resolve_graph_input(args.input)
     summary = spectrum_mod.full_spectrum(g, args.kind, max_vertices=args.spectrum_cap)
     _emit(args.out, json.dumps(summary.to_json_dict(), indent=2) + "\n")
     return EXIT_OK
 
 
 def _homology_cover(g: MultiGraph, vertex_cap: int) -> CoveredGraph:
-    """The homology cover of g, verified regular; a g above the cap is refused untraversed."""
+    """The homology cover of g, verified regular; one above the cap is refused unwalked.
+
+    #V * 2^(#E - #V + 1) counts the cover of a connected g, and undercounts
+    the cycles of a disconnected one (which z2_cover refuses), so no refusal is wrong.
+    """
     _check_vertex_cap(g, vertex_cap)
+    rank = g.num_edges - g.num_vertices + 1
+    if rank > 0 and g.num_vertices << rank > vertex_cap:
+        raise SizeCapError(
+            f"cover would have {g.num_vertices} * 2^{rank} vertices, above the cap {vertex_cap}"
+        )
     cover = z2_cover(g, spanning_tree(g), vertex_cap=vertex_cap)
     failures = verify_regular_cover(cover).failures
     if failures:

@@ -70,9 +70,6 @@ class MultiGraph:
             and np.array_equal(self.ends, other.ends)
         )
 
-    def __hash__(self):
-        return hash((self.num_vertices, self.ends.tobytes(), self.labels))
-
     @property
     def num_edges(self) -> int:
         return len(self.ends)
@@ -168,7 +165,7 @@ class CoverLabels(Sequence):
     of v, bit j written j-th from the left.  ``root`` holds the labels of the
     graph covered first (None: its ids), ``ranks`` the rank of each step
     since; a ``root`` that is itself a CoverLabels is unfolded.  Labels
-    compare and hash as the tuple of their strings.
+    compare as the tuple of their strings, index by integer, and do not hash.
     """
 
     def __init__(self, root: Sequence[str] | None, ranks: tuple[int, ...], size: int):
@@ -180,8 +177,6 @@ class CoverLabels(Sequence):
         return self._size
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
         v, suffix = range(self._size)[index], ""
         for r in reversed(self.ranks):
             suffix = "|" + _bits(v & ((1 << r) - 1), r) + suffix
@@ -196,9 +191,6 @@ class CoverLabels(Sequence):
         if not isinstance(other, (tuple, CoverLabels)):
             return NotImplemented
         return len(self) == len(other) and tuple(self) == tuple(other)
-
-    def __hash__(self):
-        return hash(tuple(self))
 
     def parts(self, escape) -> tuple[list[str], list[str]]:
         """(heads, tails): label i * len(tails) + j is heads[i] + tails[j].

@@ -63,8 +63,8 @@ def _positive_int(name: str, prefix: str, minimum: int = 1) -> int:
     return value
 
 
-def resolve_graph_input(spec: str) -> tuple[MultiGraph, str]:
-    """Resolve a seed name or JSON file path to (graph, description), as the module says."""
+def resolve_graph_input(spec: str) -> MultiGraph:
+    """The graph a seed name or JSON file path names, as the module says."""
     try:
         g = builtin_seed(spec)
     except ValidationError:
@@ -72,10 +72,10 @@ def resolve_graph_input(spec: str) -> tuple[MultiGraph, str]:
             raise
     else:
         if g is not None:
-            return g, spec
+            return g
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
-            return MultiGraph.from_json(fh.read()), spec
+            return MultiGraph.from_json(fh.read())
     raise ValidationError(
         f"{spec!r} is neither a builtin seed (figure8, theta, cycle:n, bouquet:r) "
         "nor an existing file"

@@ -1,0 +1,127 @@
+"""Mutation corpus: faults in the package that a named tier-1 selection must catch.
+
+Each row of MUTANTS is a fault written as a text edit: a file of
+src/covertower, a snippet that occurs in it exactly once, the snippet's
+replacement and the pytest selection that must catch it.  A mutant is applied
+to a temporary copy of src/, and its selection runs with -x and PYTHONPATH
+set to that copy only.  It counts as caught only when pytest exits 1 (tests
+failed): a pass, a collection error or an empty selection is a survivor.  A
+snippet that does not occur exactly once also fails, so the corpus keeps up
+with the code.
+
+    python tests/mutants.py
+
+runs every mutant, prints one line each and exits 1 unless all are caught.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "covertower"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/covertower
+    snippet: str
+    replacement: str
+    selection: tuple[str, ...]  # pytest arguments, relative to the repository root
+
+
+MUTANTS: tuple[Mutant, ...] = (
+    Mutant(
+        "recount-crossing-test",
+        "cheeger.py",
+        "in_a[g.ends[:, 0]] != in_a[g.ends[:, 1]]",
+        "in_a[g.ends[:, 0]] == in_a[g.ends[:, 1]]",
+        ("tests/test_cheeger.py",),
+    ),
+    Mutant(
+        # The tie classes no longer order the vertices: each row is swept in
+        # vertex-id order, whatever its values.
+        "sweep-order-ignores-values",
+        "cheeger.py",
+        "key = tie_class * n + by_value",
+        "key = by_value",
+        ("tests/test_cheeger.py::TestVectorizedSweep",),
+    ),
+    Mutant(
+        "orbit-check-or",
+        "covers.py",
+        "lifts[:, :1, 1] ^ sheet",
+        "lifts[:, :1, 1] | sheet",
+        ("tests/test_covers.py",),
+    ),
+    Mutant(
+        "count-texts-shift",
+        "tower.py",
+        "context.power(2, shift)",
+        "context.power(2, shift - 1)",
+        ("tests/test_tower.py::TestCountTexts",),
+    ),
+    Mutant(
+        "lemma-claims-double-side",
+        "cheeger.py",
+        "cover.graph, in_a, cover.sheets, half, UPPER_BOUND",
+        "cover.graph, in_a, cover.sheets, 2 * half, UPPER_BOUND",
+        ("tests/test_cheeger.py::TestLemmaCut",),
+    ),
+    Mutant(
+        # A cover of exactly the cap's size is refused by the CLI.
+        "cover-count-at-the-cap",
+        "cli.py",
+        "g.num_vertices << rank > vertex_cap",
+        "g.num_vertices << rank >= vertex_cap",
+        ("tests/test_cli.py::TestCoverCommand",),
+    ),
+)
+
+
+def snippet_count(mutant: Mutant) -> int:
+    return (PACKAGE / mutant.file).read_text(encoding="utf-8").count(mutant.snippet)
+
+
+def run(mutant: Mutant) -> str:
+    """'caught', or why the mutant was not: a snippet mismatch or pytest's exit code."""
+    count = snippet_count(mutant)
+    if count != 1:
+        return f"snippet occurs {count} times"
+    with tempfile.TemporaryDirectory(prefix="covertower-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "covertower" / mutant.file
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        result = subprocess.run(
+            [*argv, *mutant.selection],
+            cwd=ROOT,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+    return "caught" if result.returncode == 1 else f"survived (pytest exit {result.returncode})"
+
+
+def main() -> int:
+    missed = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        status = run(mutant)
+        missed += status != "caught"
+        print(f"{status:<28} {time.perf_counter() - start:5.1f} s  {mutant.name}", flush=True)
+    print(f"{len(MUTANTS) - missed} of {len(MUTANTS)} mutants caught")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

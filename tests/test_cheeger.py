@@ -620,13 +620,13 @@ def fiedler_vector(g):
 
 class TestSweepCut:
     def test_gamma1_fiedler_is_tight(self, gamma1):
-        result = sweep_cut(gamma1.graph, fiedler_vector(gamma1.graph))
+        result = sweep_cut(gamma1.graph, [fiedler_vector(gamma1.graph)])
         # sandwiched: sweep is an upper bound, exact value is 2
         assert result.value >= 2
         assert result.value == 2
 
     def test_path3_cuts_endpoint(self):
-        result = sweep_cut(path(3), fiedler_vector(path(3)))
+        result = sweep_cut(path(3), [fiedler_vector(path(3))])
         assert result.value == 1
 
     @pytest.mark.parametrize(
@@ -635,21 +635,24 @@ class TestSweepCut:
         ids=lambda g: f"V{g.num_vertices}E{g.num_edges}",
     )
     def test_never_beats_exact(self, g):
-        sweep = sweep_cut(g, fiedler_vector(g))
+        sweep = sweep_cut(g, [fiedler_vector(g)])
         assert sweep.value >= exact_cheeger(g).value
         assert sweep.certified == "upper_bound"
         assert sweep.method == "sweep"
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            sweep_cut(cycle(4), [0.0, 1.0])
+            sweep_cut(cycle(4), [[0.0, 1.0]])
+        # one vector is sent as a one-row basis
+        with pytest.raises(ValidationError, match=r"shape \(4,\)"):
+            sweep_cut(cycle(4), [0.0, 1.0, 2.0, 3.0])
 
     def test_deterministic_tie_handling(self):
         g = cycle(6)
         vec = [0.0] * 6  # all ties: order falls back to vertex ids
-        first = sweep_cut(g, vec)
-        second = sweep_cut(g, vec)
-        assert first == second
+        first = sweep_cut(g, [vec])
+        second = sweep_cut(g, [vec])
+        assert first.to_json_dict() == second.to_json_dict()
         assert first.witness.side_a == (0, 1, 2)
 
 
@@ -906,7 +909,7 @@ class TestVectorizedSweep:
         for vec in vectors:
             order = sorted(range(n), key=lambda v: (vec[v], v))
             ratio, size = loop_sweep(g, order)
-            result = sweep_cut(g, vec)
+            result = sweep_cut(g, [vec])
             assert result.value == ratio
             assert result.witness.side_a == tuple(sorted(order[:size]))
 
@@ -941,12 +944,13 @@ class TestVectorizedSweep:
         g = cycle(6)
         vec = [1e-13, -1e-13, 0.0, 1.0, 1.0 + 1e-12, 2.0]
         # vertices 0-2 and 3-4 are tie classes: the order is 0, 1, 2, 3, 4, 5
-        assert sweep_cut(g, vec).witness.side_a == (0, 1, 2)
-        assert sweep_cut(g, vec) == sweep_cut(g, [0.0, 0.0, 0.0, 1.0, 1.0, 2.0])
+        assert sweep_cut(g, [vec]).witness.side_a == (0, 1, 2)
+        exact = sweep_cut(g, [[0.0, 0.0, 0.0, 1.0, 1.0, 2.0]])
+        assert sweep_cut(g, [vec]).to_json_dict() == exact.to_json_dict()
 
     def test_rejects_non_finite_and_empty_basis(self):
         with pytest.raises(ValidationError):
-            sweep_cut(cycle(4), [0.0, float("nan"), 1.0, 2.0])
+            sweep_cut(cycle(4), [[0.0, float("nan"), 1.0, 2.0]])
         with pytest.raises(ValidationError):
             sweep_cut(cycle(4), np.zeros((0, 4)))
 
@@ -960,7 +964,8 @@ class TestCanonicalSweep:
         rng = np.random.default_rng(g.num_vertices + g.num_edges)
         for _ in range(rotations):
             rotated, multiplicity = eigenspace_rotated(w, v, rng)
-            assert sweep_cut(g, eigenspace_basis(w, rotated)) == result
+            rotated_result = sweep_cut(g, eigenspace_basis(w, rotated))
+            assert rotated_result.to_json_dict() == result.to_json_dict()
         return result, multiplicity
 
     def test_gamma1(self, gamma1):

@@ -679,12 +679,17 @@ class TestBuiltinOrFile:
          "cheeger constant of a disconnected graph degenerates to 0; refusing the trivial answer"),
         (("tower", "--seed", "two-triangles.json", "--levels", "1"),
          "tower seed must be a nonempty connected graph"),
+        (("cover", "two-triangles.json"),
+         "the graph without the cotree edges is disconnected"),
+        (("cheeger", "two-triangles.json", "--method", "lemma"),
+         "the graph without the cotree edges is disconnected"),
     ],
-    ids=["sweep", "exact", "tower"],
+    ids=["sweep", "exact", "tower", "cover", "lemma"],
 )
 def test_disconnected_input_exit_2(tmp_path, capsys, monkeypatch, argv, message):
-    """Two disjoint triangles: the sweep, the exhaustive search and the
-    tower's seed check each refuse them with one JSON line and no artifact."""
+    """Two disjoint triangles: the sweep, the exhaustive search, the tower's
+    seed check and the cover step (whose 6 * 2^1 count is within the cap)
+    each refuse them with one JSON line and no artifact."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "two-triangles.json").write_text(
         '{"vertices": 6, "edges": [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]}\n'
@@ -693,6 +698,33 @@ def test_disconnected_input_exit_2(tmp_path, capsys, monkeypatch, argv, message)
     assert (code, out) == (2, "")
     assert err == json.dumps({"error": "DisconnectedGraphError", "message": message}) + "\n"
     assert [p.name for p in tmp_path.iterdir()] == ["two-triangles.json"]
+
+
+@pytest.mark.parametrize("command", [("cover",), ("cheeger", "--method", "lemma")],
+                         ids=["cover", "lemma"])
+@pytest.mark.parametrize(
+    "graph, count",
+    [("cycle:600000", "600000 * 2^1"), ("eleven-loops-each.json", "2 * 2^21")],
+    ids=["connected", "disconnected"],
+)
+def test_cover_above_the_cap_refused_before_the_walk(
+    tmp_path, capsys, monkeypatch, no_traversal, command, graph, count
+):
+    """The cover step counts #V * 2^(#E - #V + 1) before it walks its input.
+
+    The count is exact for cycle:600000.  Two vertices with 11 loops each are
+    disconnected, so their count is low, yet above the cap: the size check
+    comes first, and the input exits 4, not 2.
+    """
+    monkeypatch.chdir(tmp_path)
+    edges = [[0, 0]] * 11 + [[1, 1]] * 11
+    (tmp_path / "eleven-loops-each.json").write_text(json.dumps({"vertices": 2, "edges": edges}))
+    code, out, err = run_cli(command[0], graph, *command[1:], capsys=capsys)
+    assert (code, out) == (4, "")
+    assert err == json.dumps({
+        "error": "SizeCapError",
+        "message": f"cover would have {count} vertices, above the cap 1000000",
+    }) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import io
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -300,6 +301,20 @@ class TestTraversalBudget:
         # connectivity check counts components in numpy: only the graphs
         # that get covered are walked
         assert trees == [1, 4]
+
+
+class TestMemoryBudget:
+    def test_bouquet3_level2_peak(self):
+        # The north-star level: 1,048,576 vertices and 3,145,728 edges, above
+        # both analysis caps, so the peak is its construction and lemma cut.
+        tracemalloc.start()
+        try:
+            report = iterate_tower(bouquet(3), 2, 2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.levels[2].vertices == 1_048_576
+        assert peak < 110 * 2**20
 
 
 class TestValidation:
