@@ -23,7 +23,6 @@ import sys
 
 from . import cheeger as cheeger_mod
 from . import spectrum as spectrum_mod
-from .covers import CoveredGraph, verify_regular_cover, z2_cover
 from .errors import (
     ConvergenceError,
     CovertowerError,
@@ -32,16 +31,19 @@ from .errors import (
     SpectrumError,
     ValidationError,
 )
-from .multigraph import CoverLabels, MultiGraph, spanning_tree
+from .multigraph import CoverLabels, MultiGraph
 from .seeds import resolve_graph_input
 from .svgplot import tower_svg
 from .tower import (
     DEFAULT_VERTEX_CAP,
     MAX_TREE_LEVELS,
+    homology_cover,
     iterate_tower,
     report_json_text,
     report_to_csv_text,
     report_to_json_dict,
+    spanning_tree,  # noqa: F401 -- unused here; bench/spans.py wraps both names in cli too
+    z2_cover,  # noqa: F401
 )
 
 EXIT_OK = 0
@@ -158,10 +160,10 @@ def cmd_cover(args: argparse.Namespace) -> int:
                 f"a rank-0 graph is its own cover; --iterate must be at most {MAX_TREE_LEVELS}"
             )
         labels = CoverLabels(g.labels, (0,) * args.iterate, g.num_vertices)
-        g = MultiGraph(g.num_vertices, _homology_cover(g, args.vertex_cap).graph.ends, labels)
+        g = MultiGraph(g.num_vertices, homology_cover(g, args.vertex_cap).graph.ends, labels)
     else:
         for _ in range(args.iterate):
-            g = _homology_cover(g, args.vertex_cap).graph
+            g = homology_cover(g, args.vertex_cap).graph
     text = g.to_json() if args.format == "json" else g.to_dot()
     _emit(args.out, text)
     return EXIT_OK
@@ -175,7 +177,8 @@ def cmd_cheeger(args: argparse.Namespace) -> int:
     elif args.method == "lemma":
         # The certified cut lives on the homology cover of the input, giving
         # the bound h(cover) <= 2 / #V(input).
-        cover = _homology_cover(g, DEFAULT_VERTEX_CAP)
+        _check_vertex_cap(g, DEFAULT_VERTEX_CAP)
+        cover = homology_cover(g, DEFAULT_VERTEX_CAP)
         result = cheeger_mod.lemma_cut(cover)
         extra.update(
             cover_vertices=cover.graph.num_vertices,
@@ -198,25 +201,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     summary = spectrum_mod.full_spectrum(g, args.kind, max_vertices=args.spectrum_cap)
     _emit(args.out, json.dumps(summary.to_json_dict(), indent=2) + "\n")
     return EXIT_OK
-
-
-def _homology_cover(g: MultiGraph, vertex_cap: int) -> CoveredGraph:
-    """The homology cover of g, verified regular; one above the cap is refused unwalked.
-
-    #V * 2^(#E - #V + 1) counts the cover of a connected g, and undercounts
-    the cycles of a disconnected one (which z2_cover refuses), so no refusal is wrong.
-    """
-    _check_vertex_cap(g, vertex_cap)
-    rank = g.num_edges - g.num_vertices + 1
-    if rank > 0 and g.num_vertices << rank > vertex_cap:
-        raise SizeCapError(
-            f"cover would have {g.num_vertices} * 2^{rank} vertices, above the cap {vertex_cap}"
-        )
-    cover = z2_cover(g, spanning_tree(g), vertex_cap=vertex_cap)
-    failures = verify_regular_cover(cover).failures
-    if failures:
-        raise ValidationError(f"the cover is not regular: {failures[0]}")
-    return cover
 
 
 def _check_vertex_cap(g: MultiGraph, vertex_cap: int) -> None:

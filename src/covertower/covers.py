@@ -18,8 +18,9 @@ are lexicographic in (base id, bitvector-as-integer).  The cover's edge
 array is one broadcast of the base's edge rows against the 2^r bitvectors
 and its labels are read from the ids, so building a level runs no Python
 per cover vertex or edge.  verify_regular_cover reads the same arrays, each
-fiber once: every edge (e, a) must be edge (e, 0) XOR a, and edge (e, 0)
-must project to e.
+fiber once and in blocks of at most 2^16 edges: every edge (e, a) must be
+edge (e, 0) XOR a, and edge (e, 0) must project to e.  The homology step
+that sizes, builds and checks each cover is ``tower.homology_cover``.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .errors import SizeCapError
 from .multigraph import CoverLabels, CoverSpec, MultiGraph
 
 DEFAULT_VERTEX_CAP = 10**6
+_CHECK_ROWS = 1 << 16  # cover edges the orbit check compares at once, in about 2 MiB
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,8 @@ def verify_regular_cover(cover: CoveredGraph) -> RegularCoverReport:
     detected rather than assumed away.  Once the counts hold, cover edge
     (e, a) is row ``lifts[e, a]``, and two comparisons remain:
 
-    - orbit: every row ``lifts[e, a]`` is the sorted ``lifts[e, 0] ^ a``;
+    - orbit: every row ``lifts[e, a]`` is the sorted ``lifts[e, 0] ^ a``, read in
+      (e, a) order, _CHECK_ROWS rows (whole fibers, or part of one) at a time;
     - projection: ``lifts[e, 0] >> r`` is the row of base edge e.
 
     Nothing of the regular-cover conditions is lost:
@@ -142,18 +145,24 @@ def verify_regular_cover(cover: CoveredGraph) -> RegularCoverReport:
     if failures:
         return RegularCoverReport(tuple(failures))
 
-    r = cover.rank
-    lifts = g.ends.reshape(base.num_edges, sheets, 2)
-    sheet = np.arange(sheets)
-    x, y = lifts[:, :1, 0] ^ sheet, lifts[:, :1, 1] ^ sheet
-    bad = (lifts[:, :, 0] != np.minimum(x, y)) | (lifts[:, :, 1] != np.maximum(x, y))
-    if bad.any():
-        e, a = divmod(int(bad.argmax()), sheets)
-        failures.append(f"deck element {a} does not preserve incidence at edge {e * sheets}")
+    # Row k of `rows` is edge s >> r at sheets (s mod 2^r) ^ j, s = k * width, j < width.
+    r, width = cover.rank, min(sheets, _CHECK_ROWS)
+    rows = g.ends.reshape(-1, width, 2)
+    sheet = np.arange(width)
+    for k in range(0, len(rows), _CHECK_ROWS // width):
+        block = rows[k : k + _CHECK_ROWS // width]
+        s = np.arange(k, k + len(block)) * width
+        lift = g.ends[s >> r << r] ^ (s & (sheets - 1))[:, None]
+        x, y = lift[:, :1] ^ sheet, lift[:, 1:] ^ sheet
+        bad = (block[:, :, 0] != np.minimum(x, y)) | (block[:, :, 1] != np.maximum(x, y))
+        if bad.any():
+            e, a = divmod(k * width + int(bad.argmax()), sheets)
+            failures.append(f"deck element {a} does not preserve incidence at edge {e * sheets}")
+            break
 
-    bad = (lifts[:, 0] >> r != base.ends).any(axis=1)
+    bad = (g.ends[::sheets] >> r != base.ends).any(axis=1)
     if bad.any():
         e = int(bad.argmax())
-        lo, hi = (int(end) >> r for end in lifts[e, 0])
+        lo, hi = (int(end) >> r for end in g.ends[e * sheets])
         failures.append(f"cover edge {e * sheets} projects to {(lo, hi)}, not to base edge {e}")
     return RegularCoverReport(tuple(failures))

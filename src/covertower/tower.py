@@ -1,14 +1,14 @@
 """Iterated cover towers: construction loop, per-level analysis, reports.
 
-Level 0 is the seed graph; level n+1 is the homology double cover of level n
-over a freshly computed spanning tree.  Counts multiply by 2^rank per level,
-so the loop stops at the first level whose predicted size exceeds the vertex
-cap and records that level with predicted (exact big-integer) counts instead
-of constructing it.  Every level is the CoveredGraph it is analysed as:
-level n+1 is the cover z2_cover returns over level n, and the seed is its
-own rank-0 cover, so all Laplacian spectra come from character blocks
-(spectrum.laplacian_spectrum) and every level above the seed has its fiber
-cut (cheeger.lemma_cut).  A rank-0 level is its own cover, so a tree
+Level 0 is the seed graph; level n+1 is homology_cover(level n), the
+homology double cover over a fresh spanning tree, verified regular: every
+command's cover step.  Counts multiply by 2^rank per level, so the loop
+stops at the first level the step refuses as above the vertex cap and
+records that level with predicted (exact big-integer) counts instead of
+constructing it.  Every level is the CoveredGraph it is analysed as: the
+seed is its own rank-0 cover, so all Laplacian spectra come from character
+blocks (spectrum.laplacian_spectrum) and every level above the seed has its
+fiber cut (cheeger.lemma_cut).  A rank-0 level is its own cover, so a tree
 seed is analysed once and its row repeated; such a tower is limited to
 MAX_TREE_LEVELS levels.  Each level is one TowerLevel row, whose fields are
 the report's columns in order; a field the analysis cannot fill stays None.
@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import cheeger as cheeger_mod
 from . import spectrum as spectrum_mod
-from .covers import DEFAULT_VERTEX_CAP, CoveredGraph, z2_cover
+from .covers import DEFAULT_VERTEX_CAP, CoveredGraph, verify_regular_cover, z2_cover
 from .errors import DisconnectedGraphError, SizeCapError, ValidationError
 from .multigraph import CoverSpec, MultiGraph, is_connected, spanning_tree
 
@@ -121,22 +121,16 @@ def iterate_tower(
         if rank == 0:
             rows.append(dataclasses.replace(rows[-1], level=level))
             continue
-        predicted_vertices = g.num_vertices * (1 << rank)
-        if predicted_vertices > vertex_cap:
-            predicted_edges = g.num_edges * (1 << rank)
-            rows.append(
-                TowerLevel(
-                    level=level,
-                    constructed=False,
-                    vertices=predicted_vertices,
-                    edges=predicted_edges,
-                    rank=predicted_edges - predicted_vertices + 1,
-                    lemma_bound=Fraction(2, g.num_vertices),
-                )
-            )
+        try:
+            cover = homology_cover(g, vertex_cap)
+        except SizeCapError:
+            vertices, edges = g.num_vertices << rank, g.num_edges << rank
+            rows.append(TowerLevel(
+                level=level, constructed=False, vertices=vertices, edges=edges,
+                rank=edges - vertices + 1, lemma_bound=Fraction(2, g.num_vertices),
+            ))
             truncated_level = level
             break
-        cover = z2_cover(g, spanning_tree(g), vertex_cap=vertex_cap)
         rows.append(_analyze_level(level, cover, cheeger_cap, spectrum_cap))
 
     return TowerReport(
@@ -148,6 +142,27 @@ def iterate_tower(
         truncated_level=truncated_level,
         levels=tuple(rows),
     )
+
+
+def homology_cover(g: MultiGraph, vertex_cap: int) -> CoveredGraph:
+    """The homology cover of g, verified regular: the covering step of every command.
+
+    #V * 2^(#E - #V + 1) counts the cover of a connected g and undercounts a
+    disconnected one's, so a count above vertex_cap is refused, never wrongly, unwalked.
+    """
+    rank = g.num_edges - g.num_vertices + 1
+    if rank > 0 and g.num_vertices << rank > vertex_cap:
+        raise SizeCapError(
+            f"cover would have {g.num_vertices} * 2^{rank} vertices, above the cap {vertex_cap}"
+        )
+    spec = spanning_tree(g)
+    if spec.rank > rank:  # a forest of c trees leaves #E - #V + c cotree edges
+        raise DisconnectedGraphError(f"the input graph has {spec.rank - rank + 1} components")
+    cover = z2_cover(g, spec, vertex_cap=vertex_cap)
+    failures = verify_regular_cover(cover).failures
+    if failures:
+        raise ValidationError(f"the cover is not regular: {failures[0]}")
+    return cover
 
 
 def _analyze_level(

@@ -56,8 +56,24 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "orbit-check-or",
         "covers.py",
-        "lifts[:, :1, 1] ^ sheet",
-        "lifts[:, :1, 1] | sheet",
+        "lift[:, 1:] ^ sheet",
+        "lift[:, 1:] | sheet",
+        ("tests/test_covers.py",),
+    ),
+    Mutant(
+        # Sheet-0 lifts are projected one bit too far.
+        "projection-shift",
+        "covers.py",
+        "g.ends[::sheets] >> r != base.ends",
+        "g.ends[::sheets] >> r + 1 != base.ends",
+        ("tests/test_covers.py::TestVerifyRegularCover",),
+    ),
+    Mutant(
+        # A cotree edge's lift at a sheet with its bit set stays on that sheet.
+        "cover-flip-or",
+        "covers.py",
+        "a ^ flip[:, None]",
+        "a | flip[:, None]",
         ("tests/test_covers.py",),
     ),
     Mutant(
@@ -75,12 +91,23 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_cheeger.py::TestLemmaCut",),
     ),
     Mutant(
-        # A cover of exactly the cap's size is refused by the CLI.
+        # A cover of exactly the cap's size is refused by the homology step.
         "cover-count-at-the-cap",
-        "cli.py",
+        "tower.py",
         "g.num_vertices << rank > vertex_cap",
         "g.num_vertices << rank >= vertex_cap",
         ("tests/test_cli.py::TestCoverCommand",),
+    ),
+    Mutant(
+        # The homology step builds and checks a cover but never reads the check.
+        "step-ignores-failures",
+        "tower.py",
+        "if failures:",
+        "if False:",
+        (
+            "tests/test_cli.py::TestCoverVerification"
+            "::test_irregular_tower_level_exit_2_without_artifact",
+        ),
     ),
 )
 

@@ -12,10 +12,10 @@ import pytest
 import covertower.cli as cli_mod
 import covertower.multigraph as multigraph_mod
 import covertower.tower as tower_mod
-from covertower import MultiGraph
+from covertower import MultiGraph, ValidationError
 from covertower.cli import main
 
-from conftest import cut_ratio, theta
+from conftest import cut_ratio, figure8, theta
 
 
 def run_cli(*argv, capsys=None):
@@ -40,13 +40,13 @@ def no_traversal(monkeypatch):
 
 @pytest.fixture
 def irregular_cover(monkeypatch):
-    """irregular_cover(k): the k-th cover the CLI builds (from 1) has edge 0's head moved.
+    """irregular_cover(k): the k-th cover homology_cover builds (from 1) has edge 0's head moved.
 
     The head is moved onto the tail, so the edge becomes a loop.
     """
 
     def install(k):
-        real, built = cli_mod.z2_cover, []
+        real, built = tower_mod.z2_cover, []
 
         def moving(*args, **kwargs):
             cover = real(*args, **kwargs)
@@ -58,7 +58,7 @@ def irregular_cover(monkeypatch):
             graph = MultiGraph(cover.graph.num_vertices, ends, cover.graph.labels)
             return dataclasses.replace(cover, graph=graph)
 
-        monkeypatch.setattr(cli_mod, "z2_cover", moving)
+        monkeypatch.setattr(tower_mod, "z2_cover", moving)
 
     return install
 
@@ -272,13 +272,13 @@ class TestCoverCommand:
     def test_oversized_later_step_refused_before_its_walk(self, capsys, monkeypatch):
         # Level 1 is connected, so its 4 * 2^5-vertex cover is sized unwalked.
         walks = []
-        real = cli_mod.spanning_tree
+        real = tower_mod.spanning_tree
 
         def recording(g):
             walks.append(g.num_vertices)
             return real(g)
 
-        monkeypatch.setattr(cli_mod, "spanning_tree", recording)
+        monkeypatch.setattr(tower_mod, "spanning_tree", recording)
         code, out, err = run_cli(
             "cover", "figure8", "--iterate", "3", "--vertex-cap", "100", capsys=capsys
         )
@@ -380,13 +380,13 @@ class TestCoverCommand:
         for _ in range(steps):
             g = cli_mod.z2_cover(g, multigraph_mod.spanning_tree(g)).graph
         calls = []
-        real = cli_mod.z2_cover
+        real = tower_mod.z2_cover
 
         def counting(*args, **kwargs):
             calls.append(args[0].num_vertices)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli_mod, "z2_cover", counting)
+        monkeypatch.setattr(tower_mod, "z2_cover", counting)
         code, out, _ = run_cli(
             "cover", str(path), "--iterate", str(steps), "--format", fmt, capsys=capsys
         )
@@ -457,6 +457,23 @@ class TestCoverVerification:
             "cover edge 0 projects to (0, 0), not to base edge 0",
         }
         assert not out.exists()
+
+    def test_irregular_tower_level_exit_2_without_artifact(
+        self, tmp_path, monkeypatch, capsys, irregular_cover
+    ):
+        monkeypatch.chdir(tmp_path)
+        irregular_cover(1)
+        code, out, err = run_cli("tower", "--seed", "figure8", "--levels", "2", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == json.dumps({
+            "error": "ValidationError", "message": f"the cover is not regular: {self.DECK}",
+        }) + "\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_iterate_tower_raises_on_an_irregular_level(self, irregular_cover):
+        irregular_cover(1)
+        with pytest.raises(ValidationError, match=f"^the cover is not regular: {self.DECK}$"):
+            tower_mod.iterate_tower(figure8(), 2)
 
     def test_lemma_on_an_irregular_cover_exit_2(self, capsys, irregular_cover):
         irregular_cover(1)
@@ -680,9 +697,9 @@ class TestBuiltinOrFile:
         (("tower", "--seed", "two-triangles.json", "--levels", "1"),
          "tower seed must be a nonempty connected graph"),
         (("cover", "two-triangles.json"),
-         "the graph without the cotree edges is disconnected"),
+         "the input graph has 2 components"),
         (("cheeger", "two-triangles.json", "--method", "lemma"),
-         "the graph without the cotree edges is disconnected"),
+         "the input graph has 2 components"),
     ],
     ids=["sweep", "exact", "tower", "cover", "lemma"],
 )

@@ -23,6 +23,7 @@ from covertower import (
     build_graph,
     iterate_tower,
     spanning_tree,
+    verify_regular_cover,
     z2_cover,
 )
 import covertower.cheeger as cheeger_mod
@@ -315,6 +316,21 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert report.levels[2].vertices == 1_048_576
         assert peak < 110 * 2**20
+
+    def test_regular_cover_check_of_bouquet3_level2(self):
+        # The check reads the 48 MiB level in blocks of 2^16 edges, about
+        # 2.5 MiB of temporaries; the whole-array comparison took 79 MiB.
+        level1 = tower_mod.homology_cover(bouquet(3), 2_000_000).graph
+        cover = tower_mod.homology_cover(level1, 2_000_000)
+        tracemalloc.start()
+        try:
+            report = verify_regular_cover(cover)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cover.graph.num_vertices == 1_048_576
+        assert report.all_ok
+        assert peak < 4 * 2**20
 
 
 class TestValidation:
