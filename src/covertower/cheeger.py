@@ -461,6 +461,6 @@ def _sweep_orders(rows: np.ndarray) -> np.ndarray:
     tie_class = np.zeros((k, n), dtype=np.int64)
     np.cumsum(starts, axis=1, out=tie_class[:, 1:])
     # Tie classes run in value order, so (class, id) as one key orders each
-    # class by id and keeps the classes in place.
+    # class by id and keeps the classes in place; the ids are the keys mod n.
     key = tie_class * n + by_value
-    return np.take_along_axis(by_value, np.argsort(key, axis=1), axis=1)
+    return np.sort(key, axis=1) % n

@@ -90,15 +90,18 @@ def z2_cover(
 
     # Row (tail, head) of edge e lifts to rows e * sheets + a:
     # (tail, a) -- (head, a ^ flip[e]), flip[e] = e_j for cotree edge j.
+    # tail < head keeps that order canonical; a loop's row joins sheets a and
+    # a ^ flip[e] as (a & ~flip[e], a | flip[e]).  Either way the row is
+    # (lo, lo ^ flip[e]) plus the fiber offsets, written in place.
     tail, head = base.ends.T
     flip = np.zeros(base.num_edges, dtype=np.int64)
     flip[list(spec.cotree_edges)] = 1 << np.arange(r, dtype=np.int64)
     a = np.arange(sheets, dtype=np.int64)
-    x = (tail * sheets)[:, None] + a
-    y = (head * sheets)[:, None] + (a ^ flip[:, None])
+    loop_flip = flip * (tail == head)
     ends = np.empty((base.num_edges, sheets, 2), dtype=np.int64)
-    np.minimum(x, y, out=ends[:, :, 0])
-    np.maximum(x, y, out=ends[:, :, 1])
+    np.bitwise_and(a, ~loop_flip[:, None], out=ends[:, :, 0])
+    np.bitwise_xor(ends[:, :, 0], flip[:, None], out=ends[:, :, 1])
+    ends += (base.ends * sheets)[:, None]
 
     labels = CoverLabels(base.labels, (r,), predicted_vertices)
     graph = MultiGraph(predicted_vertices, ends.reshape(-1, 2), labels)
@@ -151,8 +154,11 @@ def verify_regular_cover(cover: CoveredGraph) -> RegularCoverReport:
     sheet = np.arange(width)
     for k in range(0, len(rows), _CHECK_ROWS // width):
         block = rows[k : k + _CHECK_ROWS // width]
-        s = np.arange(k, k + len(block)) * width
-        lift = g.ends[s >> r << r] ^ (s & (sheets - 1))[:, None]
+        if width == sheets:  # whole fibers: each row's sheet-0 lift is its first
+            lift = block[:, 0]
+        else:
+            s = np.arange(k, k + len(block)) * width
+            lift = g.ends[s >> r << r] ^ (s & (sheets - 1))[:, None]
         x, y = lift[:, :1] ^ sheet, lift[:, 1:] ^ sheet
         bad = (block[:, :, 0] != np.minimum(x, y)) | (block[:, :, 1] != np.maximum(x, y))
         if bad.any():

@@ -49,9 +49,8 @@ class MultiGraph:
         ends.flags.writeable = False
         object.__setattr__(self, "ends", ends)
         u, v = ends[:, 0], ends[:, 1]
-        bad = (u < 0) | (u > v) | (v >= self.num_vertices)
-        if bad.any():
-            i = int(bad.argmax())
+        if len(ends) and (u.min() < 0 or v.max() >= self.num_vertices or (u > v).any()):
+            i = int(((u < 0) | (u > v) | (v >= self.num_vertices)).argmax())
             raise ValidationError(
                 f"edge {i} has endpoints ({u[i]}, {v[i]}) outside 0..{self.num_vertices - 1} "
                 "or not in canonical u <= v order"

@@ -12,10 +12,13 @@ Every spectrum takes one path, ``laplacian_spectrum``.  It reads a graph as
 the Z/2 cover of a base along a set of cotree edges: the deck group
 (Z/2)^r splits the cover's Laplacian into one signed Laplacian of the base
 per character, so 2^r eigenproblems of the base's size replace one of the
-cover's.  A plain graph is its own rank-0 cover, with no cotree edges and one
-block, its Laplacian (``laplacian``, so every Laplacian is assembled there);
-the ``spectrum`` CLI, ``cheeger --method sweep`` and the tower's seed take
-that case, and every tower level >= 1 is the cover of the level below.
+cover's.  The signed adjacencies are assembled once as an integer stack
+(``character_laplacians``), and each requested kind is derived from it and
+solved in one stacked call: the tower asks for both kinds of a level at
+once, the ``spectrum`` CLI and ``cheeger --method sweep`` for one.  A plain
+graph is its own rank-0 cover, with no cotree edges and one block, its
+Laplacian (``laplacian``); the CLI and the tower's seed take that case, and
+every tower level >= 1 is the cover of the level below.
 """
 from __future__ import annotations
 
@@ -96,7 +99,7 @@ def symmetric_eigensystem(
 
 def laplacian(g: MultiGraph, kind: str = COMBINATORIAL) -> np.ndarray:
     """Combinatorial L = D - A, or the symmetric normalized variant: g's rank-0 block."""
-    return character_laplacians(g, (), kind)[0]
+    return character_laplacians(g, (), (kind,))[0][0]
 
 
 def _laplacian_of(a: np.ndarray, deg: np.ndarray, kind: str) -> np.ndarray:
@@ -121,9 +124,9 @@ def _laplacian_of(a: np.ndarray, deg: np.ndarray, kind: str) -> np.ndarray:
 
 
 def character_laplacians(
-    base: MultiGraph, cotree: Sequence[int], kind: str = COMBINATORIAL
-) -> np.ndarray:
-    """The blocks of a cover's Laplacian, one per character of its deck group.
+    base: MultiGraph, cotree: Sequence[int], kinds: Sequence[str] = (COMBINATORIAL,)
+) -> list[np.ndarray]:
+    """The blocks of a cover's Laplacian, one per character of its deck group, for each kind.
 
     The cover is that of base along the r cotree edge ids (in coordinate
     order).  Character s of (Z/2)^r is a -> (-1)^popcount(s & a).  Block s is
@@ -133,12 +136,16 @@ def character_laplacians(
     is the base's, and the normalized block is D^(-1/2) (D - A_s) D^(-1/2).
     The cover's Laplacian maps f(v * 2^r + a) = g(v) (-1)^popcount(s & a) to
     the same lift of (block s) g, so its spectrum is the union of the
-    blocks' spectra.  Returns a (2^r, n, n) stack; block 0, the trivial
-    character's, is base's own Laplacian.
+    blocks' spectra.  The integer stack of the A_s is assembled once, and
+    every kind is derived from it.  Returns one (2^r, n, n) stack per kind,
+    in order; block 0, the trivial character's, is base's own Laplacian.
     The ids are checked as ``z2_cover`` checks them (``cotree_ids``).
     """
-    if kind not in (COMBINATORIAL, NORMALIZED):
-        raise ValidationError(f"unknown laplacian kind {kind!r}")
+    if not kinds or isinstance(kinds, str):
+        raise ValidationError(f"laplacian kinds must be a nonempty sequence, not {kinds!r}")
+    for kind in kinds:
+        if kind not in (COMBINATORIAL, NORMALIZED):
+            raise ValidationError(f"unknown laplacian kind {kind!r}")
     cotree_ids(base, cotree)
     n, r = base.num_vertices, len(cotree)
     # sign[s, e] is the weight of edge e in A_s: 1 on a tree edge.
@@ -150,26 +157,29 @@ def character_laplacians(
     # Adding at (u, v) and at (v, u) counts a loop twice on the diagonal.
     np.add.at(blocks, (slice(None), u, v), sign)
     np.add.at(blocks, (slice(None), v, u), sign)
-    return _laplacian_of(blocks, np.asarray(base.degrees, dtype=np.int64), kind)
+    deg = np.asarray(base.degrees, dtype=np.int64)
+    return [_laplacian_of(blocks, deg, kind) for kind in kinds]
 
 
 def laplacian_spectrum(
     base: MultiGraph,
     cotree: Sequence[int],
-    kind: str = COMBINATORIAL,
+    kinds: Sequence[str] = (COMBINATORIAL,),
     vectors: bool = False,
     max_vertices: int = DEFAULT_SPECTRUM_CAP,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The Laplacian spectrum of the cover of base along the cotree edge ids.
+) -> tuple[tuple[np.ndarray, ...], np.ndarray | None]:
+    """The Laplacian spectra of the cover of base along the cotree edge ids.
 
-    With no cotree edges the cover is base itself.  Returns (w, basis): w is
-    the union of the character blocks' spectra, ascending, which is the
-    spectrum of laplacian(cover, kind).  With vectors, basis is the sweep
-    basis: the canonical_basis, one row per vector, of the eigenspace of
-    w[1] (the eigenvalues within zero_tolerance of it).  It is reduced from
-    the orthonormal rows lifted from the block eigenvectors g of character
-    s as g(v) (-1)^popcount(s & a) / sqrt(2^r) at vertex v * 2^r + a.
-    Otherwise basis is None.
+    With no cotree edges the cover is base itself.  Returns (spectra,
+    basis): spectra[i] is the union of the character blocks' spectra of
+    kinds[i], ascending, which is the spectrum of laplacian(cover, kinds[i]).
+    All kinds share one block assembly (character_laplacians), and each is
+    one stacked eigensolve.  With vectors, basis is the sweep basis of the
+    first kind: the canonical_basis, one row per vector, of the eigenspace
+    of w[1] (the eigenvalues within zero_tolerance of it), w = spectra[0].
+    It is reduced from the orthonormal rows lifted from the block
+    eigenvectors g of character s as g(v) (-1)^popcount(s & a) / sqrt(2^r)
+    at vertex v * 2^r + a.  Otherwise basis is None.
 
     A cover above max_vertices is rejected before any matrix exists.  With
     n base vertices the 2^r blocks cost 2^r n^3 <= (2^r n)^3 flops and hold
@@ -181,43 +191,54 @@ def laplacian_spectrum(
             f"graph has {base.num_vertices * sheets} vertices, "
             f"above the dense-solver cap {max_vertices}"
         )
-    block_w, block_v = symmetric_eigensystem(character_laplacians(base, cotree, kind), vectors)
-    w = np.sort(block_w, axis=None)
+    stacks = character_laplacians(base, cotree, kinds)
+    solved = [symmetric_eigensystem(blocks, vectors and not i) for i, blocks in enumerate(stacks)]
+    spectra = tuple(np.sort(block_w, axis=None) for block_w, _ in solved)
+    (block_w, block_v), w = solved[0], spectra[0]
     if block_v is None:
-        return w, None
+        return spectra, None
     if len(w) < 2:
-        return w, np.zeros((0, len(w)))
+        return spectra, np.zeros((0, len(w)))
     s, k = np.nonzero(np.abs(block_w - w[1]) <= zero_tolerance(w))
     # bitwise_count gives uint8, so the signs are taken in float: 1 - 2 * 1 would wrap.
     parity = np.bitwise_count(s[:, np.newaxis] & np.arange(sheets)) & 1
     signs = 1.0 - 2.0 * parity
     lifted = block_v[s, :, k][:, :, np.newaxis] * signs[:, np.newaxis, :]
-    return w, canonical_basis(lifted.reshape(len(s), -1) / math.sqrt(sheets))
+    return spectra, canonical_basis(lifted.reshape(len(s), -1) / math.sqrt(sheets))
 
 
 def zero_tolerance(eigenvalues: np.ndarray) -> float:
-    radius = float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0
-    return 1e-9 * max(1.0, radius)
+    """1e-9 times the larger of 1 and the radius of an ascending spectrum, read at its ends."""
+    if not len(eigenvalues):
+        return 1e-9
+    return 1e-9 * max(1.0, abs(float(eigenvalues[0])), abs(float(eigenvalues[-1])))
 
 
 def lambda1_of(eigenvalues: np.ndarray) -> float | None:
     """The first nonzero eigenvalue of an ascending spectrum (see SpectralSummary).
 
     0.0 when zero is repeated (a disconnected graph), None when no
-    eigenvalue exceeds the zero tolerance.
+    eigenvalue exceeds the zero tolerance.  These are the values of three
+    full passes (the radius max |x|, the count of zeros |x| <= tol, the
+    first x > tol), read at O(1) places: an ascending array holds its
+    largest |x| at one of its ends, where zero_tolerance reads it; the zeros
+    -tol <= x <= tol are one run, from the first x >= -tol (searchsorted
+    left) to before the first x > tol (searchsorted right), so their count
+    is end - start; and the entries > tol are exactly those from end on.
     """
     tol = zero_tolerance(eigenvalues)
-    if np.count_nonzero(np.abs(eigenvalues) <= tol) > 1:
+    start = np.searchsorted(eigenvalues, -tol, side="left")
+    end = np.searchsorted(eigenvalues, tol, side="right")
+    if end - start > 1:
         return 0.0
-    nonzero = eigenvalues[eigenvalues > tol]
-    return float(nonzero[0]) if len(nonzero) else None
+    return float(eigenvalues[end]) if end < len(eigenvalues) else None
 
 
 def full_spectrum(
     g: MultiGraph, kind: str = COMBINATORIAL, max_vertices: int = DEFAULT_SPECTRUM_CAP
 ) -> SpectralSummary:
     """The spectrum of laplacian(g, kind), summarized; the ``spectrum`` command's document."""
-    w, _ = laplacian_spectrum(g, (), kind, max_vertices=max_vertices)
+    (w,), _ = laplacian_spectrum(g, (), (kind,), max_vertices=max_vertices)
     return SpectralSummary(
         kind=kind,
         eigenvalues=tuple(float(x) for x in w),
@@ -234,16 +255,18 @@ def canonical_basis(span: np.ndarray) -> np.ndarray:
     Both depend only on the space the rows span, so the result is the same
     (up to rounding) whatever basis of an eigenspace the solver returned.
     """
-    q = np.zeros((span.shape[0], 0))
+    k = span.shape[0]
+    basis = np.zeros((k, k))  # the orthonormal pivot columns, filled left to right
     pivots: list[int] = []
     for j in range(span.shape[1]):
+        q = basis[:, : len(pivots)]
         column = span[:, j]
         for _ in range(2):  # reorthogonalize once: Gram-Schmidt loses accuracy
             column = column - q @ (q.T @ column)
-        norm = float(np.linalg.norm(column))
+        norm = math.sqrt(column @ column)  # np.linalg.norm's formula for a real vector
         if norm > _PIVOT_TOLERANCE:
+            basis[:, len(pivots)] = column / norm
             pivots.append(j)
-            q = np.column_stack((q, column / norm))
-            if len(pivots) == span.shape[0]:
+            if len(pivots) == k:
                 break
     return np.linalg.solve(span[:, pivots], span)

@@ -172,26 +172,26 @@ def _analyze_level(
 
     The seed is its own rank-0 cover, and each level above is the cover of
     the level below along its cotree edges, so the spectra come from the
-    base's character blocks.  A rank-0 cover has no fiber cut, so only a
-    level above the seed gets the lemma bound.
+    base's character blocks: both kinds in one laplacian_spectrum call,
+    which assembles the blocks once.  A rank-0 cover has no fiber cut, so
+    only a level above the seed gets the lemma bound.
     """
     g, base, cotree = cover.graph, cover.base, cover.spec.cotree_edges
     lemma_bound = cheeger_mod.lemma_cut(cover).value if cover.rank else None
     columns: dict = {}
     sweep_basis = None
     if g.num_vertices <= spectrum_cap:
-        need_vectors = g.num_vertices > cheeger_cap
-        w, sweep_basis = spectrum_mod.laplacian_spectrum(
-            base, cotree, spectrum_mod.COMBINATORIAL, need_vectors, spectrum_cap
-        )
-        columns["lambda1_combinatorial"] = spectrum_mod.lambda1_of(w)
         # A connected level without edges is one bare vertex, which has no
         # normalized Laplacian (and no lambda1 of either kind).
+        kinds = (spectrum_mod.COMBINATORIAL,)
         if g.num_edges:
-            w, _ = spectrum_mod.laplacian_spectrum(
-                base, cotree, spectrum_mod.NORMALIZED, max_vertices=spectrum_cap
-            )
-            columns["lambda1_normalized"] = spectrum_mod.lambda1_of(w)
+            kinds += (spectrum_mod.NORMALIZED,)
+        need_vectors = g.num_vertices > cheeger_cap
+        spectra, sweep_basis = spectrum_mod.laplacian_spectrum(
+            base, cotree, kinds, need_vectors, spectrum_cap
+        )
+        for column, w in zip(("lambda1_combinatorial", "lambda1_normalized"), spectra):
+            columns[column] = spectrum_mod.lambda1_of(w)
 
     if 2 <= g.num_vertices <= cheeger_cap:
         result = cheeger_mod.exact_cheeger(g, max_vertices=cheeger_cap)

@@ -27,7 +27,8 @@ from covertower import (
     sweep_cut,
     z2_cover,
 )
-from covertower.cheeger import Cut, _recount
+from covertower import spectrum as spectrum_mod
+from covertower.cheeger import SWEEP_TIE_TOLERANCE, Cut, _recount
 from covertower.covers import CoveredGraph
 from covertower.multigraph import JSON_SCHEMA_VERSION, component_count
 from covertower.spectrum import (
@@ -453,6 +454,50 @@ def dense_level_oracle(cover: CoveredGraph) -> DenseLevel:
         lambda1_of(w_norm),
         sweep_cut(g, canonical_basis(v[:, eigenspace].T)).value,
     )
+
+
+# -- the fast paths' predecessors, kept as bitwise oracles ---------------------
+
+
+def lambda1_three_passes(eigenvalues: np.ndarray) -> float | None:
+    """lambda1_of as three full passes: the radius, the zero count and the nonzero entries."""
+    radius = float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0
+    tol = 1e-9 * max(1.0, radius)
+    if np.count_nonzero(np.abs(eigenvalues) <= tol) > 1:
+        return 0.0
+    nonzero = eigenvalues[eigenvalues > tol]
+    return float(nonzero[0]) if len(nonzero) else None
+
+
+def canonical_basis_by_column_stack(span: np.ndarray) -> np.ndarray:
+    """canonical_basis with q grown by np.column_stack and each norm by np.linalg.norm."""
+    q = np.zeros((span.shape[0], 0))
+    pivots: list[int] = []
+    for j in range(span.shape[1]):
+        column = span[:, j]
+        for _ in range(2):
+            column = column - q @ (q.T @ column)
+        norm = float(np.linalg.norm(column))
+        if norm > spectrum_mod._PIVOT_TOLERANCE:
+            pivots.append(j)
+            q = np.column_stack((q, column / norm))
+            if len(pivots) == span.shape[0]:
+                break
+    return np.linalg.solve(span[:, pivots], span)
+
+
+def sweep_orders_by_argsort(rows: np.ndarray) -> np.ndarray:
+    """_sweep_orders reading the ids back through argsort and take_along_axis."""
+    k, n = rows.shape
+    by_value = np.argsort(rows, axis=1, kind="stable")
+    scale = np.max(np.abs(rows), axis=1, keepdims=True)
+    starts = np.diff(np.take_along_axis(rows, by_value, axis=1), axis=1) > (
+        SWEEP_TIE_TOLERANCE * scale
+    )
+    tie_class = np.zeros((k, n), dtype=np.int64)
+    np.cumsum(starts, axis=1, out=tie_class[:, 1:])
+    key = tie_class * n + by_value
+    return np.take_along_axis(by_value, np.argsort(key, axis=1), axis=1)
 
 
 def graph_json_oracle(g: MultiGraph) -> str:

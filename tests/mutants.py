@@ -72,9 +72,35 @@ MUTANTS: tuple[Mutant, ...] = (
         # A cotree edge's lift at a sheet with its bit set stays on that sheet.
         "cover-flip-or",
         "covers.py",
-        "a ^ flip[:, None]",
-        "a | flip[:, None]",
+        "np.bitwise_xor(ends[:, :, 0], flip[:, None],",
+        "np.bitwise_or(ends[:, :, 0], flip[:, None],",
         ("tests/test_covers.py",),
+    ),
+    Mutant(
+        # A loop's lift at a sheet with its bit set is written (a, a ^ flip),
+        # head below tail, so those rows are not canonical.
+        "cover-loop-rows-unsorted",
+        "covers.py",
+        "loop_flip = flip * (tail == head)",
+        "loop_flip = flip * 0",
+        ("tests/test_covers.py",),
+    ),
+    Mutant(
+        # Every character flips the sign of cotree edge 0 only: the blocks
+        # are no longer the deck group's.
+        "block-signs",
+        "spectrum.py",
+        "sign[:, np.asarray(cotree, dtype=np.int64)] = 1 - 2 * flipped",
+        "sign[:, np.asarray(cotree, dtype=np.int64)] = 1 - 2 * flipped[:, :1]",
+        ("tests/test_spectrum.py::TestCharacterBlocks",),
+    ),
+    Mutant(
+        # lambda1_of reads every rounding residue of zero as an eigenvalue.
+        "lambda1-zero-tolerance",
+        "spectrum.py",
+        "tol = zero_tolerance(eigenvalues)",
+        "tol = 0.0",
+        ("tests/test_spectrum.py::TestFastPathsAgainstTheirPredecessors",),
     ),
     Mutant(
         "count-texts-shift",

@@ -41,6 +41,7 @@ from conftest import (
     doubled_cycle,
     figure8,
     path,
+    sweep_orders_by_argsort,
     theta,
 )
 
@@ -947,6 +948,18 @@ class TestVectorizedSweep:
         assert sweep_cut(g, [vec]).witness.side_a == (0, 1, 2)
         exact = sweep_cut(g, [[0.0, 0.0, 0.0, 1.0, 1.0, 2.0]])
         assert sweep_cut(g, [vec]).to_json_dict() == exact.to_json_dict()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 4), n=st.integers(1, 30))
+    def test_orders_are_the_argsort_oracle(self, data, k, n):
+        # values from a few levels, each moved by 0, 1/2, 1 or 2 tolerances
+        # (or a hair either side of one): exact ties and near-ties at 1e-9
+        levels = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+        steps = st.sampled_from([0.0, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0, -1.0, -2.0])
+        rows = np.array(
+            [[data.draw(levels) + data.draw(steps) * 1e-9 for _ in range(n)] for _ in range(k)]
+        )
+        assert np.array_equal(cheeger._sweep_orders(rows), sweep_orders_by_argsort(rows))
 
     def test_rejects_non_finite_and_empty_basis(self):
         with pytest.raises(ValidationError):

@@ -16,7 +16,7 @@ STATED = {
     "lemma_cut(cover).value": Fraction(2, 1),
     "exact_cheeger(cover.graph).value": Fraction(2, 1),
     "full_spectrum(cover.graph).lambda1": 3.9999999999999973,
-    "laplacian_spectrum(figure8, cotree)[0]": [0, 4, 4, 8],
+    "laplacian_spectrum(figure8, cotree)[0][0]": [0, 4, 4, 8],
     "basis.shape": (2, 4),
     "[row.vertices for row in report.levels]": [1, 4, 128],
 }

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertower import (
     CoverSpec,
@@ -32,6 +34,7 @@ from covertower.spectrum import (
 
 from conftest import (
     bouquet,
+    canonical_basis_by_column_stack,
     cheeger_sandwich,
     complete,
     cover_of,
@@ -39,6 +42,7 @@ from conftest import (
     dense_laplacian,
     doubled_cycle,
     figure8,
+    lambda1_three_passes,
     path,
     random_connected_multigraph,
     spectrum_inclusion,
@@ -206,7 +210,7 @@ class TestFiedler:
 class TestFiedlerBasis:
     def test_reduced_row_echelon_form_of_the_eigenspace(self, gamma2):
         g = gamma2.graph
-        w, basis = laplacian_spectrum(g, (), vectors=True)
+        (w,), basis = laplacian_spectrum(g, (), vectors=True)
         assert basis.shape == (8, g.num_vertices)  # lambda1 of Gamma2 is 8-fold
         # each row is an eigenvector for lambda1
         residual = dense_laplacian(g) @ basis.T - w[1] * basis.T
@@ -349,14 +353,14 @@ class TestEigensystemResiduals:
     )
     def test_laplacian_eigenpairs_residual(self, g):
         lap = dense_laplacian(g)
-        w, v = symmetric_eigensystem(character_laplacians(g, ()))
+        w, v = symmetric_eigensystem(character_laplacians(g, ())[0])
         w, v = w[0], v[0]
         scale = max(1.0, float(np.max(np.abs(lap))))
         assert np.max(np.abs(lap @ v - v * w)) <= 1e-8 * scale
 
     def test_summary_matches_eigensystem(self):
         g = cycle(6)
-        w, _ = laplacian_spectrum(g, ())
+        (w,), _ = laplacian_spectrum(g, ())
         s = full_spectrum(g)
         assert s.eigenvalues == tuple(float(x) for x in w)
         assert s.lambda1 == lambda1_of(w) == pytest.approx(1.0)
@@ -410,10 +414,12 @@ class TestCharacterBlocks:
     @pytest.mark.parametrize("cover", BLOCK_COVERS, ids=_cover_id)
     def test_union_of_block_spectra_is_the_cover_spectrum(self, cover, kind):
         dense = np.linalg.eigvalsh(dense_laplacian(cover.graph, kind))
-        w, rows = laplacian_spectrum(cover.base, cover.spec.cotree_edges, kind)
+        (w,), rows = laplacian_spectrum(cover.base, cover.spec.cotree_edges, (kind,))
         assert rows is None
         assert np.max(np.abs(w - dense)) <= 1e-9
-        with_vectors, _ = laplacian_spectrum(cover.base, cover.spec.cotree_edges, kind, True)
+        (with_vectors,), _ = laplacian_spectrum(
+            cover.base, cover.spec.cotree_edges, (kind,), True
+        )
         assert np.max(np.abs(with_vectors - dense)) <= 1e-9
 
     @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
@@ -421,7 +427,9 @@ class TestCharacterBlocks:
     def test_lifted_rows_span_the_lambda1_eigenspace(self, cover, kind):
         """The sweep basis reduced from the lifted rows is that of a dense solve."""
         lap = dense_laplacian(cover.graph, kind)
-        w, basis = laplacian_spectrum(cover.base, cover.spec.cotree_edges, kind, vectors=True)
+        (w,), basis = laplacian_spectrum(
+            cover.base, cover.spec.cotree_edges, (kind,), vectors=True
+        )
         for f in basis:
             assert np.linalg.norm(lap @ f - w[1] * f) <= 1e-9 * max(1.0, np.linalg.norm(f))
         dense_w, dense_v = np.linalg.eigh(lap)
@@ -432,7 +440,7 @@ class TestCharacterBlocks:
     @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
     @pytest.mark.parametrize("cover", BLOCK_COVERS, ids=_cover_id)
     def test_trivial_character_is_the_base(self, cover, kind):
-        blocks = character_laplacians(cover.base, cover.spec.cotree_edges, kind)
+        (blocks,) = character_laplacians(cover.base, cover.spec.cotree_edges, (kind,))
         assert blocks.shape == (cover.sheets, cover.base.num_vertices, cover.base.num_vertices)
         assert np.array_equal(blocks[0], dense_laplacian(cover.base, kind))
         base, whole = full_spectrum(cover.base, kind), full_spectrum(cover.graph, kind)
@@ -440,7 +448,7 @@ class TestCharacterBlocks:
 
     @pytest.mark.parametrize("cover", BLOCK_COVERS[::4], ids=_cover_id)
     def test_stacked_eigensolve_equals_per_matrix_calls(self, cover):
-        blocks = character_laplacians(cover.base, cover.spec.cotree_edges, NORMALIZED)
+        (blocks,) = character_laplacians(cover.base, cover.spec.cotree_edges, (NORMALIZED,))
         w, v = symmetric_eigensystem(blocks)
         values, none = symmetric_eigensystem(blocks, vectors=False)
         assert none is None
@@ -451,7 +459,7 @@ class TestCharacterBlocks:
 
     def test_lambda1_of_matches_the_summary(self):
         for cover in BLOCK_COVERS:
-            w, _ = laplacian_spectrum(cover.base, cover.spec.cotree_edges)
+            (w,), _ = laplacian_spectrum(cover.base, cover.spec.cotree_edges)
             dense = full_spectrum(cover.graph).lambda1
             assert lambda1_of(w) == pytest.approx(dense, rel=0, abs=1e-9)
         assert lambda1_of(np.array([0.0, 0.0, 2.0])) == 0.0
@@ -460,7 +468,25 @@ class TestCharacterBlocks:
     def test_unknown_kind(self):
         cover = cover_of(theta())
         with pytest.raises(ValidationError):
-            character_laplacians(cover.base, cover.spec.cotree_edges, "signless")
+            character_laplacians(cover.base, cover.spec.cotree_edges, ("signless",))
+        # a bare kind is not a sequence of kinds, and no kind asks for nothing
+        for kinds in (NORMALIZED, ()):
+            with pytest.raises(ValidationError, match="nonempty sequence"):
+                laplacian_spectrum(cover.base, cover.spec.cotree_edges, kinds)
+
+    def test_both_kinds_from_one_call_equal_one_kind_each(self):
+        kinds = (COMBINATORIAL, NORMALIZED)
+        for cover in BLOCK_COVERS:
+            base, cotree = cover.base, cover.spec.cotree_edges
+            stacks = character_laplacians(base, cotree, kinds)
+            spectra, basis = laplacian_spectrum(base, cotree, kinds, vectors=True)
+            # only the first kind is solved with vectors, as it is alone
+            for i, (kind, stack, w) in enumerate(zip(kinds, stacks, spectra)):
+                assert np.array_equal(stack, character_laplacians(base, cotree, (kind,))[0])
+                alone, alone_basis = laplacian_spectrum(base, cotree, (kind,), vectors=not i)
+                assert np.array_equal(w, alone[0])
+                if not i:
+                    assert np.array_equal(basis, alone_basis)
 
     @pytest.mark.parametrize(
         "cotree, message",
@@ -484,8 +510,8 @@ class TestCharacterBlocks:
     def test_no_connectivity_needed(self):
         # the spectrum layer solves any cover, connected or not
         two_loops = build_graph(2, [(0, 0), (1, 1)])
-        assert laplacian_spectrum(two_loops, ())[0].tolist() == [0.0, 0.0]
-        w, _ = laplacian_spectrum(cycle(3), (0, 1))
+        assert laplacian_spectrum(two_loops, ())[0][0].tolist() == [0.0, 0.0]
+        (w,), _ = laplacian_spectrum(cycle(3), (0, 1))
         assert np.count_nonzero(np.abs(w) <= zero_tolerance(w)) == 2
 
 
@@ -509,14 +535,14 @@ class TestRankZeroPath:
     def test_equals_the_dense_eigensolve(self, g, kind):
         if kind == NORMALIZED and min(g.degrees) == 0:
             with pytest.raises(SpectrumError, match="isolated"):
-                laplacian_spectrum(g, (), kind)
+                laplacian_spectrum(g, (), (kind,))
             return
         lap = dense_laplacian(g, kind)
-        w, none = laplacian_spectrum(g, (), kind)
+        (w,), none = laplacian_spectrum(g, (), (kind,))
         assert none is None
         assert np.array_equal(w, np.linalg.eigvalsh(lap))
         dense_w, dense_v = np.linalg.eigh(lap)
-        w, basis = laplacian_spectrum(g, (), kind, vectors=True)
+        (w,), basis = laplacian_spectrum(g, (), (kind,), vectors=True)
         assert np.array_equal(w, dense_w)
         if g.num_vertices < 2:
             assert basis.shape == (0, g.num_vertices)
@@ -536,3 +562,90 @@ class TestRankZeroPath:
             w = np.linalg.eigvalsh(dense_laplacian(g))
             repeated += len(w) > 2 and abs(w[2] - w[1]) <= zero_tolerance(w)
         assert repeated >= 3
+
+
+# Entries at and around the zero tolerance 1e-9 (the spectra drawn below stay
+# within radius 50), and exact, signed and subnormal zeros.
+_NEAR_ZERO = [0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, 3e-16, -3e-16, 1e-12, -1e-12]
+_NEAR_ZERO += [x * 1e-9 for x in (0.5, 1 - 2**-52, 1.0, 1 + 2**-52, 2.0, 50.0)]
+_NEAR_ZERO += [-x for x in _NEAR_ZERO[10:]]
+
+
+@st.composite
+def ascending_spectra(draw):
+    entries = st.one_of(
+        st.sampled_from(_NEAR_ZERO),
+        st.floats(-50, 50, allow_nan=False),
+        st.sampled_from([1.0, 2.0, 4.0, 50.0]),
+    )
+    w = np.sort(np.array(draw(st.lists(entries, max_size=12)), dtype=float))
+    # an entry at the drawn spectrum's own tolerance, or just inside or outside it
+    tol = 1e-9 * max([1.0] + [abs(float(x)) for x in w])
+    at_tol = [tol, -tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0), -np.nextafter(tol, 1.0)]
+    extra = draw(st.lists(st.sampled_from(at_tol), max_size=3))
+    return np.sort(np.concatenate((w, np.array(extra, dtype=float))))
+
+
+def _drawn_level(seed: int, n: int, rank: int):
+    """A cover of a seeded multigraph with loops and parallel edges: a tower level."""
+    return cover_of(random_connected_multigraph(random.Random(seed), n, rank))
+
+
+class TestFastPathsAgainstTheirPredecessors:
+    """lambda1_of and canonical_basis equal the code they replaced, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(ascending_spectra())
+    def test_lambda1_of_is_the_three_pass_scan(self, w):
+        assert repr(lambda1_of(w)) == repr(lambda1_three_passes(w))
+        radius = float(np.max(np.abs(w))) if len(w) else 0.0
+        assert repr(zero_tolerance(w)) == repr(1e-9 * max(1.0, radius))
+
+    def test_lambda1_corner_cases(self):
+        for w, expected in [
+            ([], None), ([0.0], None), ([-1e-12], None), ([5.0], 5.0), ([0.0, 0.0], 0.0),
+            ([-1e-12, 3e-16, 2.0], 0.0), ([-1e-12, 2.0], 2.0), ([1e-9, 3.0], 3.0),
+            ([1e-9, 1e-9 * (1 + 2**-52)], 1e-9 * (1 + 2**-52)),
+        ]:
+            w = np.array(w, dtype=float)
+            assert repr(lambda1_of(w)) == repr(lambda1_three_passes(w)) == repr(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 4), rank=st.integers(1, 4))
+    def test_canonical_basis_on_drawn_levels(self, seed, n, rank):
+        cover = _drawn_level(seed, n, rank)
+        spans = []
+
+        def recording(span):
+            spans.append(span)
+            return canonical_basis(span)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectrum_mod, "canonical_basis", recording)
+            for kinds in ((COMBINATORIAL,), (NORMALIZED,)):
+                laplacian_spectrum(cover.base, cover.spec.cotree_edges, kinds, vectors=True)
+        for span in spans:
+            new, old = canonical_basis(span), canonical_basis_by_column_stack(span)
+            assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32), k=st.integers(1, 7), n=st.integers(1, 40))
+    def test_canonical_basis_on_spans_with_twin_and_zero_columns(self, seed, k, n):
+        # orthonormal rows, as an eigensolver returns them; repeated and zero
+        # columns (twin and fixed vertices) are dependent pivot candidates
+        rng = np.random.default_rng(seed)
+        rows = np.linalg.qr(rng.standard_normal((max(k, n), k)))[0][:n].T
+        columns = rng.integers(0, n, size=n + 4)
+        span = rows[:, columns] * (rng.random(n + 4) > 0.2)
+        if np.linalg.matrix_rank(span, tol=1e-3) < k:
+            return
+        new, old = canonical_basis(span), canonical_basis_by_column_stack(span)
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+    def test_drawn_levels_have_repeated_lambda1(self):
+        dims = set()
+        for seed in range(40):
+            cover = _drawn_level(seed, 1 + seed % 4, 1 + seed % 3)
+            _, basis = laplacian_spectrum(cover.base, cover.spec.cotree_edges, vectors=True)
+            dims.add(len(basis))
+        assert {1, 2, 4} <= dims
