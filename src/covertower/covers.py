@@ -19,8 +19,9 @@ array is one broadcast of the base's edge rows against the 2^r bitvectors
 and its labels are read from the ids, so building a level runs no Python
 per cover vertex or edge.  verify_regular_cover reads the same arrays, each
 fiber once and in blocks of at most 2^16 edges: every edge (e, a) must be
-edge (e, 0) XOR a, and edge (e, 0) must project to e.  The homology step
-that sizes, builds and checks each cover is ``tower.homology_cover``.
+edge (e, 0) XOR a, and edge (e, 0) must project to e.  ``cover_vertices``
+is the one refusal of an oversized cover, for z2_cover and for the homology
+step that sizes, builds and checks each cover, ``tower.homology_cover``.
 """
 from __future__ import annotations
 
@@ -68,6 +69,15 @@ class RegularCoverReport:
         return not self.failures
 
 
+def cover_vertices(num_vertices: int, rank: int, vertex_cap: int) -> int:
+    """num_vertices * 2^rank, a rank-r cover's vertex count; SizeCapError above vertex_cap."""
+    if num_vertices << rank > vertex_cap:
+        raise SizeCapError(
+            f"cover would have {num_vertices} * 2^{rank} vertices, above the cap {vertex_cap}"
+        )
+    return num_vertices << rank
+
+
 def z2_cover(
     base: MultiGraph,
     spec: CoverSpec,
@@ -82,11 +92,7 @@ def z2_cover(
     spec.validate_for(base)
     r = spec.rank
     sheets = 1 << r
-    predicted_vertices = base.num_vertices * sheets
-    if predicted_vertices > vertex_cap:
-        raise SizeCapError(
-            f"cover would have {base.num_vertices} * 2^{r} vertices, above the cap {vertex_cap}"
-        )
+    predicted_vertices = cover_vertices(base.num_vertices, r, vertex_cap)
 
     # Row (tail, head) of edge e lifts to rows e * sheets + a:
     # (tail, a) -- (head, a ^ flip[e]), flip[e] = e_j for cotree edge j.

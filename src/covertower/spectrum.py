@@ -6,7 +6,8 @@ Normalized spectra are computed from entrywise-symmetric formulas so the
 matrix handed to the eigensolver is symmetric to the last bit.
 
 Eigensystems come from LAPACK through numpy (``eigvalsh``/``eigh``), one
-call per stack of matrices.
+call per stack of matrices.  One run of zeros (``zero_run``) decides a
+spectrum's lambda1, its printed zeros and its zero multiplicity.
 
 Every spectrum takes one path, ``laplacian_spectrum``.  It reads a graph as
 the Z/2 cover of a base along a set of cotree edges: the deck group
@@ -57,11 +58,12 @@ class SpectralSummary:
     max_degree: int
 
     def to_json_dict(self) -> dict:
-        tol = zero_tolerance(np.asarray(self.eigenvalues))
+        eigenvalues = np.array([round_sig(x) for x in self.eigenvalues], dtype=float)
+        eigenvalues[zero_run(np.asarray(self.eigenvalues))] = 0.0
         return {
             "schema": 1,
             "kind": self.kind,
-            "eigenvalues": [0.0 if abs(x) <= tol else round_sig(x) for x in self.eigenvalues],
+            "eigenvalues": eigenvalues.tolist(),
             "lambda1": round_sig(self.lambda1) if self.lambda1 is not None else None,
             "zero_multiplicity": self.zero_multiplicity,
             "max_degree": self.max_degree,
@@ -175,8 +177,8 @@ def laplacian_spectrum(
     kinds[i], ascending, which is the spectrum of laplacian(cover, kinds[i]).
     All kinds share one block assembly (character_laplacians), and each is
     one stacked eigensolve.  With vectors, basis is the sweep basis of the
-    first kind: the canonical_basis, one row per vector, of the eigenspace
-    of w[1] (the eigenvalues within zero_tolerance of it), w = spectra[0].
+    first kind: the canonical_basis, one row per vector, of the eigenspace of
+    lambda1_of(w) (within zero_tolerance; empty when None), w = spectra[0].
     It is reduced from the orthonormal rows lifted from the block
     eigenvectors g of character s as g(v) (-1)^popcount(s & a) / sqrt(2^r)
     at vertex v * 2^r + a.  Otherwise basis is None.
@@ -197,9 +199,9 @@ def laplacian_spectrum(
     (block_w, block_v), w = solved[0], spectra[0]
     if block_v is None:
         return spectra, None
-    if len(w) < 2:
+    if (lambda1 := lambda1_of(w)) is None:
         return spectra, np.zeros((0, len(w)))
-    s, k = np.nonzero(np.abs(block_w - w[1]) <= zero_tolerance(w))
+    s, k = np.nonzero(np.abs(block_w - lambda1) <= zero_tolerance(w))
     # bitwise_count gives uint8, so the signs are taken in float: 1 - 2 * 1 would wrap.
     parity = np.bitwise_count(s[:, np.newaxis] & np.arange(sheets)) & 1
     signs = 1.0 - 2.0 * parity
@@ -214,24 +216,28 @@ def zero_tolerance(eigenvalues: np.ndarray) -> float:
     return 1e-9 * max(1.0, abs(float(eigenvalues[0])), abs(float(eigenvalues[-1])))
 
 
-def lambda1_of(eigenvalues: np.ndarray) -> float | None:
-    """The first nonzero eigenvalue of an ascending spectrum (see SpectralSummary).
+def zero_run(eigenvalues: np.ndarray) -> slice:
+    """The entries |x| <= tol = zero_tolerance of an ascending spectrum, as one slice.
 
-    0.0 when zero is repeated (a disconnected graph), None when no
-    eigenvalue exceeds the zero tolerance.  These are the values of three
-    full passes (the radius max |x|, the count of zeros |x| <= tol, the
-    first x > tol), read at O(1) places: an ascending array holds its
-    largest |x| at one of its ends, where zero_tolerance reads it; the zeros
-    -tol <= x <= tol are one run, from the first x >= -tol (searchsorted
-    left) to before the first x > tol (searchsorted right), so their count
-    is end - start; and the entries > tol are exactly those from end on.
+    Found at O(1) places, they are those of a full pass: the largest |x| is
+    at one end, where zero_tolerance reads it; the run starts at the first
+    x >= -tol (searchsorted left) and stops before the first x > tol
+    (searchsorted right), so every entry from its stop on is > tol.
     """
     tol = zero_tolerance(eigenvalues)
     start = np.searchsorted(eigenvalues, -tol, side="left")
-    end = np.searchsorted(eigenvalues, tol, side="right")
-    if end - start > 1:
+    return slice(int(start), int(np.searchsorted(eigenvalues, tol, side="right")))
+
+
+def lambda1_of(eigenvalues: np.ndarray) -> float | None:
+    """The entry just after an ascending spectrum's zero run (see SpectralSummary).
+
+    0.0 when the run holds more than one entry (a disconnected graph), None when none follows.
+    """
+    zeros = zero_run(eigenvalues)
+    if zeros.stop - zeros.start > 1:
         return 0.0
-    return float(eigenvalues[end]) if end < len(eigenvalues) else None
+    return float(eigenvalues[zeros.stop]) if zeros.stop < len(eigenvalues) else None
 
 
 def full_spectrum(
@@ -243,7 +249,7 @@ def full_spectrum(
         kind=kind,
         eigenvalues=tuple(float(x) for x in w),
         lambda1=lambda1_of(w),
-        zero_multiplicity=int(np.sum(np.abs(w) <= zero_tolerance(w))),
+        zero_multiplicity=len(w[zero_run(w)]),
         max_degree=max(g.degrees, default=0),
     )
 

@@ -30,7 +30,9 @@ from json.encoder import encode_basestring_ascii
 
 from . import cheeger as cheeger_mod
 from . import spectrum as spectrum_mod
-from .covers import DEFAULT_VERTEX_CAP, CoveredGraph, verify_regular_cover, z2_cover
+from .covers import (
+    DEFAULT_VERTEX_CAP, CoveredGraph, cover_vertices, verify_regular_cover, z2_cover
+)
 from .errors import DisconnectedGraphError, SizeCapError, ValidationError
 from .multigraph import CoverSpec, MultiGraph, is_connected, spanning_tree
 
@@ -151,10 +153,8 @@ def homology_cover(g: MultiGraph, vertex_cap: int) -> CoveredGraph:
     disconnected one's, so a count above vertex_cap is refused, never wrongly, unwalked.
     """
     rank = g.num_edges - g.num_vertices + 1
-    if rank > 0 and g.num_vertices << rank > vertex_cap:
-        raise SizeCapError(
-            f"cover would have {g.num_vertices} * 2^{rank} vertices, above the cap {vertex_cap}"
-        )
+    if rank > 0:
+        cover_vertices(g.num_vertices, rank, vertex_cap)
     spec = spanning_tree(g)
     if spec.rank > rank:  # a forest of c trees leaves #E - #V + c cotree edges
         raise DisconnectedGraphError(f"the input graph has {spec.rank - rank + 1} components")

@@ -469,6 +469,17 @@ def lambda1_three_passes(eigenvalues: np.ndarray) -> float | None:
     return float(nonzero[0]) if len(nonzero) else None
 
 
+def zero_count_by_full_pass(eigenvalues: np.ndarray) -> int:
+    """full_spectrum's zero_multiplicity as one full pass: the count of |x| <= tol."""
+    return int(np.sum(np.abs(eigenvalues) <= zero_tolerance(eigenvalues)))
+
+
+def printed_eigenvalues_by_full_pass(eigenvalues: np.ndarray) -> list[float]:
+    """SpectralSummary.to_json_dict's eigenvalues with each entry tested |x| <= tol."""
+    tol = zero_tolerance(eigenvalues)
+    return [0.0 if abs(x) <= tol else spectrum_mod.round_sig(x) for x in eigenvalues.tolist()]
+
+
 def canonical_basis_by_column_stack(span: np.ndarray) -> np.ndarray:
     """canonical_basis with q grown by np.column_stack and each norm by np.linalg.norm."""
     q = np.zeros((span.shape[0], 0))

@@ -95,11 +95,28 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_spectrum.py::TestCharacterBlocks",),
     ),
     Mutant(
-        # lambda1_of reads every rounding residue of zero as an eigenvalue.
+        # The zero run holds exact zeros only: every rounding residue is an eigenvalue.
         "lambda1-zero-tolerance",
         "spectrum.py",
         "tol = zero_tolerance(eigenvalues)",
         "tol = 0.0",
+        ("tests/test_spectrum.py::TestFastPathsAgainstTheirPredecessors",),
+    ),
+    Mutant(
+        # The sweep basis spans the eigenspace of 2 * lambda1, which is empty
+        # or another eigenvalue's.
+        "sweep-eigenspace-off-lambda1",
+        "spectrum.py",
+        "np.abs(block_w - lambda1)",
+        "np.abs(block_w - 2 * lambda1)",
+        ("tests/test_spectrum.py::TestFiedlerBasis",),
+    ),
+    Mutant(
+        # The zero run stops before the entries equal to +tol.
+        "zero-run-right-end-left",
+        "spectrum.py",
+        'np.searchsorted(eigenvalues, tol, side="right")',
+        'np.searchsorted(eigenvalues, tol, side="left")',
         ("tests/test_spectrum.py::TestFastPathsAgainstTheirPredecessors",),
     ),
     Mutant(
@@ -110,6 +127,49 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_tower.py::TestCountTexts",),
     ),
     Mutant(
+        # The recount checks the claimed ratio only, not the crossing count.
+        "witness-ratio-only",
+        "cheeger.py",
+        "(crossing, ratio) != (claim.crossing_edges, claim.ratio)",
+        "ratio != claim.ratio",
+        (
+            "tests/test_cheeger.py::TestVerifyWitness"
+            "::test_rejects_a_wrong_crossing_count_with_the_right_ratio",
+        ),
+    ),
+    Mutant(
+        # Among the tied minima, the search keeps the largest key.
+        "tie-scan-largest-key",
+        "cheeger.py",
+        "i = int(np.argmin(keys))",
+        "i = int(np.argmax(keys))",
+        ("tests/test_cheeger.py::TestExactCheeger",),
+    ),
+    Mutant(
+        # The whole vertex set, whose ratio is 0 / 0, stays a candidate.
+        "whole-set-candidate",
+        "cheeger.py",
+        "scaled[-1, -1] = _NOT_A_CUT",
+        "pass",
+        ("tests/test_cheeger.py::TestExactCheeger",),
+    ),
+    Mutant(
+        # The lexicographic key drops the prefix rank: ties are broken wrongly.
+        "lex-key-no-prefix-rank",
+        "cheeger.py",
+        " + np.bitwise_count(masks)",
+        "",
+        ("tests/test_cheeger.py::TestExactCheeger",),
+    ),
+    Mutant(
+        # The table's integer type is sized for -W, not -2W, so it can overflow.
+        "table-holds-only-w",
+        "cheeger.py",
+        "np.min_scalar_type(-2 * (",
+        "np.min_scalar_type(-1 * (",
+        ("tests/test_cheeger.py::TestTableDtype",),
+    ),
+    Mutant(
         "lemma-claims-double-side",
         "cheeger.py",
         "cover.graph, in_a, cover.sheets, half, UPPER_BOUND",
@@ -117,11 +177,12 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_cheeger.py::TestLemmaCut",),
     ),
     Mutant(
-        # A cover of exactly the cap's size is refused by the homology step.
+        # A cover of exactly the cap's size is refused, by z2_cover and by the
+        # homology step before its walk.
         "cover-count-at-the-cap",
-        "tower.py",
-        "g.num_vertices << rank > vertex_cap",
-        "g.num_vertices << rank >= vertex_cap",
+        "covers.py",
+        "num_vertices << rank > vertex_cap",
+        "num_vertices << rank >= vertex_cap",
         ("tests/test_cli.py::TestCoverCommand",),
     ),
     Mutant(

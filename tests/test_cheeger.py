@@ -741,6 +741,14 @@ class TestVerifyWitness:
         with pytest.raises(ValidationError, match="witness does not re-verify"):
             verify_witness(gamma1.graph, tampered)
 
+    def test_rejects_a_wrong_crossing_count_with_the_right_ratio(self):
+        # {0} of the path 0-1-2 is crossed once, ratio 1: a claim of 2 crossing
+        # edges is wrong even though its ratio is right.
+        claim = CheegerResult(Cut(read_only_mask([True, False, False]), 2, Fraction(1)),
+                              "exact", "brute_force")
+        with pytest.raises(ValidationError, match="recomputed 1 crossing edges and ratio 1"):
+            verify_witness(path(3), claim)
+
     @staticmethod
     def four_cycle_result(in_a):
         """{0, 1} of the 4-cycle claimed: 2 crossing edges, ratio 1."""

@@ -361,15 +361,35 @@ class TestCoverCommand:
             ('{"vertices": 2, "edges": null}', "'edges' must be a list of vertex-id pairs"),
             ('{"vertices": 2, "edges": [[0, 1]], "labels": 5}', "'labels' must be a list"),
             ('{"vertices": 2, "edges": [[0, 1]], "labels": "ab"}', "'labels' must be a list"),
+            ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+            ("[1, 2]", "graph document must be a JSON object"),
+            ('{"edges": []}', "graph document needs 'vertices' and 'edges'"),
+            ('{"vertices": 2}', "graph document needs 'vertices' and 'edges'"),
+            ('{"vertices": -1, "edges": []}', "vertex count must be nonnegative"),
         ],
-        ids=["edges-int", "edges-null", "labels-int", "labels-string"],
+        ids=["edges-int", "edges-null", "labels-int", "labels-string", "not-json", "array",
+             "no-vertices", "no-edges", "negative-vertices"],
     )
     def test_non_list_fields_exit_2(self, tmp_path, capsys, text, message):
+        """A graph document that is not a JSON object of well-typed fields exits 2."""
         path = tmp_path / "g.json"
         path.write_text(text)
         code, out, err = run_cli("cover", str(path), "--iterate", "0", capsys=capsys)
         assert (code, out) == (2, "")
-        assert json.loads(err) == {"error": "ValidationError", "message": message}
+        assert err == json.dumps({"error": "ValidationError", "message": message}) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("cover", "figure8", "--iterate", "-1"), "--iterate must be nonnegative"),
+            (("spectrum", "cycle:0"), "cycle parameter must be >= 1, got 0"),
+        ],
+        ids=["negative-iterate", "cycle-0"],
+    )
+    def test_out_of_range_parameter_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == json.dumps({"error": "ValidationError", "message": message}) + "\n"
 
     @pytest.mark.parametrize("fmt", ["json", "dot"])
     @pytest.mark.parametrize("steps", [1, 2, 7])

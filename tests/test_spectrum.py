@@ -25,10 +25,12 @@ from covertower import spectrum as spectrum_mod
 from covertower.spectrum import (
     COMBINATORIAL,
     NORMALIZED,
+    SpectralSummary,
     canonical_basis,
     character_laplacians,
     lambda1_of,
     symmetric_eigensystem,
+    zero_run,
     zero_tolerance,
 )
 
@@ -44,9 +46,11 @@ from conftest import (
     figure8,
     lambda1_three_passes,
     path,
+    printed_eigenvalues_by_full_pass,
     random_connected_multigraph,
     spectrum_inclusion,
     theta,
+    zero_count_by_full_pass,
 )
 
 
@@ -592,7 +596,27 @@ def _drawn_level(seed: int, n: int, rank: int):
 
 
 class TestFastPathsAgainstTheirPredecessors:
-    """lambda1_of and canonical_basis equal the code they replaced, bit for bit."""
+    """lambda1_of, zero_run and canonical_basis equal the code they replaced, bit for bit."""
+
+    @staticmethod
+    def assert_zero_run_is_the_full_pass(w):
+        assert len(w[zero_run(w)]) == zero_count_by_full_pass(w)
+        summary = SpectralSummary(COMBINATORIAL, tuple(w.tolist()), lambda1_of(w), 0, 0)
+        printed = summary.to_json_dict()["eigenvalues"]
+        assert repr(printed) == repr(printed_eigenvalues_by_full_pass(w))
+
+    @settings(max_examples=400, deadline=None)
+    @given(ascending_spectra())
+    def test_zero_run_is_the_full_pass(self, w):
+        self.assert_zero_run_is_the_full_pass(w)
+
+    def test_zero_run_corner_cases(self):
+        above = np.nextafter(1e-9, 1.0)
+        for w in [
+            [], [0.0], [-0.0], [3.0], [0.0, 0.0, 0.0, 2.0], [-1e-9, 1e-9, 1.0],
+            [-above, above], [-1e-12, 0.0, 5.0], [-1e-12, 4e-12, 1e-10],
+        ]:
+            self.assert_zero_run_is_the_full_pass(np.array(w, dtype=float))
 
     @settings(max_examples=400, deadline=None)
     @given(ascending_spectra())
