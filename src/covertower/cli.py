@@ -29,6 +29,7 @@ from .errors import (
     DegenerateCutError,
     SizeCapError,
     SpectrumError,
+    Truncated,
     ValidationError,
 )
 from .multigraph import CoverLabels, MultiGraph
@@ -56,6 +57,7 @@ EXIT_IO = 6
 # Any other CovertowerError (bad input, spec mismatch, disconnected graph)
 # falls through to EXIT_CONFIG in _error_exit_code.
 _ERROR_CODES: tuple[tuple[type, int], ...] = (
+    (Truncated, EXIT_TRUNCATED),
     (SizeCapError, EXIT_INFEASIBLE),
     (DegenerateCutError, EXIT_INFEASIBLE),
     (SpectrumError, EXIT_SPECTRUM),
@@ -139,9 +141,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
         _write_text(f"{args.out}.{fmt}", artifacts[fmt]())
     if report.truncated and args.strict:
         level, cap = report.truncated_level, report.vertex_cap
-        message = f"tower truncated at level {level} by vertex cap {cap}"
-        print(json.dumps({"error": "Truncated", "message": message}), file=sys.stderr)
-        return EXIT_TRUNCATED
+        raise Truncated(f"tower truncated at level {level} by vertex cap {cap}")
     return EXIT_OK
 
 

@@ -35,3 +35,7 @@ class SpectrumError(CovertowerError, ValueError):
 
 class ConvergenceError(CovertowerError, RuntimeError):
     """LAPACK's symmetric eigensolver failed to converge (should not happen)."""
+
+
+class Truncated(CovertowerError):
+    """The vertex cap truncated a tower run with --strict, after its artifacts were written."""

@@ -40,6 +40,7 @@ class MultiGraph:
     def __post_init__(self):
         if self.num_vertices < 0:
             raise ValidationError("vertex count must be nonnegative")
+        check_vertex_count(self.num_vertices)
         ends = np.asarray(self.ends, dtype=np.int64)
         if ends.size == 0:
             ends = ends.reshape(0, 2)
@@ -157,14 +158,14 @@ class MultiGraph:
         return "".join(["graph G {\n", *vertices, *edges, "}\n"])
 
 
-class CoverLabels(Sequence):
+class CoverLabels:
     """The labels of an iterated cover, derived from its vertex ids on read.
 
     A cover of rank r labels vertex v as label(v >> r) + "|" + the low r bits
     of v, bit j written j-th from the left.  ``root`` holds the labels of the
     graph covered first (None: its ids), ``ranks`` the rank of each step
     since; a ``root`` that is itself a CoverLabels is unfolded.  Labels
-    compare as the tuple of their strings, index by integer, and do not hash.
+    iterate as their strings (from ``parts``), equal their tuple, do not hash.
     """
 
     def __init__(self, root: Sequence[str] | None, ranks: tuple[int, ...], size: int):
@@ -174,13 +175,6 @@ class CoverLabels(Sequence):
 
     def __len__(self) -> int:
         return self._size
-
-    def __getitem__(self, index):
-        v, suffix = range(self._size)[index], ""
-        for r in reversed(self.ranks):
-            suffix = "|" + _bits(v & ((1 << r) - 1), r) + suffix
-            v >>= r
-        return (str(v) if self.root is None else self.root[v]) + suffix
 
     def __iter__(self):
         heads, tails = self.parts(str)
@@ -211,9 +205,16 @@ class CoverLabels(Sequence):
         return heads, tails
 
 
-def _bits(a: int, r: int) -> str:
-    """Bitvector a as r characters, bit j at position j."""
-    return format(a, f"0{r}b")[::-1] if r else ""
+def check_vertex_count(n: int) -> None:
+    """SizeCapError unless n < 2^58, below which numpy can make every array n sizes.
+
+    numpy refuses arrays of 2^63 bytes or more; the largest sized by n are
+    int64 ranges of n + 1 entries (``spanning_tree``, ``component_count``)
+    and ``_id_rows``' table of n ids, each at most 18 digits below 2^58.
+    Every MultiGraph is held to it when built, before any such array exists.
+    """
+    if n >= 1 << 58:
+        raise SizeCapError(f"graph has {n} vertices, above the limit {(1 << 58) - 1}")
 
 
 def _json_list(body: list[str]) -> list[str]:

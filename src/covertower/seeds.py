@@ -29,7 +29,7 @@ import os
 import numpy as np
 
 from .errors import ValidationError
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, check_vertex_count
 
 
 def builtin_seed(name: str) -> MultiGraph | None:
@@ -40,6 +40,7 @@ def builtin_seed(name: str) -> MultiGraph | None:
         return MultiGraph(2, [(0, 1)] * 3)
     if name.startswith("cycle:"):
         n = _positive_int(name, "cycle")
+        check_vertex_count(n)  # before the ends array, which is 16n bytes
         # 1, 2, ..., 2n halved: row i is (i, i + 1), then the last row closes the cycle.
         ends = np.arange(1, 2 * n + 1).reshape(n, 2) // 2
         ends[-1] = 0, n - 1

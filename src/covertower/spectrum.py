@@ -36,7 +36,7 @@ COMBINATORIAL = "combinatorial"
 NORMALIZED = "normalized"
 
 DEFAULT_SPECTRUM_CAP = 2048
-_SIGNIFICANT_DIGITS = 12
+SIGNIFICANT_DIGITS = 12
 # Eigenspace columns whose residual against the earlier pivot columns is at
 # most this are dependent; the residuals do not depend on the basis.
 _PIVOT_TOLERANCE = 1e-6
@@ -71,8 +71,8 @@ class SpectralSummary:
 
 
 def round_sig(x: float) -> float:
-    """Round to _SIGNIFICANT_DIGITS significant digits (stable float formatting)."""
-    return float(f"{x:.{_SIGNIFICANT_DIGITS}g}")
+    """Round to SIGNIFICANT_DIGITS significant digits (stable float formatting)."""
+    return float(f"{x:.{SIGNIFICANT_DIGITS}g}")
 
 
 def symmetric_eigensystem(

@@ -341,8 +341,9 @@ def loop_cover(base: MultiGraph, spec: CoverSpec, reversed_positions=frozenset()
     sheets = 1 << r
     bitstrings = ["".join("1" if (a >> j) & 1 else "0" for j in range(r)) for a in range(sheets)]
     labels, vertex_fibers = [], []
+    names = tuple(base.labels) if base.labels is not None else None
     for v in range(base.num_vertices):
-        name = base.labels[v] if base.labels is not None else str(v)
+        name = names[v] if names is not None else str(v)
         for a in range(sheets):
             labels.append(f"{name}|{bitstrings[a]}")
             vertex_fibers.append((v, a))
@@ -526,13 +527,21 @@ def report_json_oracle(report: TowerReport) -> str:
 
 
 def report_csv_oracle(report: TowerReport) -> str:
-    """The tower CSV artifact with every field through csv.writer and each count by str()."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(LEVEL_FIELDS)
-    for row in report.levels:
-        writer.writerow([_csv_value(getattr(row, key)) for key in LEVEL_FIELDS])
-    return buffer.getvalue()
+    """The tower CSV artifact with every line by csv.writer and each count by str().
+
+    csv.writer quotes a field holding any character of its line terminator,
+    so with CRLF it quotes one holding a comma, a quote, CR or LF on every
+    Python from 3.10 on (with LF, 3.13 also quotes a lone CR and 3.10-3.12
+    do not).  Each line's CRLF is then trimmed to LF.  3.10 refuses a NUL,
+    so the text must hold none.
+    """
+    rows = [[_csv_value(getattr(row, key)) for key in LEVEL_FIELDS] for row in report.levels]
+    lines = []
+    for texts in [LEVEL_FIELDS, *rows]:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(texts)
+        lines.append(buffer.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 @pytest.fixture(scope="session")

@@ -196,6 +196,45 @@ MUTANTS: tuple[Mutant, ...] = (
             "::test_irregular_tower_level_exit_2_without_artifact",
         ),
     ),
+    Mutant(
+        # A field with a lone CR is written unquoted, as csv.writer did before 3.13.
+        "csv-cr-unquoted",
+        "tower.py",
+        """ or "\\r" in text""",
+        "",
+        ("tests/test_tower.py::TestReportWriters::test_csv_line",),
+    ),
+    Mutant(
+        "csv-quotes-not-doubled",
+        "tower.py",
+        """text.replace('"', '""')""",
+        "text",
+        ("tests/test_tower.py::TestReportWriters::test_csv_line",),
+    ),
+    Mutant(
+        # Bit j of a label's bitvector is written as its complement.
+        "label-bits-halves-swapped",
+        "multigraph.py",
+        """bits = [b + "0" for b in bits] + [b + "1" for b in bits]""",
+        """bits = [b + "1" for b in bits] + [b + "0" for b in bits]""",
+        ("tests/test_covers.py::TestDerivedLabels",),
+    ),
+    Mutant(
+        # --strict's truncation falls through to the configuration error code.
+        "truncated-exit-unmapped",
+        "cli.py",
+        "    (Truncated, EXIT_TRUNCATED),\n",
+        "",
+        ("tests/test_cli.py::TestTowerCommand::test_strict_truncation_exit_code",),
+    ),
+    Mutant(
+        # A graph of exactly 2^58 vertices is admitted.
+        "vertex-limit-off-by-one",
+        "multigraph.py",
+        "if n >= 1 << 58:",
+        "if n > 1 << 58:",
+        ("tests/test_multigraph.py::TestEdgeArray::test_vertex_count_limit_is_two_to_the_58",),
+    ),
 )
 
 

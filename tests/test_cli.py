@@ -737,6 +737,34 @@ def test_disconnected_input_exit_2(tmp_path, capsys, monkeypatch, argv, message)
     assert [p.name for p in tmp_path.iterdir()] == ["two-triangles.json"]
 
 
+HUGE = str(2**60 - 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cover", "huge.json", "--vertex-cap", str(10**20)),
+        ("tower", "--seed", "huge.json", "--levels", "0", "--vertex-cap", str(10**20)),
+        ("spectrum", "huge.json"),
+        ("cover", f"cycle:{HUGE}", "--vertex-cap", str(10**20)),
+    ],
+    ids=["cover", "tower", "spectrum", "cycle"],
+)
+def test_vertex_count_numpy_cannot_index_exit_4(tmp_path, capsys, monkeypatch, argv):
+    """2^60 - 1 vertices: an int64 range over them is above numpy's size
+    limit.  The graph is refused as it is built, with one JSON line and no
+    artifact, even by the commands whose own cap would refuse it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.json").write_text(f'{{"vertices": {HUGE}, "edges": []}}')
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out) == (4, "")
+    assert err == json.dumps({
+        "error": "SizeCapError",
+        "message": f"graph has {HUGE} vertices, above the limit {2**58 - 1}",
+    }) + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.json"]
+
+
 @pytest.mark.parametrize("command", [("cover",), ("cheeger", "--method", "lemma")],
                          ids=["cover", "lemma"])
 @pytest.mark.parametrize(

@@ -483,3 +483,11 @@ class TestEdgeArray:
     def test_vertex_ids_above_int64_refused(self):
         with pytest.raises(SizeCapError):
             build_graph(2**64, [(0, 2**63)])
+
+    def test_vertex_count_limit_is_two_to_the_58(self):
+        # The largest count admitted builds, with or without edges; the next is refused.
+        assert MultiGraph(2**58 - 1, np.empty((0, 2))).num_vertices == 2**58 - 1
+        assert build_graph(2**58 - 1, [(0, 2**58 - 2)]).num_edges == 1
+        for n in (2**58, 2**60 - 1):
+            with pytest.raises(SizeCapError, match=f"^graph has {n} vertices, above the limit"):
+                MultiGraph(n, np.empty((0, 2)))

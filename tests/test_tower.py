@@ -590,6 +590,10 @@ class TestCountTexts:
         assert count_texts(vertices, edges, rank) == expected
 
 
+# A count of 2,779 digits, past CROSSOVER: count_texts writes it from a decimal power.
+BIG = 3 << 9228
+assert len(str(BIG)) == 2779
+
 GOLDEN_TOWERS = json.loads((Path(__file__).parent / "golden_towers.json").read_text())
 SEED_SHAPES = {"tower-spectral": (2, 6), "tower-build": (8, 10)}
 
@@ -640,11 +644,35 @@ class TestReportWriters:
         self.assert_writers_match(report)
         self.assert_writers_match(dataclasses.replace(report, levels=()))
 
+    # The oracle's csv.writer refuses a NUL on Python 3.10, so the text holds none.
     @settings(max_examples=200, deadline=None)
-    @given(method=st.text(), certified=st.text(st.sampled_from(',"\r\n ab\t')))
+    @given(
+        method=st.text(st.characters(min_codepoint=1)),
+        certified=st.text(st.sampled_from(',"\r\n ab\t')),
+    )
     def test_csv_quoting(self, method, certified):
         report = counts_report(
             8 << CROSSOVER, 17 << CROSSOVER, (9 << CROSSOVER) + 1,
             cheeger_method=method, cheeger_certified=certified,
         )
         self.assert_writers_match(report)
+
+    @pytest.mark.parametrize(
+        "vertices, method, line",
+        [
+            (8, "a\0b", "1,false,8,16,9,1/4,,,a\0b,,"),
+            (8, "a\rb", '1,false,8,16,9,1/4,,,"a\rb",,'),
+            (8, "a\nb", '1,false,8,16,9,1/4,,,"a\nb",,'),
+            (8, "a\r\nb", '1,false,8,16,9,1/4,,,"a\r\nb",,'),
+            (8, 'a"b', '1,false,8,16,9,1/4,,,"a""b",,'),
+            (8, "a,b", '1,false,8,16,9,1/4,,,"a,b",,'),
+            (8, "", "1,false,8,16,9,1/4,,,,,"),
+            (BIG, "sweep", f"1,false,{BIG},{2 * BIG},{BIG + 1},1/4,,,sweep,,"),
+        ],
+        ids=["nul", "cr", "lf", "crlf", "quote", "comma", "empty", "2779-digit-count"],
+    )
+    def test_csv_line(self, vertices, method, line):
+        """One quoting rule on every Python: a field is quoted, its quotes
+        doubled, exactly when it holds a comma, a quote, CR or LF."""
+        report = counts_report(vertices, 2 * vertices, vertices + 1, cheeger_method=method)
+        assert report_to_csv_text(report) == ",".join(LEVEL_FIELDS) + "\n" + line + "\n"
